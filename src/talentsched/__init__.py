@@ -4,31 +4,22 @@ Actors are paid from their first to their last day on location, so a good
 shooting order packs each actor's scenes together.  The solver is a
 double-ended branch and bound with subproblem simplification, pairwise
 lower bounds, dominance pruning, and a direct-mapped cache of search
-states; the package also ships an LP-format model exporter, a brute-force
-oracle, instance tooling, and a benchmark CLI.
+states; each of those rules is implemented once, as a kernel in
+``solver``.  The package also ships an LP-format model exporter, a
+brute-force oracle, instance tooling, and a benchmark CLI; ``testkit``
+holds test fixtures, slow reference oracles and adapters that call the
+solver's kernels on one search node.
 """
 
-from .bounds import (
-    PairwiseBounds,
-    future_lower,
-    lb_greedy_matching,
-    lb_sum,
-    pairwise_bounds,
-    pairwise_constant,
-)
 from .cache import CacheStats, ExactStateStore, StateCache, StateKey, canonicalize, check_and_update
 from .cost import (
     Schedule,
-    SearchNode,
     actor_spans,
     holding_cost,
-    incremental_cost,
-    past_cost,
     scene_costs,
     total_cost,
     work_cost,
 )
-from .dominance import dominated_rule1, dominated_rule2, is_dominated
 from .ilp import MilpModel, build_model, export_milp, validate_assignment
 from .instance import (
     Instance,
@@ -41,7 +32,6 @@ from .instance import (
     total_wage,
     write_instance,
 )
-from .preprocess import MergeMap, expand_schedule, simplify
 from .solver import (
     SolveConfig,
     SolveResult,

@@ -1,24 +1,28 @@
 """Direct-mapped cache of search states.
 
 A state is the triple (actors on location at the front, actors on location
-at the back, remaining scene set).  Front/back are interchangeable by the
-problem's reversal symmetry, so keys are canonicalized with the lower of
-the two masks first.  The cache is a fixed power-of-two array of slots,
-one entry each; the slot index is a 64-bit hash of the key masked to the
-capacity.  A prune is only ever issued on an exact field-by-field key match
--- colliding keys fall through to the replacement policy:
+at the back, remaining scene set over original scene ids); its value is the
+holding cost already forced by the two blocks (the "past cost" the solver
+carries as ``z``).  Front/back are interchangeable by the problem's
+reversal symmetry, so keys are canonicalized with the lower of the two
+masks first.  The cache is a fixed power-of-two array of slots, one entry
+each; the slot index is a 64-bit hash of the key masked to the capacity.
+A prune is only ever issued on an exact field-by-field key match --
+colliding keys fall through to the replacement policy:
 
 * ``latest`` -- a collision always overwrites the resident entry.
 * ``greedy`` -- a collision overwrites only if the incoming value is smaller.
 
 Equal keys always keep the minimum value under either policy.  A node may
 also be pruned when the state reached by dropping any one remaining scene
-is cached with a value not above the node's past cost (finishing a subset
-of the work, in the same order, can only cost less).
+(a merged scene drops all its members at once) is cached with a value not
+above the node's past cost: finishing a subset of the work, in the same
+order, can only cost less.
 
-``ExactStateStore`` is an unbounded dict-backed variant used by tests to
-check the cache against plain memoization; the solver's production path is
-fixed-capacity only.
+``ExactStateStore`` is an unbounded dict-backed variant with the same
+interface.  ``SolveConfig(cache_capacity=None)`` selects it so that tests
+can check the cache against plain memoization; it has no capacity bound,
+so it is not meant for large solves.
 """
 
 from __future__ import annotations

@@ -1,18 +1,16 @@
-"""Schedule evaluation and partial-schedule cost bookkeeping.
+"""Schedule evaluation.
 
 A schedule is a permutation of scene indices shot back to back; days are
-1-based over the full horizon.  A search node fixes an ordered front block
-and an ordered back block of the permutation; the cost already forced by
-those blocks (the "past cost") is independent of how the remaining middle
-scenes get ordered, and grows by a closed-form increment whenever one more
-scene is pinned to the front.  All arithmetic is integer.
+1-based over the full horizon.  Every actor is paid from their first to
+their last day on location; the holding cost is the part of that pay spent
+waiting.  All arithmetic is integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, actors_of_scenes, bits, mask_of
+from .instance import Instance, bits
 
 
 @dataclass(frozen=True)
@@ -20,19 +18,6 @@ class Schedule:
     """A shooting order: permutation of scene indices 0..n-1."""
 
     order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    """A partial schedule: ordered front and back blocks plus the remaining
-    scene set.  ``active_actors`` is the mask of actors still relevant to
-    the middle (None means every actor)."""
-
-    front: tuple[int, ...]
-    back: tuple[int, ...]
-    remaining: int
-    past_cost: int = 0
-    active_actors: int | None = None
 
 
 def _check_schedule(inst: Instance, sched: Schedule) -> None:
@@ -101,98 +86,3 @@ def scene_costs(inst: Instance, sched: Schedule) -> list[int]:
         day += d
     return out
 
-
-# --- partial-schedule costs ---------------------------------------------------
-
-def _block_stats(inst: Instance, seq: tuple[int, ...], actor: int):
-    """(days before first required scene, days through last required scene,
-    work days, block length) for one actor within an ordered block; the
-    first two are None when the block never requires the actor."""
-    first_off = None
-    last_end = None
-    work = 0
-    day = 0
-    for s in seq:
-        d = inst.durations[s]
-        if inst.requires(actor, s):
-            if first_off is None:
-                first_off = day
-            last_end = day + d
-            work += d
-        day += d
-    return first_off, last_end, work, day
-
-
-def past_cost(inst: Instance, node: SearchNode) -> int:
-    """Holding cost already forced by the node's front and back blocks.
-
-    Covers: actors anchored on both sides (their whole span is decided,
-    including the full middle block); actors anchored at the front (their
-    waiting inside the front block is decided -- through the block's end if
-    they still have middle scenes, else through their last front scene);
-    and symmetrically actors anchored at the back.
-    """
-    front_set = mask_of(node.front)
-    back_set = mask_of(node.back)
-    a_front = actors_of_scenes(inst, front_set)
-    a_back = actors_of_scenes(inst, back_set)
-    a_mid = actors_of_scenes(inst, node.remaining)
-    mid_days = sum(inst.durations[j] for j in bits(node.remaining))
-
-    out = 0
-    for i in bits(a_front | a_back):
-        wage = inst.wages[i]
-        if wage == 0:
-            continue
-        in_mid = bool(a_mid >> i & 1)
-        if (a_front >> i & 1) and (a_back >> i & 1):
-            f_first, _, f_work, f_len = _block_stats(inst, node.front, i)
-            _, b_last_end, b_work, _ = _block_stats(inst, node.back, i)
-            mid_work = sum(
-                inst.durations[j]
-                for j in bits(node.remaining)
-                if inst.requires(i, j)
-            )
-            span = (f_len - f_first) + mid_days + b_last_end
-            out += wage * (span - f_work - mid_work - b_work)
-        elif a_front >> i & 1:
-            f_first, f_last_end, f_work, f_len = _block_stats(inst, node.front, i)
-            end = f_len if in_mid else f_last_end
-            out += wage * ((end - f_first) - f_work)
-        else:
-            b_first, b_last_end, b_work, _ = _block_stats(inst, node.back, i)
-            start = 0 if in_mid else b_first
-            out += wage * ((b_last_end - start) - b_work)
-    return out
-
-
-def incremental_cost(inst: Instance, node: SearchNode, scene: int) -> int:
-    """Newly forced holding cost of pinning ``scene`` right after the front
-    block.  Two sources: actors already on location at the front that the
-    scene does not use must wait through it; actors the scene pulls in whose
-    remaining anchor is the back block must wait through every later middle
-    scene that does not use them."""
-    if not node.remaining >> scene & 1:
-        raise ValueError(f"scene {scene} is not in the node's remaining set")
-
-    front_set = mask_of(node.front)
-    back_set = mask_of(node.back)
-    a_front = actors_of_scenes(inst, front_set)
-    a_back = actors_of_scenes(inst, back_set)
-    rest_of_front = actors_of_scenes(inst, back_set | node.remaining)
-    rest_of_back = actors_of_scenes(inst, front_set | node.remaining)
-    front_onloc = a_front & rest_of_front
-    back_onloc = a_back & rest_of_back
-
-    a_s = inst.scene_actors[scene]
-    waiting = front_onloc & ~back_onloc & ~a_s
-    cost = inst.durations[scene] * sum(inst.wages[i] for i in bits(waiting))
-
-    arriving = a_s & ~front_onloc & back_onloc
-    if arriving:
-        later = node.remaining & ~(1 << scene)
-        for j in bits(later):
-            idle = arriving & ~inst.scene_actors[j]
-            if idle:
-                cost += inst.durations[j] * sum(inst.wages[i] for i in bits(idle))
-    return cost

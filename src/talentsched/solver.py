@@ -12,6 +12,12 @@ member list, the summed duration, and the union of the members' actor
 sets.  Cache keys use the remaining set over *original* scene ids (the
 union of all live members), which keeps a state's identity independent of
 the merge history that produced it.
+
+Simplification, the increment, dominance and the pair bound each have one
+implementation, here: ``_simplify``, ``_Search._increment``,
+``_Search._dominated`` and ``_Search._branch_lower`` with its halves
+``_pair_constants`` and ``_pair_bound``.  Tests reach them on single nodes
+through the adapters in ``testkit``.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ from .instance import Instance, bits
 @dataclass(frozen=True)
 class SolveConfig:
     """Solver switches.  ``cache_capacity`` is 0 (off), a power of two, or
-    None for the unbounded test-only exact store.  ``initial_ub`` must be
-    the holding cost of some feasible schedule (it tightens pruning without
-    hiding value-equal optima)."""
+    None for the unbounded test-only exact store.  ``initial_ub`` is a
+    holding cost some schedule is known to reach: it tightens pruning
+    without hiding value-equal optima, and a search that finishes without
+    reaching it raises ``ValueError``."""
 
     cache_capacity: int | None = 1 << 25
     cache_strategy: str = "greedy"
@@ -168,6 +175,134 @@ def brute_force(inst: Instance) -> tuple[int, Schedule]:
     return best_h, Schedule(best_order)
 
 
+def _simplify(
+    front_act,
+    back_act,
+    reps,
+    q_reps,
+    active,
+    dur_view,
+    member_mask,
+    member_actors,
+    members,
+):
+    """Drop actors that can no longer wait and merge middle scenes that have
+    become indistinguishable, iterated to a fixed point.
+
+    An actor is dropped when both blocks anchor them (their pay is decided)
+    or when fewer than two things still do, counting each block and each
+    remaining scene as one (they can never be held waiting again).
+    Remaining scenes whose active-actor sets coincide merge into their
+    smallest id, which carries the summed duration, the union of the
+    members' original-id masks and actor sets, and the concatenated member
+    list.  ``reps`` lists the representatives of ``q_reps`` ascending.
+    Returns the updated ``(reps, q_reps, active, dur_view, member_mask,
+    member_actors, members)``; the node's optimal holding cost is unchanged.
+    """
+    anchored = front_act | back_act
+    fixed = front_act & back_act
+    while True:
+        seen_once = 0
+        seen_twice = 0
+        for s in reps:
+            a = member_actors[s]
+            seen_twice |= seen_once & a
+            seen_once |= a
+        new_active = (seen_twice | (seen_once & anchored)) & ~fixed & active
+        groups: dict[int, list[int]] = {}
+        for s in reps:
+            groups.setdefault(member_actors[s] & new_active, []).append(s)
+        if new_active == active and len(groups) == len(reps):
+            return reps, q_reps, active, dur_view, member_mask, member_actors, members
+        active = new_active
+        if len(groups) < len(reps):
+            dur_view = list(dur_view)
+            member_mask = list(member_mask)
+            member_actors = list(member_actors)
+            members = list(members)
+            for group in groups.values():
+                keep = group[0]
+                for other in group[1:]:
+                    dur_view[keep] += dur_view[other]
+                    member_mask[keep] |= member_mask[other]
+                    member_actors[keep] |= member_actors[other]
+                    # concatenate, never re-sort: actors wholly inside an
+                    # earlier merge rely on its members staying adjacent in
+                    # the stored order
+                    members[keep] = members[keep] + members[other]
+                    q_reps &= ~(1 << other)
+            dur_view = tuple(dur_view)
+            member_mask = tuple(member_mask)
+            member_actors = tuple(member_actors)
+            members = tuple(members)
+            reps = list(bits(q_reps))
+
+
+def _pair_constants(actors, front_rel, qmasks, qdur, dq, dur_view, wages):
+    """Positive pair-constraint constants ``(c, i, j)`` with i < j: ``c``
+    bounds the combined middle-block wait of actors i and j.
+
+    ``actors`` lists the node's relevant actors ascending (on location at
+    exactly one block), ``front_rel`` masks those anchored at the front,
+    ``qmasks[a]``/``qdur[a]`` are the remaining scenes of ``actors[a]`` and
+    their total duration, and ``dq`` is the whole middle block's length.
+    Two actors on the same side: one of them sits through the other's
+    private scenes.  Opposite sides: only when some scene needs both must
+    their spans meet, and then one of them covers every scene needing
+    neither.
+    """
+    pairs = []
+    count = len(actors)
+    for a in range(count):
+        i = actors[a]
+        qi = qmasks[a]
+        di = qdur[a]
+        wi = wages[i]
+        i_front = front_rel >> i & 1
+        for b in range(a + 1, count):
+            j = actors[b]
+            qj = qmasks[b]
+            inter = qi & qj
+            d_int = 0
+            mm = inter
+            while mm:
+                low = mm & -mm
+                d_int += dur_view[low.bit_length() - 1]
+                mm ^= low
+            wj = wages[j]
+            if i_front == (front_rel >> j & 1):
+                c = min(wj * (di - d_int), wi * (qdur[b] - d_int))
+            elif inter:
+                c = min(wi, wj) * (dq - di - qdur[b] + d_int)
+            else:
+                c = 0
+            if c > 0:
+                pairs.append((c, i, j))
+    return pairs
+
+
+def _pair_bound(pairs, count):
+    """Lower bound on the total wait of ``count`` relevant actors from their
+    pair constants: the larger of the averaging bound (every actor is in
+    count-1 pairs, so the constants' total over count-1, rounded up) and the
+    greedy matching (constants largest first, ties by actor pair, each kept
+    when both its actors are still unmarked).  Sorts ``pairs`` in place."""
+    if not pairs:
+        return 0
+    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+    total = 0
+    marked = 0
+    lb2 = 0
+    for c, i, j in pairs:
+        total += c
+        if marked >> i & 1 or marked >> j & 1:
+            continue
+        lb2 += c
+        marked |= (1 << i) | (1 << j)
+    lb1 = -(-total // (count - 1))
+    return lb1 if lb1 > lb2 else lb2
+
+
 class _Search:
     def __init__(self, inst: Instance, cfg: SolveConfig):
         self.inst = inst
@@ -221,6 +356,12 @@ class _Search:
         except _TimeLimit:
             status = "time_limit"
         elapsed = time.perf_counter() - self.t0
+        hint = cfg.initial_ub
+        if status == "optimal" and hint is not None and self.best_h > hint:
+            raise ValueError(
+                f"initial_ub={hint} is below the optimum: "
+                "no schedule has a holding cost within it"
+            )
 
         stats = self.cache.stats if self.cache is not None else CacheStats()
         return SolveResult(
@@ -271,48 +412,14 @@ class _Search:
             return
 
         cfg = self.cfg
-        wtab = self.wage_tables
         reps = list(bits(q_reps))
-
-        # -- simplify: drop irrelevant actors, merge duplicate scenes --
         if cfg.enable_preprocess:
-            anchored = front_act | back_act
-            fixed = front_act & back_act
-            while True:
-                seen_once = 0
-                seen_twice = 0
-                for s in reps:
-                    a = member_actors[s]
-                    seen_twice |= seen_once & a
-                    seen_once |= a
-                new_active = (seen_twice | (seen_once & anchored)) & ~fixed & active
-                groups: dict[int, list[int]] = {}
-                for s in reps:
-                    groups.setdefault(member_actors[s] & new_active, []).append(s)
-                if new_active == active and len(groups) == len(reps):
-                    break
-                active = new_active
-                if len(groups) < len(reps):
-                    dur_view = list(dur_view)
-                    member_mask = list(member_mask)
-                    member_actors = list(member_actors)
-                    members = list(members)
-                    for group in groups.values():
-                        keep = group[0]
-                        for other in group[1:]:
-                            dur_view[keep] += dur_view[other]
-                            member_mask[keep] |= member_mask[other]
-                            member_actors[keep] |= member_actors[other]
-                            # concatenate, never re-sort: actors wholly inside
-                            # an earlier merge rely on its members staying
-                            # adjacent in the stored order
-                            members[keep] = members[keep] + members[other]
-                            q_reps &= ~(1 << other)
-                    dur_view = tuple(dur_view)
-                    member_mask = tuple(member_mask)
-                    member_actors = tuple(member_actors)
-                    members = tuple(members)
-                    reps = list(bits(q_reps))
+            reps, q_reps, active, dur_view, member_mask, member_actors, members = (
+                _simplify(
+                    front_act, back_act, reps, q_reps, active,
+                    dur_view, member_mask, member_actors, members,
+                )
+            )
 
         aq_full = 0
         for s in reps:
@@ -437,6 +544,17 @@ class _Search:
         return inc
 
     def _dominated(self, s, reps, sigs, front_dom, back_dom):
+        """Whether some other remaining scene s2 does at least as well as s
+        in the next front slot.  ``sigs`` maps each scene to its active
+        actors; ``front_dom``/``back_dom`` are the active actors on location
+        at each block.  With s1 = sigs[s], both rules need
+        s1 | front  to cover  s2 | front, and then
+        rule 1 -- s1 | back  inside  s2 | back (swapping never costs more);
+        rule 2 -- the wage of (s1 | front) & (s2 | back) strictly above the
+                  wage of s2 | front (moving s2 ahead saves more than it
+                  costs).
+        Rule 1 can hold both ways (identical scenes); the smaller id then
+        survives.  Competitors are scanned in ``reps`` order."""
         cfg = self.cfg
         s1 = sigs[s]
         s1_front = s1 | front_dom
@@ -493,47 +611,8 @@ class _Search:
             qdur.append(actor_qd[i] - (dur_view[s] if actor_q[i] >> s & 1 else 0))
         dq2 = dq_total - dur_view[s]
 
-        total = 0
-        pairs = []
-        for a in range(count):
-            i = actors[a]
-            qi = qmasks[a]
-            di = qdur[a]
-            wi = wages[i]
-            i_front = front_rel >> i & 1
-            for b in range(a + 1, count):
-                j = actors[b]
-                qj = qmasks[b]
-                inter = qi & qj
-                d_int = 0
-                mm = inter
-                while mm:
-                    low = mm & -mm
-                    d_int += dur_view[low.bit_length() - 1]
-                    mm ^= low
-                wj = wages[j]
-                if i_front == (front_rel >> j & 1):
-                    c = min(wj * (di - d_int), wi * (qdur[b] - d_int))
-                elif inter:
-                    c = min(wi, wj) * (dq2 - di - qdur[b] + d_int)
-                else:
-                    c = 0
-                if c > 0:
-                    total += c
-                    pairs.append((c, i, j))
-        if not total:
-            return 0
-
-        lb1 = -(-total // (count - 1))
-        pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-        marked = 0
-        lb2 = 0
-        for c, i, j in pairs:
-            if marked >> i & 1 or marked >> j & 1:
-                continue
-            lb2 += c
-            marked |= (1 << i) | (1 << j)
-        return lb1 if lb1 > lb2 else lb2
+        pairs = _pair_constants(actors, front_rel, qmasks, qdur, dq2, dur_view, wages)
+        return _pair_bound(pairs, count)
 
 
 def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:

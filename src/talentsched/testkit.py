@@ -1,16 +1,37 @@
-"""Worked-example fixtures and enumeration oracles shared by the test suite.
+"""Worked-example fixtures, enumeration oracles and kernel adapters shared
+by the test suite.
 
-Everything here is test support: small, slow, and written independently of
-the solver's fast paths so it can serve as ground truth.
+Everything here is test support.  The oracles (``SearchNode``,
+``past_cost``, ``enumerate_future_cost``) are small, slow, and written
+independently of the solver's fast paths so they can serve as ground
+truth.  The adapters turn a ``SearchNode`` into the per-node arguments of
+the solver's own kernels -- ``_simplify``, ``_Search._increment``,
+``_Search._dominated``, ``_Search._branch_lower`` and its two halves
+``_pair_constants``/``_pair_bound`` -- so that tests check the code every
+solve runs.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import permutations
 
-from .cost import SearchNode
 from .instance import Instance, actors_of_scenes, bits, mask_of
+from .solver import SolveConfig, _pair_constants, _Search, _simplify
+
+
+@dataclass(frozen=True)
+class SearchNode:
+    """A partial schedule: ordered front and back blocks plus the remaining
+    scene set.  ``active_actors`` is the mask of actors still relevant to
+    the middle (None means every actor)."""
+
+    front: tuple[int, ...]
+    back: tuple[int, ...]
+    remaining: int
+    past_cost: int = 0
+    active_actors: int | None = None
 
 # 12-scene, 6-actor worked example (matrix rows are actors, X = required)
 _WORKED_ROWS = [
@@ -116,3 +137,247 @@ def random_node(
     front = tuple(rest[:cut])
     back = tuple(rest[cut:])
     return SearchNode(front=front, back=back, remaining=mask_of(q))
+
+
+# --- past-cost oracle ---------------------------------------------------------
+
+def _block_stats(inst: Instance, seq: tuple[int, ...], actor: int):
+    """(days before first required scene, days through last required scene,
+    work days, block length) for one actor within an ordered block; the
+    first two are None when the block never requires the actor."""
+    first_off = None
+    last_end = None
+    work = 0
+    day = 0
+    for s in seq:
+        d = inst.durations[s]
+        if inst.requires(actor, s):
+            if first_off is None:
+                first_off = day
+            last_end = day + d
+            work += d
+        day += d
+    return first_off, last_end, work, day
+
+
+def past_cost(inst: Instance, node: SearchNode) -> int:
+    """Holding cost already forced by the node's front and back blocks.
+
+    Covers: actors anchored on both sides (their whole span is decided,
+    including the full middle block); actors anchored at the front (their
+    waiting inside the front block is decided -- through the block's end if
+    they still have middle scenes, else through their last front scene);
+    and symmetrically actors anchored at the back.
+    """
+    front_set = mask_of(node.front)
+    back_set = mask_of(node.back)
+    a_front = actors_of_scenes(inst, front_set)
+    a_back = actors_of_scenes(inst, back_set)
+    a_mid = actors_of_scenes(inst, node.remaining)
+    mid_days = sum(inst.durations[j] for j in bits(node.remaining))
+
+    out = 0
+    for i in bits(a_front | a_back):
+        wage = inst.wages[i]
+        if wage == 0:
+            continue
+        in_mid = bool(a_mid >> i & 1)
+        if (a_front >> i & 1) and (a_back >> i & 1):
+            f_first, _, f_work, f_len = _block_stats(inst, node.front, i)
+            _, b_last_end, b_work, _ = _block_stats(inst, node.back, i)
+            mid_work = sum(
+                inst.durations[j]
+                for j in bits(node.remaining)
+                if inst.requires(i, j)
+            )
+            span = (f_len - f_first) + mid_days + b_last_end
+            out += wage * (span - f_work - mid_work - b_work)
+        elif a_front >> i & 1:
+            f_first, f_last_end, f_work, f_len = _block_stats(inst, node.front, i)
+            end = f_len if in_mid else f_last_end
+            out += wage * ((end - f_first) - f_work)
+        else:
+            b_first, b_last_end, b_work, _ = _block_stats(inst, node.back, i)
+            start = 0 if in_mid else b_first
+            out += wage * ((b_last_end - start) - b_work)
+    return out
+
+
+# --- kernel adapters ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class KernelNode:
+    """The state ``_Search._search`` carries into a node: the actors of
+    each block, the remaining representative scenes, the active actors, and
+    per scene id its duration, original-id mask, actor set and members."""
+
+    front_act: int
+    back_act: int
+    q_reps: int
+    active: int
+    dur_view: tuple[int, ...]
+    member_mask: tuple[int, ...]
+    member_actors: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+
+    def groups(self) -> dict[int, tuple[int, ...]]:
+        """Members of every remaining representative that absorbed others."""
+        return {
+            s: self.members[s] for s in bits(self.q_reps) if len(self.members[s]) > 1
+        }
+
+
+def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
+    """The node as the search enters it, before any merge."""
+    n = inst.num_scenes
+    return KernelNode(
+        front_act=actors_of_scenes(inst, mask_of(node.front)),
+        back_act=actors_of_scenes(inst, mask_of(node.back)),
+        q_reps=node.remaining,
+        active=inst.all_actors if node.active_actors is None else node.active_actors,
+        dur_view=inst.durations,
+        member_mask=tuple(1 << j for j in range(n)),
+        member_actors=inst.scene_actors,
+        members=tuple((j,) for j in range(n)),
+    )
+
+
+def simplify(kn: KernelNode) -> KernelNode:
+    """The node after the solver's ``_simplify``."""
+    _, q_reps, active, dur_view, member_mask, member_actors, members = _simplify(
+        kn.front_act,
+        kn.back_act,
+        list(bits(kn.q_reps)),
+        kn.q_reps,
+        kn.active,
+        kn.dur_view,
+        kn.member_mask,
+        kn.member_actors,
+        kn.members,
+    )
+    return KernelNode(
+        kn.front_act, kn.back_act, q_reps, active,
+        dur_view, member_mask, member_actors, members,
+    )
+
+
+def _kernels(inst: Instance, **switches) -> _Search:
+    return _Search(inst, SolveConfig(cache_capacity=0, **switches))
+
+
+def _on_location(inst: Instance, node: SearchNode) -> tuple[int, int]:
+    """Actors on location at the front and at the back, as ``_search``
+    derives them from the blocks and the middle."""
+    front_act = actors_of_scenes(inst, mask_of(node.front))
+    back_act = actors_of_scenes(inst, mask_of(node.back))
+    aq = actors_of_scenes(inst, node.remaining)
+    return front_act & (aq | back_act), back_act & (aq | front_act)
+
+
+def _actor_middle(inst: Instance, remaining: int):
+    """Per actor the remaining scenes needing them and their total
+    duration, plus the whole middle's duration."""
+    actor_q = [q & remaining for q in inst.actor_scenes]
+    actor_qd = [sum(inst.durations[s] for s in bits(q)) for q in actor_q]
+    return actor_q, actor_qd, sum(inst.durations[s] for s in bits(remaining))
+
+
+def _require_remaining(node: SearchNode, scene: int) -> None:
+    if not node.remaining >> scene & 1:
+        raise ValueError(f"scene {scene} is not in the node's remaining set")
+
+
+def increment(inst: Instance, node: SearchNode, scene: int) -> int:
+    """``_Search._increment``: holding cost newly forced by pinning
+    ``scene`` right after the node's front block."""
+    _require_remaining(node, scene)
+    front_onloc, back_onloc = _on_location(inst, node)
+    _, actor_qd, dq_total = _actor_middle(inst, node.remaining)
+    return _kernels(inst)._increment(
+        scene, inst.durations, inst.scene_actors, front_onloc, back_onloc,
+        actor_qd, dq_total,
+    )
+
+
+def is_dominated(
+    inst: Instance,
+    node: SearchNode,
+    scene: int,
+    use_rule1: bool = True,
+    use_rule2: bool = True,
+) -> bool:
+    """``_Search._dominated``: whether branching on ``scene`` is skipped in
+    favour of another remaining scene."""
+    _require_remaining(node, scene)
+    active = inst.all_actors if node.active_actors is None else node.active_actors
+    front_onloc, back_onloc = _on_location(inst, node)
+    reps = list(bits(node.remaining))
+    sigs = {s: inst.scene_actors[s] & active for s in reps}
+    search = _kernels(inst, enable_rule1=use_rule1, enable_rule2=use_rule2)
+    return search._dominated(
+        scene, reps, sigs, front_onloc & active, back_onloc & active
+    )
+
+
+def rule_fires(
+    inst: Instance, rule: int, s1_actors: int, s2_actors: int, front: int, back: int
+) -> bool:
+    """Whether dominance rule ``rule`` (1 or 2) of ``_Search._dominated``
+    skips a scene with actors ``s1_actors`` for one with ``s2_actors``,
+    given the active actors on location at each block.  The competitor gets
+    the smaller id, so rule 1's tie-break never spares the first scene."""
+    search = _kernels(inst, enable_rule1=rule == 1, enable_rule2=rule == 2)
+    return search._dominated(1, [0, 1], {0: s2_actors, 1: s1_actors}, front, back)
+
+
+def relevant_actors(inst: Instance, node: SearchNode) -> tuple[int, int]:
+    """Oracle: the actors whose middle-block wait the pair bound covers --
+    on location at the front only, and at the back only."""
+    front_onloc, back_onloc = _on_location(inst, node)
+    fixed = actors_of_scenes(inst, mask_of(node.front)) & actors_of_scenes(
+        inst, mask_of(node.back)
+    )
+    return front_onloc & ~fixed, back_onloc & ~fixed
+
+
+def pair_constants(inst: Instance, node: SearchNode) -> dict[tuple[int, int], int]:
+    """``_pair_constants`` over the node's relevant actors, keyed by actor
+    pair; pairs whose constant is 0 are absent."""
+    front_rel, back_rel = relevant_actors(inst, node)
+    actors = list(bits(front_rel | back_rel))
+    actor_q, actor_qd, dq = _actor_middle(inst, node.remaining)
+    pairs = _pair_constants(
+        actors,
+        front_rel,
+        [actor_q[i] for i in actors],
+        [actor_qd[i] for i in actors],
+        dq,
+        inst.durations,
+        inst.wages,
+    )
+    return {(i, j): c for c, i, j in pairs}
+
+
+def branch_lower(inst: Instance, node: SearchNode) -> int:
+    """The pair bound the solver tests before entering the node:
+    ``_Search._branch_lower`` at the node's parent, on the last front
+    scene.  A node with an empty front block is taken reversed; with both
+    blocks empty nothing is anchored, so no actor can be held and the bound
+    is 0."""
+    if not node.front:
+        if not node.back:
+            return 0
+        node = SearchNode(tuple(reversed(node.back)), (), node.remaining)
+    s = node.front[-1]
+    actor_q, actor_qd, dq_total = _actor_middle(inst, node.remaining | 1 << s)
+    return _kernels(inst)._branch_lower(
+        s,
+        inst.scene_actors[s],
+        actors_of_scenes(inst, node.remaining),
+        actors_of_scenes(inst, mask_of(node.front[:-1])),
+        actors_of_scenes(inst, mask_of(node.back)),
+        actor_q,
+        actor_qd,
+        inst.durations,
+        dq_total,
+    )

@@ -14,15 +14,12 @@ from pathlib import Path
 import pytest
 
 from talentsched import (
-    PairwiseBounds,
     Schedule,
     SolveConfig,
     brute_force,
     build_model,
     generate_instance,
     holding_cost,
-    lb_greedy_matching,
-    pairwise_bounds,
     parse_instance,
     solve,
     total_cost,
@@ -30,11 +27,15 @@ from talentsched import (
     write_instance,
 )
 from talentsched.cli import BENCH_FIELDS, main, result_to_json
-from talentsched.instance import bits, mask_of
+from talentsched.instance import bits
+from talentsched.solver import _pair_bound
 from talentsched.testkit import (
+    branch_lower,
     enumerate_future_cost,
     fixture_worked_example,
+    pair_constants,
     random_node,
+    relevant_actors,
 )
 
 # the benchmark files referenced by published results; not bundled, so the
@@ -72,11 +73,9 @@ def test_criterion_1_worked_example():
 
 
 def test_criterion_2_matching_bound_example():
-    pb = PairwiseBounds(
-        mask_of([0, 1, 2, 3]),
-        {(0, 1): 2, (0, 2): 7, (0, 3): 6, (1, 2): 12, (1, 3): 8, (2, 3): 5},
-    )
-    assert lb_greedy_matching(pb) == 18
+    constants = {(0, 1): 2, (0, 2): 7, (0, 3): 6, (1, 2): 12, (1, 3): 8, (2, 3): 5}
+    # the averaging half gives ceil(40 / 3) = 14, so the matching decides
+    assert _pair_bound([(c, i, j) for (i, j), c in constants.items()], 4) == 18
     _report(2, "greedy matching bound on the six-constraint system equals 18")
 
 
@@ -138,8 +137,6 @@ def _q_span_costs(inst, node, order, relevant):
 
 
 def test_criterion_4_bound_validity():
-    from talentsched import future_lower
-
     rng = random.Random(101)
     nodes = 0
     pair_checks = 0
@@ -149,13 +146,14 @@ def test_criterion_4_bound_validity():
         )
         node = random_node(inst, rng, max_remaining=nodes % 8)
         nodes += 1
-        pb = pairwise_bounds(inst, node)
-        assert future_lower(inst, node) <= enumerate_future_cost(inst, node)
-        if pb.constants:
-            relevant = pb.relevant_actors
+        constants = pair_constants(inst, node)
+        assert branch_lower(inst, node) <= enumerate_future_cost(inst, node)
+        if constants:
+            front_rel, back_rel = relevant_actors(inst, node)
+            relevant = front_rel | back_rel
             for order in permutations(sorted(bits(node.remaining))):
                 x = _q_span_costs(inst, node, order, relevant)
-                for (i, j), c in pb.constants.items():
+                for (i, j), c in constants.items():
                     assert x.get(i, 0) + x.get(j, 0) >= c
                     pair_checks += 1
     _report(4, f"{nodes} random nodes: bound <= enumerated future cost; "

@@ -5,11 +5,8 @@ import pytest
 from talentsched import (
     Instance,
     Schedule,
-    SearchNode,
     generate_instance,
     holding_cost,
-    incremental_cost,
-    past_cost,
     scene_costs,
     total_cost,
     total_wage,
@@ -22,8 +19,11 @@ from talentsched.testkit import (
     WORKED_HOLDING_IDENTITY,
     WORKED_TOTAL_BEST,
     WORKED_TOTAL_IDENTITY,
+    SearchNode,
     fixture_partial_example,
     fixture_worked_example,
+    increment,
+    past_cost,
     random_node,
 )
 
@@ -122,14 +122,14 @@ def test_partial_example_increments():
     inst, node = fixture_partial_example()
     w = inst.wages
     d = inst.durations
-    assert incremental_cost(inst, node, 3) == (w[1] + w[3]) * d[3]
-    assert incremental_cost(inst, node, 2) == w[2] * d[3]
+    assert increment(inst, node, 3) == (w[1] + w[3]) * d[3]
+    assert increment(inst, node, 2) == w[2] * d[3]
 
 
 def test_increment_requires_remaining_scene():
     inst, node = fixture_partial_example()
     with pytest.raises(ValueError):
-        incremental_cost(inst, node, 0)
+        increment(inst, node, 0)
 
 
 def test_increment_order_independent():
@@ -140,11 +140,12 @@ def test_increment_order_independent():
         remaining=node.remaining,
     )
     for s in bits(node.remaining):
-        assert incremental_cost(inst, node, s) == incremental_cost(inst, shuffled, s)
+        assert increment(inst, node, s) == increment(inst, shuffled, s)
 
 
 def _walk_branch(inst, rng):
-    """Random double-ended placement run; yields (node, scene, increment)."""
+    """Random double-ended placement run, priced by the solver's
+    ``_increment``; yields (node after the placement, increment)."""
     remaining = inst.all_scenes
     front: tuple[int, ...] = ()
     back: tuple[int, ...] = ()
@@ -153,11 +154,11 @@ def _walk_branch(inst, rng):
         node = SearchNode(front=front, back=back, remaining=remaining)
         scene = rng.choice(list(bits(remaining)))
         if front_turn:
-            inc = incremental_cost(inst, node, scene)
+            inc = increment(inst, node, scene)
             front = front + (scene,)
         else:
             flipped = SearchNode(front=back, back=front, remaining=remaining)
-            inc = incremental_cost(inst, flipped, scene)
+            inc = increment(inst, flipped, scene)
             back = (scene,) + back
         remaining &= ~(1 << scene)
         front_turn = not front_turn

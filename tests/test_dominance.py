@@ -1,56 +1,56 @@
+"""Dominance rules 1 and 2 as the solver runs them, in
+``_Search._dominated``, through the testkit adapters."""
 
 from talentsched import (
     Instance,
-    SearchNode,
     brute_force,
-    dominated_rule1,
-    dominated_rule2,
     generate_instance,
-    is_dominated,
     solve,
     SolveConfig,
 )
 from talentsched.instance import mask_of
+from talentsched.testkit import SearchNode, is_dominated, rule_fires
+
+# rule 1 reads no wages; any instance with enough actors will do
+FOUR_ACTORS = Instance(1, 4, (0b1111,), (1,), (1, 1, 1, 1))
 
 
 def test_rule1_equal_scenes():
     a = mask_of([0, 2])
-    assert dominated_rule1(a, a, 0, 0)
-    assert dominated_rule1(a, a, mask_of([1]), mask_of([3]))
+    assert rule_fires(FOUR_ACTORS, 1, a, a, 0, 0)
+    assert rule_fires(FOUR_ACTORS, 1, a, a, mask_of([1]), mask_of([3]))
 
 
 def test_rule1_cross_cover_example():
     # a(s1)={a0}, a(s2)={a1}, front={a1}, back={a0}:
     # fronts {0,1} vs {1}, backs {0} vs {0,1}
-    assert dominated_rule1(mask_of([0]), mask_of([1]), mask_of([1]), mask_of([0]))
+    assert rule_fires(
+        FOUR_ACTORS, 1, mask_of([0]), mask_of([1]), mask_of([1]), mask_of([0])
+    )
 
 
 def test_rule1_direction_matters():
     s1 = mask_of([0])
     s2 = mask_of([0, 1])
     # s2 covers s1 at the front, so s2's branch is not dominated by s1's
-    assert not dominated_rule1(s1, s2, 0, 0)
-    assert dominated_rule1(s2, s1, 0, mask_of([1]))
+    assert not rule_fires(FOUR_ACTORS, 1, s1, s2, 0, 0)
+    assert rule_fires(FOUR_ACTORS, 1, s2, s1, 0, mask_of([1]))
 
 
 def test_rule2_strictness_blocks_equal_scenes():
     a = mask_of([0, 1])
     inst = Instance(2, 2, (a, a), (1, 1), (5, 7))
-    assert not dominated_rule2(inst, a, a, 0, 0)
+    assert not rule_fires(inst, 2, a, a, 0, 0)
 
 
 def test_rule2_positive_margin():
     # a(s1)={a0,a1} superset of a(s2)={a0}; the a1 wage only appears on the
     # gain side because a1 waits at the back
     inst = Instance(2, 2, (mask_of([0, 1]), mask_of([0])), (1, 1), (5, 7))
-    assert dominated_rule2(
-        inst, mask_of([0, 1]), mask_of([0]), 0, mask_of([1])
-    )
+    assert rule_fires(inst, 2, mask_of([0, 1]), mask_of([0]), 0, mask_of([1]))
     # zero-wage margin is not enough
     free = Instance(2, 2, (mask_of([0, 1]), mask_of([0])), (1, 1), (5, 0))
-    assert not dominated_rule2(
-        free, mask_of([0, 1]), mask_of([0]), 0, mask_of([1])
-    )
+    assert not rule_fires(free, 2, mask_of([0, 1]), mask_of([0]), 0, mask_of([1]))
 
 
 def test_is_dominated_single_scene_has_no_competitor():

@@ -163,6 +163,26 @@ def test_initial_ub_hint_keeps_optimum_reachable():
     assert loose_hint.holding_cost == expect
 
 
+def test_initial_ub_below_the_optimum_raises():
+    inst = fixture_worked_example()
+    with pytest.raises(ValueError, match="initial_ub=52"):
+        solve(inst, SolveConfig(cache_capacity=1 << 10, initial_ub=52))
+    result = solve(inst, SolveConfig(cache_capacity=1 << 10, initial_ub=53))
+    assert result.status == "optimal"
+    assert result.holding_cost == WORKED_HOLDING_BEST
+
+
+def test_initial_ub_keeps_time_limit_status():
+    # the search stops long before it could prove the hint unreachable, so
+    # the greedy incumbent above the hint comes back as a time-limited answer
+    inst = generate_instance(26, 8, seed=2, density=0.3, max_duration=3)
+    cfg = SolveConfig(cache_capacity=1 << 10, time_limit=0.01, initial_ub=800)
+    result = solve(inst, cfg)
+    assert result.status == "time_limit"
+    assert result.holding_cost > 800
+    assert holding_cost(inst, result.schedule) == result.holding_cost
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(cache_capacity=3)
@@ -221,3 +241,79 @@ def test_cache_modes_only_change_node_counts():
     for strategy in ("latest", "greedy"):
         r = solve(inst, SolveConfig(cache_capacity=1 << 8, cache_strategy=strategy))
         assert r.holding_cost in values
+
+
+# (n, m, seed, density) -> config -> (optimum, nodes without a cache,
+# nodes with a 2^10 cache, cache hits with it).  Recorded from the solver
+# before its kernels were lifted into module functions; any change to a
+# pruning rule or to the order of the search shows up here.
+NODE_PINS = {
+    (10, 6, 7101, 0.35): {
+        "all": (90, 29, 27, 3),
+        "no-preprocess": (90, 30, 28, 3),
+        "no-rule1": (90, 31, 29, 3),
+        "no-rule2": (90, 29, 27, 3),
+        "no-lower": (90, 191, 95, 33),
+        "cheapest": (90, 29, 27, 3),
+    },
+    (11, 7, 7102, 0.4): {
+        "all": (234, 125, 92, 15),
+        "no-preprocess": (234, 147, 114, 15),
+        "no-rule1": (234, 144, 100, 16),
+        "no-rule2": (234, 127, 94, 15),
+        "no-lower": (234, 625, 281, 55),
+        "cheapest": (234, 120, 87, 15),
+    },
+    (12, 8, 7103, 0.3): {
+        "all": (609, 1329, 822, 112),
+        "no-preprocess": (609, 1405, 888, 120),
+        "no-rule1": (609, 1605, 947, 159),
+        "no-rule2": (609, 1413, 865, 116),
+        "no-lower": (609, 13274, 4923, 1106),
+        "cheapest": (609, 1432, 865, 133),
+    },
+    (12, 6, 7104, 0.45): {
+        "all": (466, 252, 179, 19),
+        "no-preprocess": (466, 336, 231, 23),
+        "no-rule1": (466, 294, 211, 22),
+        "no-rule2": (466, 278, 193, 19),
+        "no-lower": (466, 875, 384, 67),
+        "cheapest": (466, 179, 107, 16),
+    },
+    (13, 7, 7105, 0.35): {
+        "all": (246, 349, 252, 35),
+        "no-preprocess": (246, 634, 431, 59),
+        "no-rule1": (246, 391, 280, 38),
+        "no-rule2": (246, 406, 292, 39),
+        "no-lower": (246, 4640, 1999, 503),
+        "cheapest": (246, 362, 265, 33),
+    },
+    (14, 8, 7106, 0.3): {
+        "all": (124, 174, 103, 22),
+        "no-preprocess": (124, 474, 170, 36),
+        "no-rule1": (124, 221, 139, 24),
+        "no-rule2": (124, 174, 103, 22),
+        "no-lower": (124, 2820, 626, 180),
+        "cheapest": (124, 157, 86, 22),
+    },
+}
+PIN_CONFIGS = {
+    "all": {},
+    "no-preprocess": {"enable_preprocess": False},
+    "no-rule1": {"enable_rule1": False},
+    "no-rule2": {"enable_rule2": False},
+    "no-lower": {"enable_lower": False},
+    "cheapest": {"branch_order": "cheapest"},
+}
+
+
+@pytest.mark.parametrize("key", sorted(NODE_PINS))
+def test_node_counts_are_pinned(key):
+    n, m, seed, density = key
+    inst = generate_instance(n, m, seed=seed, density=density)
+    for name, (optimum, nodes, cached_nodes, hits) in NODE_PINS[key].items():
+        bare = solve(inst, SolveConfig(cache_capacity=0, **PIN_CONFIGS[name]))
+        cached = solve(inst, SolveConfig(cache_capacity=1 << 10, **PIN_CONFIGS[name]))
+        got = (bare.holding_cost, bare.subproblems, cached.subproblems, cached.cache_stats.hits)
+        assert got == (optimum, nodes, cached_nodes, hits), name
+        assert cached.holding_cost == optimum, name
