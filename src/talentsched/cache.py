@@ -5,10 +5,12 @@ at the back, remaining scene set over original scene ids); its value is the
 holding cost already forced by the two blocks (the "past cost" the solver
 carries as ``z``).  Front/back are interchangeable by the problem's
 reversal symmetry, so keys are canonicalized with the lower of the two
-masks first.  The cache is a fixed power-of-two array of slots, one entry
-each; the slot index is a 64-bit hash of the key masked to the capacity.
-A prune is only ever issued on an exact field-by-field key match --
-colliding keys fall through to the replacement policy:
+masks first.  The cache has ``capacity`` slots, a power of two, one entry
+each; the slot index is the key's hash masked to the capacity.  Slots are
+held in a dict filled only on store, so memory grows with the states
+stored and the capacity only bounds it.  A prune is only ever issued on an
+exact field-by-field key match -- colliding keys fall through to the
+replacement policy:
 
 * ``latest`` -- a collision always overwrites the resident entry.
 * ``greedy`` -- a collision overwrites only if the incoming value is smaller.
@@ -46,12 +48,6 @@ def canonicalize(front: int, back: int, remaining: int) -> StateKey:
     return StateKey(front, back, remaining)
 
 
-def _hash_key(key: StateKey) -> int:
-    # tuples of ints hash through the interpreter's 64-bit mixer, which is
-    # deterministic across runs (int hashing is never randomized)
-    return hash(key)
-
-
 @dataclass
 class CacheStats:
     probes: int = 0
@@ -63,7 +59,15 @@ class CacheStats:
 
 
 class StateCache:
-    """Fixed-capacity direct-mapped store of the best known past cost per state."""
+    """Direct-mapped store of the best known past cost per state, at most
+    ``capacity`` entries.
+
+    Slot ``hash(key) & (capacity - 1)`` holds one ``(key, value)`` pair.  A
+    ``StateKey`` hashes and compares as the plain tuple of its fields (tuples
+    of ints hash through the interpreter's 64-bit mixer, which is
+    deterministic across runs), so ``check`` probes with plain tuples and
+    lands in the same slots as ``lookup`` and ``store``.
+    """
 
     def __init__(self, capacity: int, strategy: str = "greedy"):
         if capacity < 1 or capacity & (capacity - 1):
@@ -72,18 +76,17 @@ class StateCache:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.capacity = capacity
         self.strategy = strategy
-        self._keys: list[StateKey | None] = [None] * capacity
-        self._values: list[int] = [0] * capacity
+        self._slots: dict[int, tuple[tuple[int, int, int], int]] = {}
         self.stats = CacheStats()
 
     def slot_of(self, key: StateKey) -> int:
-        return _hash_key(key) & (self.capacity - 1)
+        return hash(key) & (self.capacity - 1)
 
     def lookup(self, key: StateKey, past_cost: int) -> bool:
         """True iff the exact key is resident with a value <= past_cost."""
         self.stats.probes += 1
-        slot = self.slot_of(key)
-        if self._keys[slot] == key and self._values[slot] <= past_cost:
+        entry = self._slots.get(self.slot_of(key))
+        if entry is not None and entry[0] == key and entry[1] <= past_cost:
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -92,27 +95,68 @@ class StateCache:
     def replace(self, slot: int, key: StateKey, value: int) -> bool:
         """Install (key, value) in the slot per the replacement policy;
         returns whether anything was stored."""
-        resident = self._keys[slot]
-        if resident is None:
-            self._keys[slot] = key
-            self._values[slot] = value
+        entry = self._slots.get(slot)
+        if entry is None:
+            self._slots[slot] = (key, value)
             self.stats.stores += 1
             return True
-        if resident == key:
-            if value < self._values[slot]:
-                self._values[slot] = value
+        if entry[0] == key:
+            if value < entry[1]:
+                self._slots[slot] = (entry[0], value)
                 return True
             return False
         self.stats.collisions += 1
-        if self.strategy == "latest" or value < self._values[slot]:
-            self._keys[slot] = key
-            self._values[slot] = value
+        if self.strategy == "latest" or value < entry[1]:
+            self._slots[slot] = (key, value)
             self.stats.replacements += 1
             return True
         return False
 
     def store(self, key: StateKey, value: int) -> bool:
         return self.replace(self.slot_of(key), key, value)
+
+    def check(self, front, back, remaining, past_cost, removable_masks) -> bool:
+        """Prune check for one canonical state; True means prune.
+
+        Does what ``lookup`` of the state, ``lookup`` of each subset state
+        (``remaining`` without one of ``removable_masks``) and then ``store``
+        of the state would do, counters included, in one pass.
+        """
+        slots = self._slots
+        mask = self.capacity - 1
+        key = (front, back, remaining)
+        slot = hash(key) & mask
+        own = slots.get(slot)
+        stats = self.stats
+        if own is not None and own[0] == key and own[1] <= past_cost:
+            stats.probes += 1
+            stats.hits += 1
+            return True
+        probes = 1
+        for removed in removable_masks:
+            probes += 1
+            sub = (front, back, remaining & ~removed)
+            entry = slots.get(hash(sub) & mask)
+            if entry is not None and entry[0] == sub and entry[1] <= past_cost:
+                stats.probes += probes
+                stats.hits += 1
+                stats.misses += probes - 1
+                return True
+        stats.probes += probes
+        stats.misses += probes
+        # the own-state probe missed, so a resident equal key holds a
+        # larger value and is always improved
+        if own is None:
+            slots[slot] = (key, past_cost)
+            stats.stores += 1
+        elif own[0] == key:
+            slots[slot] = (key, past_cost)
+        else:
+            stats.collisions += 1
+            if self.strategy == "latest" or past_cost < own[1]:
+                slots[slot] = (key, past_cost)
+                stats.replacements += 1
+        return False
 
 
 class ExactStateStore:
@@ -122,7 +166,7 @@ class ExactStateStore:
     strategy = "exact"
 
     def __init__(self):
-        self._map: dict[StateKey, int] = {}
+        self._map: dict[tuple[int, int, int], int] = {}
         self.stats = CacheStats()
 
     def lookup(self, key: StateKey, past_cost: int) -> bool:
@@ -142,6 +186,31 @@ class ExactStateStore:
             return True
         return False
 
+    def check(self, front, back, remaining, past_cost, removable_masks) -> bool:
+        """Same contract as ``StateCache.check``."""
+        values = self._map
+        stats = self.stats
+        key = (front, back, remaining)
+        own = values.get(key)
+        if own is not None and own <= past_cost:
+            stats.probes += 1
+            stats.hits += 1
+            return True
+        probes = 1
+        for removed in removable_masks:
+            probes += 1
+            value = values.get((front, back, remaining & ~removed))
+            if value is not None and value <= past_cost:
+                stats.probes += probes
+                stats.hits += 1
+                stats.misses += probes - 1
+                return True
+        stats.probes += probes
+        stats.misses += probes
+        values[key] = past_cost  # the own-state probe missed: new or better
+        stats.stores += 1
+        return False
+
 
 def check_and_update(
     cache,
@@ -158,14 +227,8 @@ def check_and_update(
     candidate removes; single bits by default).  When no probe prunes, the
     node's state is offered to the cache under its replacement policy.
     """
-    key = canonicalize(front, back, remaining)
-    if cache.lookup(key, past_cost):
-        return True
+    if bitset_lt(back, front):
+        front, back = back, front
     if removable_masks is None:
         removable_masks = [1 << s for s in bits(remaining)]
-    for removed in removable_masks:
-        sub = StateKey(key.front, key.back, remaining & ~removed)
-        if cache.lookup(sub, past_cost):
-            return True
-    cache.store(key, past_cost)
-    return False
+    return cache.check(front, back, remaining, past_cost, removable_masks)

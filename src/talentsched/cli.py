@@ -383,7 +383,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         "--cache-bits",
         type=int,
         default=_default_cache_bits(),
-        help="state cache capacity exponent (capacity 2^K, 0 disables)",
+        help="state cache capacity exponent: at most 2^K states are kept, "
+        "memory grows only with those stored (0 disables)",
     )
     p.add_argument(
         "--cache-strategy", choices=["latest", "greedy"], default="greedy"
@@ -421,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="CSV sweep over instances and parameters")
     p.add_argument("paths", nargs="+", help="instance files or directories of *.txt")
     p.add_argument("--cache-bits", default=str(_default_cache_bits()),
-                   help="comma-separated capacity exponents, 0 disables (e.g. 0,10,25)")
+                   help="comma-separated capacity exponents, each capping the cache "
+                   "at 2^K states, 0 disables (e.g. 0,10,25)")
     p.add_argument("--strategies", default="greedy",
                    help="comma-separated replacement strategies")
     p.add_argument("--ablate", action="store_true",

@@ -391,7 +391,9 @@ class _Search:
         members,
     ):
         self.nodes += 1
-        if not self.nodes & 4095 and time.perf_counter() > self.deadline:
+        # every node: at n = 64 one node can take milliseconds, so a check
+        # every few thousand nodes would overshoot the limit by seconds
+        if time.perf_counter() > self.deadline:
             raise _TimeLimit
 
         if not q_reps:
@@ -468,33 +470,37 @@ class _Search:
             back_dom = back_onloc & active
             sigs = {s: member_actors[s] & active for s in reps}
 
+        # ``order`` lists positions in ``reps``; "cheapest" needs every
+        # increment up front to sort by, and ties keep ascending scene ids
         if cfg.branch_order == "cheapest":
-            candidates = sorted(
-                reps,
-                key=lambda s: (
-                    self._increment(
-                        s, dur_view, member_actors, front_onloc, back_onloc,
-                        actor_qd, dq_total,
-                    ),
-                    s,
-                ),
-            )
+            incs = [
+                self._increment(
+                    s, dur_view, member_actors, front_onloc, back_onloc,
+                    actor_qd, dq_total,
+                )
+                for s in reps
+            ]
+            order = sorted(range(k), key=incs.__getitem__)
         else:
-            candidates = reps
+            incs = None
+            order = range(k)
 
-        for pos, s in enumerate(candidates):
+        for pos in order:
+            s = reps[pos]
             if use_rules and self._dominated(s, reps, sigs, front_dom, back_dom):
                 continue
-            inc = self._increment(
-                s, dur_view, member_actors, front_onloc, back_onloc,
-                actor_qd, dq_total,
-            )
+            if incs is None:
+                inc = self._increment(
+                    s, dur_view, member_actors, front_onloc, back_onloc,
+                    actor_qd, dq_total,
+                )
+            else:
+                inc = incs[pos]
             z2 = z + inc
             if z2 >= self.limit:
                 continue
             if cfg.enable_lower:
-                idx = reps.index(s) if cfg.branch_order == "cheapest" else pos
-                aq2 = prefix[idx] | suffix[idx + 1]
+                aq2 = prefix[pos] | suffix[pos + 1]
                 future = self._branch_lower(
                     s,
                     member_actors[s],

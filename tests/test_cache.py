@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,7 @@ from talentsched import (
     canonicalize,
     check_and_update,
 )
-from talentsched.instance import mask_of
+from talentsched.instance import bits, mask_of
 
 
 def test_canonicalize_keeps_lower_front():
@@ -46,6 +47,18 @@ def test_capacity_must_be_power_of_two():
             StateCache(bad)
     with pytest.raises(ValueError):
         StateCache(8, strategy="random")
+
+
+def test_capacity_only_bounds_memory():
+    tracemalloc.start()
+    try:
+        cache = StateCache(1 << 30)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 1e6
+    assert not check_and_update(cache, 0b01, 0b10, 0b111, 5)
+    assert check_and_update(cache, 0b01, 0b10, 0b111, 5)
 
 
 def test_replace_policies():
@@ -146,3 +159,48 @@ def test_exact_store_always_prunes_revisits():
         store.store(key, value)
         seen[key] = value if best is None else min(best, value)
     assert store.stats.hits + store.stats.misses == store.stats.probes
+
+
+def _resident(cache):
+    return cache._map if isinstance(cache, ExactStateStore) else cache._slots
+
+
+@pytest.mark.parametrize(
+    "capacity, strategy",
+    [(None, "exact")] + [(cap, s) for cap in (1, 16, 256) for s in ("latest", "greedy")],
+)
+def test_check_and_update_matches_lookups_then_store(capacity, strategy):
+    # the one-pass probe against the same cache driven through lookup (own
+    # state, then each subset) and store, on a key space small enough for
+    # hits, equal keys and slot collisions
+    def make():
+        return ExactStateStore() if capacity is None else StateCache(capacity, strategy)
+
+    fast, ref = make(), make()
+    rng = random.Random(73)
+    for _ in range(3000):
+        front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(5)
+        past = rng.randint(0, 12)
+        masks = None
+        if rng.random() < 0.3:
+            masks = []
+            for s in bits(remaining):
+                if masks and rng.random() < 0.4:
+                    masks[-1] |= 1 << s  # a merged scene drops all its members
+                else:
+                    masks.append(1 << s)
+        got = check_and_update(fast, front, back, remaining, past, masks)
+
+        key = canonicalize(front, back, remaining)
+        subs = [1 << s for s in bits(remaining)] if masks is None else masks
+        want = ref.lookup(key, past) or any(
+            ref.lookup(StateKey(key.front, key.back, remaining & ~r), past) for r in subs
+        )
+        if not want:
+            ref.store(key, past)
+        assert got == want
+        assert fast.stats == ref.stats
+        assert _resident(fast) == _resident(ref)
+    assert fast.stats.hits and fast.stats.stores
+    if capacity is not None:
+        assert fast.stats.collisions and fast.stats.replacements

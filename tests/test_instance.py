@@ -61,10 +61,9 @@ def test_write_minimal_three_lines():
 
 
 def test_generated_round_trip():
-    for seed in range(50):
-        inst = generate_instance(
-            1 + seed % 12, 1 + (seed * 7) % 10, seed=seed, density=0.4
-        )
+    sizes = [(1 + seed % 12, 1 + (seed * 7) % 10, seed) for seed in range(50)]
+    for n, m, seed in sizes + [(64, 64, 50)]:  # the format's largest instance
+        inst = generate_instance(n, m, seed=seed, density=0.4)
         text = write_instance(inst)
         again = parse_instance(text)
         assert again == inst

@@ -1,4 +1,7 @@
 import itertools
+import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -154,6 +157,22 @@ def test_time_limit_returns_incumbent():
     assert result.subproblems > 0
 
 
+def test_time_limit_is_checked_at_every_node():
+    # banded 64x64 instance where one node takes milliseconds, so a clock
+    # read every few thousand nodes overshoots the limit by many seconds
+    n = 64
+    inst = Instance(
+        n, n, tuple((1 << j) | (1 << (j + 1) % n) for j in range(n)), (1,) * n, (1,) * n
+    )
+    t0 = time.perf_counter()
+    result = solve(inst, SolveConfig(cache_capacity=1 << 16, time_limit=1))
+    wall = time.perf_counter() - t0
+    assert result.status == "time_limit"
+    assert sorted(result.schedule.order) == list(range(n))
+    assert holding_cost(inst, result.schedule) == result.holding_cost
+    assert wall < 2
+
+
 def test_initial_ub_hint_keeps_optimum_reachable():
     inst = generate_instance(8, 5, seed=55, density=0.4)
     expect = brute_force(inst)[0]
@@ -199,8 +218,6 @@ def test_config_validation():
 def test_zero_wages_and_empty_scenes():
     # wages may be zero and a parsed scene may need nobody; neither breaks
     # the accounting
-    import random
-
     rng = random.Random(99)
     for k in range(12):
         n = 3 + k % 5
@@ -219,6 +236,52 @@ def test_zero_wages_and_empty_scenes():
             result = solve(inst, SolveConfig(cache_capacity=cap))
             assert result.holding_cost == expect
             assert holding_cost(inst, result.schedule) == expect
+
+
+def test_inputs_at_the_format_limits():
+    n = m = 64
+    everyone = (1 << m) - 1
+    identical = Instance(n, m, (everyone,) * n, (1,) * n, tuple(range(1, m + 1)))
+    result = solve(identical, SolveConfig(cache_capacity=1 << 10))
+    assert (result.status, result.holding_cost, result.subproblems) == ("optimal", 0, 1)
+
+    rng = random.Random(64)
+    unpaid = Instance(
+        n,
+        m,
+        tuple(rng.getrandbits(m) | 1 << j % m for j in range(n)),
+        tuple(rng.randint(1, 5) for _ in range(n)),
+        (0,) * m,
+    )
+    result = solve(unpaid, SolveConfig(cache_capacity=1 << 10))
+    assert (result.status, result.holding_cost) == ("optimal", 0)
+    assert sorted(result.schedule.order) == list(range(n))
+
+    # half the scenes need nobody; the others form a cycle of shared
+    # actors, so someone has to wait
+    empty = Instance(
+        8,
+        6,
+        (0, 0b010011, 0, 0b000110, 0, 0b101100, 0, 0b111001),
+        (1, 2, 3, 1, 2, 3, 1, 2),
+        (5, 3, 7, 2, 9, 4),
+    )
+    expect, _ = brute_force(empty)
+    assert expect > 0
+    for cap in (0, 1 << 8, None):
+        result = solve(empty, SolveConfig(cache_capacity=cap))
+        assert result.holding_cost == expect
+        assert holding_cost(empty, result.schedule) == expect
+
+
+def test_default_cache_costs_what_it_stores():
+    tracemalloc.start()
+    try:
+        solve(fixture_worked_example())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_matches_brute_force_at_oracle_ceiling():
@@ -244,57 +307,59 @@ def test_cache_modes_only_change_node_counts():
 
 
 # (n, m, seed, density) -> config -> (optimum, nodes without a cache,
-# nodes with a 2^10 cache, cache hits with it).  Recorded from the solver
-# before its kernels were lifted into module functions; any change to a
-# pruning rule or to the order of the search shows up here.
+# nodes with a 2^10 cache, cache hits with it, nodes with the default 2^25
+# cache, cache hits with it).  Recorded from the solver before its kernels
+# were lifted into module functions (the default-cache pair before the
+# cache moved its slots into a dict); any change to a pruning rule, to the
+# cache or to the order of the search shows up here.
 NODE_PINS = {
     (10, 6, 7101, 0.35): {
-        "all": (90, 29, 27, 3),
-        "no-preprocess": (90, 30, 28, 3),
-        "no-rule1": (90, 31, 29, 3),
-        "no-rule2": (90, 29, 27, 3),
-        "no-lower": (90, 191, 95, 33),
-        "cheapest": (90, 29, 27, 3),
+        "all": (90, 29, 27, 3, 27, 3),
+        "no-preprocess": (90, 30, 28, 3, 28, 3),
+        "no-rule1": (90, 31, 29, 3, 29, 3),
+        "no-rule2": (90, 29, 27, 3, 27, 3),
+        "no-lower": (90, 191, 95, 33, 95, 33),
+        "cheapest": (90, 29, 27, 3, 27, 3),
     },
     (11, 7, 7102, 0.4): {
-        "all": (234, 125, 92, 15),
-        "no-preprocess": (234, 147, 114, 15),
-        "no-rule1": (234, 144, 100, 16),
-        "no-rule2": (234, 127, 94, 15),
-        "no-lower": (234, 625, 281, 55),
-        "cheapest": (234, 120, 87, 15),
+        "all": (234, 125, 92, 15, 92, 15),
+        "no-preprocess": (234, 147, 114, 15, 114, 15),
+        "no-rule1": (234, 144, 100, 16, 100, 16),
+        "no-rule2": (234, 127, 94, 15, 94, 15),
+        "no-lower": (234, 625, 281, 55, 280, 56),
+        "cheapest": (234, 120, 87, 15, 87, 15),
     },
     (12, 8, 7103, 0.3): {
-        "all": (609, 1329, 822, 112),
-        "no-preprocess": (609, 1405, 888, 120),
-        "no-rule1": (609, 1605, 947, 159),
-        "no-rule2": (609, 1413, 865, 116),
-        "no-lower": (609, 13274, 4923, 1106),
-        "cheapest": (609, 1432, 865, 133),
+        "all": (609, 1329, 822, 112, 816, 114),
+        "no-preprocess": (609, 1405, 888, 120, 882, 122),
+        "no-rule1": (609, 1605, 947, 159, 922, 159),
+        "no-rule2": (609, 1413, 865, 116, 859, 118),
+        "no-lower": (609, 13274, 4923, 1106, 4619, 1305),
+        "cheapest": (609, 1432, 865, 133, 859, 135),
     },
     (12, 6, 7104, 0.45): {
-        "all": (466, 252, 179, 19),
-        "no-preprocess": (466, 336, 231, 23),
-        "no-rule1": (466, 294, 211, 22),
-        "no-rule2": (466, 278, 193, 19),
-        "no-lower": (466, 875, 384, 67),
-        "cheapest": (466, 179, 107, 16),
+        "all": (466, 252, 179, 19, 179, 19),
+        "no-preprocess": (466, 336, 231, 23, 231, 23),
+        "no-rule1": (466, 294, 211, 22, 211, 22),
+        "no-rule2": (466, 278, 193, 19, 193, 19),
+        "no-lower": (466, 875, 384, 67, 384, 67),
+        "cheapest": (466, 179, 107, 16, 107, 16),
     },
     (13, 7, 7105, 0.35): {
-        "all": (246, 349, 252, 35),
-        "no-preprocess": (246, 634, 431, 59),
-        "no-rule1": (246, 391, 280, 38),
-        "no-rule2": (246, 406, 292, 39),
-        "no-lower": (246, 4640, 1999, 503),
-        "cheapest": (246, 362, 265, 33),
+        "all": (246, 349, 252, 35, 247, 35),
+        "no-preprocess": (246, 634, 431, 59, 429, 60),
+        "no-rule1": (246, 391, 280, 38, 275, 38),
+        "no-rule2": (246, 406, 292, 39, 286, 38),
+        "no-lower": (246, 4640, 1999, 503, 1903, 535),
+        "cheapest": (246, 362, 265, 33, 260, 33),
     },
     (14, 8, 7106, 0.3): {
-        "all": (124, 174, 103, 22),
-        "no-preprocess": (124, 474, 170, 36),
-        "no-rule1": (124, 221, 139, 24),
-        "no-rule2": (124, 174, 103, 22),
-        "no-lower": (124, 2820, 626, 180),
-        "cheapest": (124, 157, 86, 22),
+        "all": (124, 174, 103, 22, 103, 22),
+        "no-preprocess": (124, 474, 170, 36, 170, 36),
+        "no-rule1": (124, 221, 139, 24, 139, 25),
+        "no-rule2": (124, 174, 103, 22, 103, 22),
+        "no-lower": (124, 2820, 626, 180, 605, 177),
+        "cheapest": (124, 157, 86, 22, 86, 22),
     },
 }
 PIN_CONFIGS = {
@@ -311,9 +376,35 @@ PIN_CONFIGS = {
 def test_node_counts_are_pinned(key):
     n, m, seed, density = key
     inst = generate_instance(n, m, seed=seed, density=density)
-    for name, (optimum, nodes, cached_nodes, hits) in NODE_PINS[key].items():
+    for name, pins in NODE_PINS[key].items():
         bare = solve(inst, SolveConfig(cache_capacity=0, **PIN_CONFIGS[name]))
         cached = solve(inst, SolveConfig(cache_capacity=1 << 10, **PIN_CONFIGS[name]))
-        got = (bare.holding_cost, bare.subproblems, cached.subproblems, cached.cache_stats.hits)
-        assert got == (optimum, nodes, cached_nodes, hits), name
-        assert cached.holding_cost == optimum, name
+        default = solve(inst, SolveConfig(**PIN_CONFIGS[name]))
+        got = (
+            bare.holding_cost,
+            bare.subproblems,
+            cached.subproblems,
+            cached.cache_stats.hits,
+            default.subproblems,
+            default.cache_stats.hits,
+        )
+        assert got == pins, name
+        assert cached.holding_cost == default.holding_cost == pins[0], name
+
+
+def test_cheapest_order_computes_each_increment_once(monkeypatch):
+    inst = generate_instance(14, 8, seed=7106, density=0.3)
+    calls = 0
+    increment = solver_mod._Search._increment
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return increment(self, *args)
+
+    monkeypatch.setattr(solver_mod._Search, "_increment", counted)
+    result = solve(inst, SolveConfig(cache_capacity=1 << 10, branch_order="cheapest"))
+    assert result.subproblems == NODE_PINS[(14, 8, 7106, 0.3)]["cheapest"][2]
+    # one call per remaining scene per branching node; computing the sort
+    # key and the branch's increment separately made 602 here
+    assert calls < 602
