@@ -11,7 +11,7 @@ holds test fixtures, slow reference oracles and adapters that call the
 solver's kernels on one search node.
 """
 
-from .cache import CacheStats, ExactStateStore, StateCache, StateKey, canonicalize, check_and_update
+from .cache import CacheStats, StateCache
 from .cost import (
     Schedule,
     actor_spans,

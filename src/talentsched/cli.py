@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NoReturn
 
 from .ilp import export_milp
 from .instance import Instance, InstanceFormatError, generate_instance, parse_instance, write_instance
@@ -80,23 +82,40 @@ def _default_cache_bits() -> int:
     return bits
 
 
-def _check_cache_bits(bits: int) -> int:
-    if not 0 <= bits <= 30:
-        print(f"cache bits must be in 0..30, got {bits}", file=sys.stderr)
-        raise SystemExit(1)
-    return bits
+def _fail(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _solver_config(cache_bits: int, strategy: str, time_limit: float, **switches) -> SolveConfig:
+    """The solver config for one set of flag values; a bad value prints an
+    ``error:`` line and exits with code 1."""
+    if not 0 <= cache_bits <= 30:
+        _fail(f"cache bits must be in 0..30, got {cache_bits}")
+    try:
+        return SolveConfig(
+            cache_capacity=(1 << cache_bits) if cache_bits else 0,
+            cache_strategy=strategy,
+            time_limit=time_limit,
+            **switches,
+        )
+    except ValueError as exc:
+        _fail(str(exc))
+
+
+def _cache_bits(cfg: SolveConfig) -> int:
+    return cfg.cache_capacity.bit_length() - 1 if cfg.cache_capacity else 0
 
 
 def _config_from_args(args) -> SolveConfig:
-    _check_cache_bits(args.cache_bits)
-    return SolveConfig(
-        cache_capacity=(1 << args.cache_bits) if args.cache_bits else 0,
-        cache_strategy=args.cache_strategy,
+    return _solver_config(
+        args.cache_bits,
+        args.cache_strategy,
+        args.time_limit,
         enable_preprocess=not args.no_preprocess,
         enable_rule1=not args.no_rule1,
         enable_rule2=not args.no_rule2,
         enable_lower=not args.no_lower,
-        time_limit=args.time_limit,
         branch_order=args.branch_order,
     )
 
@@ -109,8 +128,6 @@ def result_to_json(
     include_trace: bool = False,
 ) -> dict:
     """Schema-stable JSON payload for one solve."""
-    cap = cfg.cache_capacity
-    cache_bits = "unbounded" if cap is None else (cap.bit_length() - 1 if cap else 0)
     out = {
         "instance": inst.name,
         "n": inst.num_scenes,
@@ -121,7 +138,7 @@ def result_to_json(
         "schedule": list(result.schedule.order),
         "subproblems": result.subproblems,
         "cache": {
-            "bits": cache_bits,
+            "bits": _cache_bits(cfg),
             "strategy": cfg.cache_strategy,
             "probes": result.cache_stats.probes,
             "hits": result.cache_stats.hits,
@@ -172,52 +189,45 @@ def cmd_solve(args) -> int:
     return 0 if result.status == "optimal" else 2
 
 
-def _bench_combos(args) -> list[dict]:
-    bit_values = [_check_cache_bits(int(b)) for b in str(args.cache_bits).split(",")]
+def _bench_configs(args) -> list[SolveConfig]:
+    """Every solver config of the sweep, all validated before any instance
+    is read."""
+    try:
+        bit_values = [int(b) for b in str(args.cache_bits).split(",")]
+    except ValueError:
+        _fail(f"--cache-bits must be comma-separated integers, got {args.cache_bits!r}")
     strategies = [s.strip() for s in args.strategies.split(",")]
-    if args.ablate:
-        feature_grid = [
-            {"preprocess": p, "rule1": r1, "rule2": r2, "lower": lo}
-            for p in (True, False)
-            for r1 in (True, False)
-            for r2 in (True, False)
-            for lo in (True, False)
-        ]
-    else:
-        feature_grid = [
-            {"preprocess": True, "rule1": True, "rule2": True, "lower": True}
-        ]
-    combos = []
-    for bits in bit_values:
-        for strat in strategies:
-            for feats in feature_grid:
-                combos.append({"cache_bits": bits, "strategy": strat, **feats})
-    return combos
+    switches = (True, False) if args.ablate else (True,)
+    return [
+        _solver_config(
+            bits,
+            strat,
+            args.time_limit,
+            enable_preprocess=pre,
+            enable_rule1=r1,
+            enable_rule2=r2,
+            enable_lower=lo,
+        )
+        for bits in bit_values
+        for strat in strategies
+        for pre, r1, r2, lo in itertools.product(switches, repeat=4)
+    ]
 
 
 def _bench_one(task):
-    text, name, combo, time_limit = task
+    text, name, cfg = task
     inst = parse_instance(text, name=name)
-    cfg = SolveConfig(
-        cache_capacity=(1 << combo["cache_bits"]) if combo["cache_bits"] else 0,
-        cache_strategy=combo["strategy"],
-        enable_preprocess=combo["preprocess"],
-        enable_rule1=combo["rule1"],
-        enable_rule2=combo["rule2"],
-        enable_lower=combo["lower"],
-        time_limit=time_limit,
-    )
     result = solve(inst, cfg)
     return {
         "instance": name,
         "n": inst.num_scenes,
         "m": inst.num_actors,
-        "cache_bits": combo["cache_bits"],
-        "strategy": combo["strategy"],
-        "preprocess": int(combo["preprocess"]),
-        "rule1": int(combo["rule1"]),
-        "rule2": int(combo["rule2"]),
-        "lower": int(combo["lower"]),
+        "cache_bits": _cache_bits(cfg),
+        "strategy": cfg.cache_strategy,
+        "preprocess": int(cfg.enable_preprocess),
+        "rule1": int(cfg.enable_rule1),
+        "rule2": int(cfg.enable_rule2),
+        "lower": int(cfg.enable_lower),
         "status": result.status,
         "holding_cost": result.holding_cost,
         "total_cost": result.total_cost,
@@ -241,8 +251,10 @@ def _collect_instance_files(paths: list[str]) -> list[Path]:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        _fail(f"--jobs must be at least 1, got {args.jobs}")
+    configs = _bench_configs(args)
     files = _collect_instance_files(args.paths)
-    combos = _bench_combos(args)
     tasks = []
     skipped = 0
     for path in files:
@@ -253,14 +265,15 @@ def cmd_bench(args) -> int:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        for combo in combos:
-            tasks.append((text, path.stem, combo, args.time_limit))
+        for cfg in configs:
+            tasks.append((text, path.stem, cfg))
     if not tasks:
         print("error: no solvable instances", file=sys.stderr)
         return 1
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, tasks, chunksize=1))
     else:
         rows = [_bench_one(t) for t in tasks]

@@ -26,20 +26,20 @@ import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .cache import CacheStats, ExactStateStore, StateCache, check_and_update
+from .cache import CacheStats, StateCache
 from .cost import Schedule, holding_cost, work_cost
 from .instance import Instance, bits
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver switches.  ``cache_capacity`` is 0 (off), a power of two, or
-    None for the unbounded test-only exact store.  ``initial_ub`` is a
-    holding cost some schedule is known to reach: it tightens pruning
-    without hiding value-equal optima, and a search that finishes without
-    reaching it raises ``ValueError``."""
+    """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two
+    (``1 << 64`` evicts a state only for one with an equal hash).
+    ``initial_ub`` is a holding cost some schedule is known to reach: it
+    tightens pruning without hiding value-equal optima, and a search that
+    finishes without reaching it raises ``ValueError``."""
 
-    cache_capacity: int | None = 1 << 25
+    cache_capacity: int = 1 << 25
     cache_strategy: str = "greedy"
     enable_preprocess: bool = True
     enable_rule1: bool = True
@@ -51,8 +51,8 @@ class SolveConfig:
 
     def __post_init__(self):
         cap = self.cache_capacity
-        if cap is not None and cap != 0 and (cap < 0 or cap & (cap - 1)):
-            raise ValueError("cache_capacity must be 0, a power of two, or None")
+        if not isinstance(cap, int) or cap < 0 or cap & (cap - 1):
+            raise ValueError("cache_capacity must be 0 or a power of two")
         if self.cache_strategy not in ("latest", "greedy"):
             raise ValueError(f"unknown cache strategy {self.cache_strategy!r}")
         if self.time_limit <= 0:
@@ -308,12 +308,9 @@ class _Search:
         self.inst = inst
         self.cfg = cfg
         self.wage_tables = _sum_tables(inst.wages)
-        if cfg.cache_capacity is None:
-            self.cache = ExactStateStore()
-        elif cfg.cache_capacity:
-            self.cache = StateCache(cfg.cache_capacity, cfg.cache_strategy)
-        else:
-            self.cache = None
+        self.cache = (
+            StateCache(cfg.cache_capacity, cfg.cache_strategy) if cfg.cache_capacity else None
+        )
         self.nodes = 0
         self.best_h = 0
         self.best_order: tuple[int, ...] = ()
@@ -430,8 +427,7 @@ class _Search:
         back_onloc = back_act & (aq_full | front_act)
 
         # -- cached-state prune --
-        if self.cache is not None and check_and_update(
-            self.cache,
+        if self.cache is not None and self.cache.check_and_update(
             front_onloc,
             back_onloc,
             q_orig,

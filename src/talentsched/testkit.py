@@ -2,7 +2,8 @@
 by the test suite.
 
 Everything here is test support.  The oracles (``SearchNode``,
-``past_cost``, ``enumerate_future_cost``) are small, slow, and written
+``past_cost``, ``enumerate_future_cost``, ``subset_dp`` and the
+``CacheModel`` of the state cache) are small, slow, and written
 independently of the solver's fast paths so they can serve as ground
 truth.  The adapters turn a ``SearchNode`` into the per-node arguments of
 the solver's own kernels -- ``_simplify``, ``_Search._increment``,
@@ -17,6 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import permutations
 
+from .cache import CacheStats
 from .instance import Instance, actors_of_scenes, bits, mask_of
 from .solver import SolveConfig, _pair_constants, _Search, _simplify
 
@@ -201,6 +203,99 @@ def past_cost(inst: Instance, node: SearchNode) -> int:
             start = 0 if in_mid else b_first
             out += wage * ((b_last_end - start) - b_work)
     return out
+
+
+# --- subset-DP oracle ---------------------------------------------------------
+
+def subset_dp(inst: Instance) -> int:
+    """Minimum holding cost by dynamic programming over scene sets (Garcia
+    de la Banda, Stuckey & Chu, *Solving talent scheduling with dynamic
+    programming*, INFORMS JoC 2011).
+
+    Shooting scene ``s`` right after the set ``S`` holds, for ``d_s`` days,
+    every actor needed both in ``S`` and after it but not by ``s``, so
+    ``f(S | s) = min f(S) + d_s * wage(a(S) & a(rest) & ~a(s))``, with
+    ``rest`` the scenes outside ``S``, over all 2^n sets; seconds up to
+    about n = 18.
+    """
+    n = inst.num_scenes
+    if n > 20:
+        raise ValueError("subset DP is capped at 20 scenes")
+    full = (1 << n) - 1
+    needs = [0] * (1 << n)  # actors needed by a scene set
+    for done in range(1, 1 << n):
+        low = done & -done
+        needs[done] = needs[done ^ low] | inst.scene_actors[low.bit_length() - 1]
+    wage = {}
+    best = [0] + [None] * full
+    # a set's value is final before it is extended: subsets are smaller ints
+    for done in range(full):
+        waiting = needs[done] & needs[full & ~done]
+        for s in bits(full & ~done):
+            held = waiting & ~inst.scene_actors[s]
+            if held not in wage:
+                wage[held] = sum(inst.wages[i] for i in bits(held))
+            cost = best[done] + inst.durations[s] * wage[held]
+            after = done | 1 << s
+            if best[after] is None or cost < best[after]:
+                best[after] = cost
+    return best[full]
+
+
+# --- state-cache model --------------------------------------------------------
+
+def _set_order(mask: int) -> list[int]:
+    """Sort key of an actor set (at most 64 actors): the set holding the
+    lowest differing actor sorts first."""
+    return [-(mask >> i & 1) for i in range(64)]
+
+
+class CacheModel:
+    """The direct-mapped state cache, one probe and one store at a time:
+    the same slots, replacement policies and ``CacheStats`` counters as
+    ``StateCache``, with ``check_and_update`` as a lookup of the node's own
+    state, then of each subset state, then a store."""
+
+    def __init__(self, capacity: int, strategy: str):
+        self.capacity = capacity
+        self.strategy = strategy
+        self.slots: dict[int, tuple[tuple[int, int, int], int]] = {}
+        self.stats = CacheStats()
+
+    def lookup(self, key: tuple[int, int, int], past_cost: int) -> bool:
+        self.stats.probes += 1
+        entry = self.slots.get(hash(key) % self.capacity)
+        if entry is not None and entry[0] == key and entry[1] <= past_cost:
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        return False
+
+    def store(self, key: tuple[int, int, int], value: int) -> None:
+        slot = hash(key) % self.capacity
+        entry = self.slots.get(slot)
+        if entry is None:
+            self.stats.stores += 1
+        elif entry[0] == key:
+            if value >= entry[1]:
+                return
+        else:
+            self.stats.collisions += 1
+            if self.strategy == "greedy" and value >= entry[1]:
+                return
+            self.stats.replacements += 1
+        self.slots[slot] = (key, value)
+
+    def check_and_update(self, front, back, remaining, past_cost, removable_masks) -> bool:
+        if _set_order(back) < _set_order(front):
+            front, back = back, front
+        key = (front, back, remaining)
+        if self.lookup(key, past_cost) or any(
+            self.lookup((front, back, remaining & ~r), past_cost) for r in removable_masks
+        ):
+            return True
+        self.store(key, past_cost)
+        return False
 
 
 # --- kernel adapters ----------------------------------------------------------

@@ -82,7 +82,7 @@ def test_criterion_2_matching_bound_example():
 def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
     toggles = list(itertools.product((True, False), repeat=4))
-    caches = (0, 1 << 10, None)
+    caches = (0, 1 << 10, 1 << 64)
     checked = 0
     for k in range(200):
         inst = generate_instance(

@@ -4,7 +4,7 @@ import json
 import pytest
 
 
-from talentsched import brute_force, generate_instance, parse_instance, write_instance
+from talentsched import brute_force, cli, generate_instance, parse_instance, write_instance
 from talentsched.cli import BENCH_FIELDS, main
 from talentsched.testkit import fixture_worked_example
 
@@ -224,6 +224,62 @@ def test_bench_parallel_matches_serial(tmp_path):
         for line in lines[1:]
     ]
     assert strip(a) == strip(b)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--time-limit", "0"],
+        ["bench", "--time-limit", "-1"],
+        ["bench", "--strategies", "clock"],
+        ["bench", "--cache-bits", "4,x"],
+        ["bench", "--jobs", "0"],
+        ["bench", "--jobs", "-3"],
+    ],
+    ids=[
+        "solve-time-limit",
+        "bench-time-limit",
+        "bench-strategies",
+        "bench-cache-bits",
+        "bench-jobs-zero",
+        "bench-jobs-negative",
+    ],
+)
+def test_bad_solver_flags_exit_1_before_solving(tmp_path, capsys, monkeypatch, argv):
+    (path,) = _write_instances(tmp_path, count=1)
+
+    def no_solve(*args):
+        raise AssertionError("solved despite a bad flag")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(path), *argv[1:]])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    _write_instances(tmp_path, count=2, scenes=5)
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    out = tmp_path / "rows.csv"
+    assert main(["bench", str(tmp_path), "--cache-bits", "8", "--jobs", "8", "-o", str(out)]) == 0
+    assert asked == [2]
+    assert len(list(csv.DictReader(out.open()))) == 2
 
 
 def test_bench_summary(tmp_path):

@@ -21,6 +21,7 @@ from talentsched.testkit import (
     WORKED_HOLDING_BEST,
     WORKED_TOTAL_BEST,
     fixture_worked_example,
+    subset_dp,
 )
 
 FAST = SolveConfig(cache_capacity=1 << 12)
@@ -53,7 +54,7 @@ def test_matches_brute_force_across_configs():
         expect, _ = brute_force(inst)
         for pre, lower in itertools.product((True, False), repeat=2):
             cfg = SolveConfig(
-                cache_capacity=(0, 1 << 10, None)[seed % 3],
+                cache_capacity=(0, 1 << 10, 1 << 64)[seed % 3],
                 enable_preprocess=pre,
                 enable_lower=lower,
             )
@@ -203,8 +204,9 @@ def test_initial_ub_keeps_time_limit_status():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(cache_capacity=3)
+    for bad in (3, -4, None):
+        with pytest.raises(ValueError):
+            SolveConfig(cache_capacity=bad)
     with pytest.raises(ValueError):
         SolveConfig(cache_strategy="clock")
     with pytest.raises(ValueError):
@@ -268,7 +270,7 @@ def test_inputs_at_the_format_limits():
     )
     expect, _ = brute_force(empty)
     assert expect > 0
-    for cap in (0, 1 << 8, None):
+    for cap in (0, 1 << 8, 1 << 64):
         result = solve(empty, SolveConfig(cache_capacity=cap))
         assert result.holding_cost == expect
         assert holding_cost(empty, result.schedule) == expect
@@ -293,11 +295,35 @@ def test_matches_brute_force_at_oracle_ceiling():
         assert holding_cost(inst, result.schedule) == expect
 
 
+def test_subset_dp_matches_brute_force():
+    for n in range(4, 10):
+        inst = generate_instance(n, 5, seed=8900 + n, density=0.4, max_duration=4, max_wage=30)
+        assert subset_dp(inst) == brute_force(inst)[0]
+    assert subset_dp(fixture_worked_example()) == WORKED_HOLDING_BEST
+
+
+def test_matches_subset_dp_past_the_brute_force_ceiling():
+    switches = [{}] + [
+        {flag: False}
+        for flag in ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
+    ]
+    for n, m, density in itertools.product((11, 12, 13, 14), (6, 8), (0.3, 0.45)):
+        inst = generate_instance(n, m, seed=9100 + n, density=density)
+        expect = subset_dp(inst)
+        for flags, cap in itertools.product(switches, (0, 1 << 4, 1 << 64)):
+            result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
+            assert result.status == "optimal"
+            assert result.holding_cost == expect, (n, flags, cap)
+            assert holding_cost(inst, result.schedule) == expect
+            if cap == 1 << 64:
+                assert result.cache_stats.collisions == 0
+
+
 def test_cache_modes_only_change_node_counts():
     inst = generate_instance(12, 6, seed=8, density=0.35)
     results = {
         cap: solve(inst, SolveConfig(cache_capacity=cap))
-        for cap in (0, 1 << 6, 1 << 14, None)
+        for cap in (0, 1 << 6, 1 << 14, 1 << 64)
     }
     values = {r.holding_cost for r in results.values()}
     assert len(values) == 1
