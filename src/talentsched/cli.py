@@ -67,24 +67,25 @@ def _read_instance(path: str) -> Instance:
     return parse_instance(text, name=Path(path).stem)
 
 
+def _fail(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
 def _default_cache_bits() -> int:
+    """The cache exponent ``solve`` and ``bench`` use without
+    ``--cache-bits``: ``TALENTSCHED_CACHE_BITS``, else 25.  Read only by
+    those commands, so a bad value fails nothing else."""
     raw = os.environ.get(ENV_CACHE_BITS)
     if raw is None:
         return 25
     try:
         bits = int(raw)
     except ValueError:
-        print(f"{ENV_CACHE_BITS} must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(f"{ENV_CACHE_BITS} must be an integer, got {raw!r}")
     if not 0 <= bits <= 30:
-        print(f"{ENV_CACHE_BITS} must be in 0..30, got {bits}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(f"{ENV_CACHE_BITS} must be in 0..30, got {bits}")
     return bits
-
-
-def _fail(message: str) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(1)
 
 
 def _solver_config(cache_bits: int, strategy: str, time_limit: float, **switches) -> SolveConfig:
@@ -109,7 +110,7 @@ def _cache_bits(cfg: SolveConfig) -> int:
 
 def _config_from_args(args) -> SolveConfig:
     return _solver_config(
-        args.cache_bits,
+        _default_cache_bits() if args.cache_bits is None else args.cache_bits,
         args.cache_strategy,
         args.time_limit,
         enable_preprocess=not args.no_preprocess,
@@ -192,10 +193,13 @@ def cmd_solve(args) -> int:
 def _bench_configs(args) -> list[SolveConfig]:
     """Every solver config of the sweep, all validated before any instance
     is read."""
-    try:
-        bit_values = [int(b) for b in str(args.cache_bits).split(",")]
-    except ValueError:
-        _fail(f"--cache-bits must be comma-separated integers, got {args.cache_bits!r}")
+    if args.cache_bits is None:
+        bit_values = [_default_cache_bits()]
+    else:
+        try:
+            bit_values = [int(b) for b in args.cache_bits.split(",")]
+        except ValueError:
+            _fail(f"--cache-bits must be comma-separated integers, got {args.cache_bits!r}")
     strategies = [s.strip() for s in args.strategies.split(",")]
     switches = (True, False) if args.ablate else (True,)
     return [
@@ -395,9 +399,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cache-bits",
         type=int,
-        default=_default_cache_bits(),
+        default=None,
         help="state cache capacity exponent: at most 2^K states are kept, "
-        "memory grows only with those stored (0 disables)",
+        "memory grows only with those stored (0 disables; default "
+        f"${ENV_CACHE_BITS} or 25)",
     )
     p.add_argument(
         "--cache-strategy", choices=["latest", "greedy"], default="greedy"
@@ -434,9 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="CSV sweep over instances and parameters")
     p.add_argument("paths", nargs="+", help="instance files or directories of *.txt")
-    p.add_argument("--cache-bits", default=str(_default_cache_bits()),
+    p.add_argument("--cache-bits", default=None,
                    help="comma-separated capacity exponents, each capping the cache "
-                   "at 2^K states, 0 disables (e.g. 0,10,25)")
+                   f"at 2^K states, 0 disables (e.g. 0,10,25; default ${ENV_CACHE_BITS} "
+                   "or 25)")
     p.add_argument("--strategies", default="greedy",
                    help="comma-separated replacement strategies")
     p.add_argument("--ablate", action="store_true",

@@ -7,9 +7,12 @@ Everything here is test support.  The oracles (``SearchNode``,
 independently of the solver's fast paths so they can serve as ground
 truth.  The adapters turn a ``SearchNode`` into the per-node arguments of
 the solver's own kernels -- ``_simplify``, ``_Search._increment``,
-``_Search._dominated``, ``_Search._branch_lower`` and its two halves
+``_Search._dominated`` over its ``_dominance_table``,
+``_Search._branch_lower`` (on a plain node or, by ``lower_at``, on a
+simplified one) and its two halves
 ``_pair_constants``/``_pair_bound`` -- so that tests check the code every
-solve runs.
+solve runs.  ``pack_pairs``/``unpack_pairs`` translate between pair
+constants keyed by actor pair and the packed keys of those two halves.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from itertools import permutations
 
 from .cache import CacheStats
 from .instance import Instance, actors_of_scenes, bits, mask_of
-from .solver import SolveConfig, _pair_constants, _Search, _simplify
+from .solver import (
+    SolveConfig,
+    _dominance_table,
+    _pair_constants,
+    _Search,
+    _simplify,
+)
 
 
 @dataclass(frozen=True)
@@ -404,14 +413,15 @@ def is_dominated(
     """``_Search._dominated``: whether branching on ``scene`` is skipped in
     favour of another remaining scene."""
     _require_remaining(node, scene)
+    search = _kernels(inst, enable_rule1=use_rule1, enable_rule2=use_rule2)
     active = inst.all_actors if node.active_actors is None else node.active_actors
     front_onloc, back_onloc = _on_location(inst, node)
     reps = list(bits(node.remaining))
-    sigs = {s: inst.scene_actors[s] & active for s in reps}
-    search = _kernels(inst, enable_rule1=use_rule1, enable_rule2=use_rule2)
-    return search._dominated(
-        scene, reps, sigs, front_onloc & active, back_onloc & active
+    table = _dominance_table(
+        reps, inst.scene_actors, active, front_onloc & active,
+        back_onloc & active, search.wage_tables,
     )
+    return search._dominated(reps.index(scene), table)
 
 
 def rule_fires(
@@ -422,7 +432,11 @@ def rule_fires(
     given the active actors on location at each block.  The competitor gets
     the smaller id, so rule 1's tie-break never spares the first scene."""
     search = _kernels(inst, enable_rule1=rule == 1, enable_rule2=rule == 2)
-    return search._dominated(1, [0, 1], {0: s2_actors, 1: s1_actors}, front, back)
+    table = _dominance_table(
+        [0, 1], (s2_actors, s1_actors), inst.all_actors, front, back,
+        search.wage_tables,
+    )
+    return search._dominated(1, table)
 
 
 def relevant_actors(inst: Instance, node: SearchNode) -> tuple[int, int]:
@@ -435,22 +449,37 @@ def relevant_actors(inst: Instance, node: SearchNode) -> tuple[int, int]:
     return front_onloc & ~fixed, back_onloc & ~fixed
 
 
+def pack_pairs(constants: dict[tuple[int, int], int]) -> tuple[list[int], int]:
+    """Pair constants keyed by actor pair ``(i, j)``, i < j, as the packed
+    keys ``c << 12 | (63 - i) << 6 | (63 - j)`` of the positive ones and
+    their total: the pair ``_pair_constants`` returns and ``_pair_bound``
+    combines."""
+    keys = [
+        c << 12 | (63 - i) << 6 | (63 - j) for (i, j), c in constants.items() if c > 0
+    ]
+    return keys, sum(c for c in constants.values() if c > 0)
+
+
+def unpack_pairs(keys: list[int]) -> dict[tuple[int, int], int]:
+    """The inverse of ``pack_pairs``: packed keys as constants keyed by
+    actor pair."""
+    return {(63 - (k >> 6 & 63), 63 - (k & 63)): k >> 12 for k in keys}
+
+
 def pair_constants(inst: Instance, node: SearchNode) -> dict[tuple[int, int], int]:
     """``_pair_constants`` over the node's relevant actors, keyed by actor
-    pair; pairs whose constant is 0 are absent."""
-    front_rel, back_rel = relevant_actors(inst, node)
-    actors = list(bits(front_rel | back_rel))
+    pair; pairs whose constant is 0 are absent.  Checks that the returned
+    total is the constants' sum."""
     actor_q, actor_qd, dq = _actor_middle(inst, node.remaining)
-    pairs = _pair_constants(
-        actors,
-        front_rel,
-        [actor_q[i] for i in actors],
-        [actor_qd[i] for i in actors],
-        dq,
-        inst.durations,
-        inst.wages,
+    front, back = (
+        [(i, actor_q[i], actor_qd[i], inst.wages[i]) for i in bits(rel)]
+        for rel in relevant_actors(inst, node)
     )
-    return {(i, j): c for c, i, j in pairs}
+    keys, total = _pair_constants(front, back, dq, inst.durations)
+    constants = unpack_pairs(keys)
+    if len(constants) != len(keys) or total != sum(constants.values()):
+        raise AssertionError("pair keys repeat a pair or miss the total")
+    return constants
 
 
 def branch_lower(inst: Instance, node: SearchNode) -> int:
@@ -464,15 +493,39 @@ def branch_lower(inst: Instance, node: SearchNode) -> int:
             return 0
         node = SearchNode(tuple(reversed(node.back)), (), node.remaining)
     s = node.front[-1]
-    actor_q, actor_qd, dq_total = _actor_middle(inst, node.remaining | 1 << s)
+    parent = SearchNode(node.front[:-1], node.back, node.remaining | 1 << s)
+    return lower_at(inst, kernel_node(inst, parent), s)
+
+
+def lower_at(inst: Instance, kn: KernelNode, scene: int) -> int:
+    """``_Search._branch_lower``, with an empty memo, at the kernel node
+    ``kn`` for the child that pins the remaining representative ``scene``
+    in front, given the per-actor tables ``_search`` builds."""
+    if not kn.q_reps >> scene & 1:
+        raise ValueError(f"scene {scene} is not a remaining representative")
+    actor_q = [0] * inst.num_actors
+    actor_qd = [0] * inst.num_actors
+    dq_total = 0
+    aq2 = 0
+    q_orig = 0
+    for r in bits(kn.q_reps):
+        d = kn.dur_view[r]
+        dq_total += d
+        q_orig |= kn.member_mask[r]
+        if r != scene:
+            aq2 |= kn.member_actors[r]
+        for i in bits(kn.member_actors[r]):
+            actor_q[i] |= 1 << r
+            actor_qd[i] += d
     return _kernels(inst)._branch_lower(
-        s,
-        inst.scene_actors[s],
-        actors_of_scenes(inst, node.remaining),
-        actors_of_scenes(inst, mask_of(node.front[:-1])),
-        actors_of_scenes(inst, mask_of(node.back)),
+        scene,
+        kn.member_actors[scene],
+        aq2,
+        kn.front_act,
+        kn.back_act,
+        q_orig & ~kn.member_mask[scene],
         actor_q,
         actor_qd,
-        inst.durations,
+        kn.dur_view,
         dq_total,
     )

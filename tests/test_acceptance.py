@@ -33,6 +33,7 @@ from talentsched.testkit import (
     branch_lower,
     enumerate_future_cost,
     fixture_worked_example,
+    pack_pairs,
     pair_constants,
     random_node,
     relevant_actors,
@@ -75,7 +76,7 @@ def test_criterion_1_worked_example():
 def test_criterion_2_matching_bound_example():
     constants = {(0, 1): 2, (0, 2): 7, (0, 3): 6, (1, 2): 12, (1, 3): 8, (2, 3): 5}
     # the averaging half gives ceil(40 / 3) = 14, so the matching decides
-    assert _pair_bound([(c, i, j) for (i, j), c in constants.items()], 4) == 18
+    assert _pair_bound(*pack_pairs(constants), 4) == 18
     _report(2, "greedy matching bound on the six-constraint system equals 18")
 
 

@@ -3,18 +3,24 @@
 adapters."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
-from talentsched import Instance, generate_instance
+from talentsched import Instance, SolveConfig, generate_instance, solve
+from talentsched import solver as solver_mod
 from talentsched.instance import bits, mask_of
 from talentsched.solver import _pair_bound
 from talentsched.testkit import (
     SearchNode,
     branch_lower,
     enumerate_future_cost,
+    kernel_node,
+    lower_at,
+    pack_pairs,
     pair_constants,
     random_node,
     relevant_actors,
+    simplify,
+    unpack_pairs,
 )
 
 SIX_CONSTRAINTS = {
@@ -27,36 +33,31 @@ SIX_CONSTRAINTS = {
 }
 
 
-def _pairs(constants):
-    """Constants as the (c, i, j) list ``_pair_constants`` returns."""
-    return [(c, i, j) for (i, j), c in constants.items() if c > 0]
-
-
 def test_lb_greedy_matching_worked_example():
     # matching picks 12, then 6; the averaging bound is only ceil(40 / 3)
-    assert _pair_bound(_pairs(SIX_CONSTRAINTS), 4) == 18
+    assert _pair_bound(*pack_pairs(SIX_CONSTRAINTS), 4) == 18
 
 
 def test_lb_sum_worked_example():
     # on the six constraints the averaging bound, ceil(40 / 3) = 14, loses
     # to the matching; on a triangle of equal constants it wins, rounded up
-    assert _pair_bound(_pairs(SIX_CONSTRAINTS), 4) == max(14, 18)
-    assert _pair_bound(_pairs({(0, 1): 10, (0, 2): 10, (1, 2): 10}), 3) == 15
-    assert _pair_bound(_pairs({(0, 1): 10, (0, 2): 10, (1, 2): 11}), 3) == 16
+    assert _pair_bound(*pack_pairs(SIX_CONSTRAINTS), 4) == max(14, 18)
+    assert _pair_bound(*pack_pairs({(0, 1): 10, (0, 2): 10, (1, 2): 10}), 3) == 15
+    assert _pair_bound(*pack_pairs({(0, 1): 10, (0, 2): 10, (1, 2): 11}), 3) == 16
     # actors with no positive constant still count in the divisor
-    assert _pair_bound(_pairs({(0, 1): 10, (0, 2): 10, (1, 2): 10}), 4) == 10
+    assert _pair_bound(*pack_pairs({(0, 1): 10, (0, 2): 10, (1, 2): 10}), 4) == 10
 
 
 def test_lb_single_pair_and_degenerate():
-    assert _pair_bound([(5, 0, 1)], 2) == 5
-    assert _pair_bound([], 1) == 0
-    assert _pair_bound([], 0) == 0
+    assert _pair_bound(*pack_pairs({(0, 1): 5}), 2) == 5
+    assert _pair_bound([], 0, 1) == 0
+    assert _pair_bound([], 0, 0) == 0
 
 
 def test_lb_all_zero_constants():
     # zero constants never reach the list, so nothing is left to combine
-    assert _pairs({(0, 1): 0, (0, 2): 0, (1, 2): 0}) == []
-    assert _pair_bound([], 3) == 0
+    assert pack_pairs({(0, 1): 0, (0, 2): 0, (1, 2): 0}) == ([], 0)
+    assert _pair_bound([], 0, 3) == 0
 
 
 def test_greedy_matching_insertion_order_invariant():
@@ -68,11 +69,72 @@ def test_greedy_matching_insertion_order_invariant():
             for a, i in enumerate(actors)
             for j in actors[a + 1 :]
         }
-        items = _pairs(constants)
-        baseline = _pair_bound(list(items), len(actors))
+        keys, total = pack_pairs(constants)
+        baseline = _pair_bound(list(keys), total, len(actors))
         for _ in range(5):
-            rng.shuffle(items)
-            assert _pair_bound(list(items), len(actors)) == baseline
+            rng.shuffle(keys)
+            assert _pair_bound(list(keys), total, len(actors)) == baseline
+
+
+def _reference_bound(constants, count):
+    """The pair bound written out on ``(c, i, j)`` tuples: matching in
+    ``(-c, i, j)`` order against the averaging bound."""
+    pairs = sorted((-c, i, j) for (i, j), c in constants.items() if c > 0)
+    marked = set()
+    matched = 0
+    for c, i, j in pairs:
+        if i not in marked and j not in marked:
+            matched -= c
+            marked |= {i, j}
+    if not pairs:
+        return 0
+    return max(matched, -(-sum(-p[0] for p in pairs) // (count - 1)))
+
+
+def test_pack_pairs_round_trip():
+    constants = {(0, 1): 7, (0, 63): 1, (5, 9): 1 << 40, (62, 63): 3}
+    keys, total = pack_pairs(constants)
+    assert unpack_pairs(keys) == constants
+    assert total == sum(constants.values())
+    # reverse order of the keys is (-c, i, j) order of the pairs
+    keys.sort(reverse=True)
+    assert list(unpack_pairs(keys)) == [(5, 9), (0, 1), (62, 63), (0, 63)]
+
+
+def test_matching_ties_follow_the_actor_pair_under_relabelling():
+    # a path of equal constants: the matching keeps whichever edge comes
+    # first by actor pair, so the labels decide between 10 and 5
+    path = [(0, 1), (1, 2), (2, 3)]
+    rng = random.Random(59)
+    seen = set()
+    for labels in permutations(range(4)):
+        constants = {
+            tuple(sorted((labels[a], labels[b]))): 5 for a, b in path
+        }
+        got = _pair_bound(*pack_pairs(constants), 4)
+        assert got == _reference_bound(constants, 4)
+        seen.add(got)
+    assert seen == {5, 10}
+    # the kernel's own constants on relabelled instances, ties included
+    checked = 0
+    for seed in range(40):
+        base = generate_instance(8, 6, seed=1500 + seed, density=0.45, max_wage=3)
+        labels = list(range(base.num_actors))
+        rng.shuffle(labels)
+        inst = Instance(
+            base.num_scenes,
+            base.num_actors,
+            tuple(sum(1 << labels[i] for i in bits(a)) for a in base.scene_actors),
+            base.durations,
+            tuple(base.wages[labels.index(i)] for i in range(base.num_actors)),
+        )
+        node = random_node(inst, rng, max_remaining=6)
+        constants = pair_constants(inst, node)
+        front_rel, back_rel = relevant_actors(inst, node)
+        count = (front_rel | back_rel).bit_count()
+        assert branch_lower(inst, node) == _reference_bound(constants, count)
+        checked += len(constants) > len(set(constants.values()))
+    assert checked > 5
 
 
 def _two_sided_instance():
@@ -112,8 +174,8 @@ def test_relevant_actors_split_by_anchor_side():
     node = SearchNode(front=(0,), back=(5,), remaining=mask_of([1, 2, 3, 4]))
     assert relevant_actors(inst, node) == (mask_of([0, 1]), mask_of([2, 3]))
     # the kernel bounds the same actors
-    pairs = [(c, i, j) for (i, j), c in pair_constants(inst, node).items()]
-    assert branch_lower(inst, node) == _pair_bound(pairs, 4) > 0
+    packed = pack_pairs(pair_constants(inst, node))
+    assert branch_lower(inst, node) == _pair_bound(*packed, 4) > 0
     # an actor anchored on both sides is fixed and drops out
     both = Instance.from_rows(["XXX", "XX.", ".XX"], (1, 1, 1), (2, 3, 4))
     node = SearchNode(front=(0,), back=(2,), remaining=0b010)
@@ -197,7 +259,7 @@ def test_pair_constants_valid_under_enumeration():
         # the adapter's relevant set gives the kernel's own bound
         front_rel, back_rel = relevant_actors(inst, node)
         k = (front_rel | back_rel).bit_count()
-        assert branch_lower(inst, node) == _pair_bound(_pairs(constants), k)
+        assert branch_lower(inst, node) == _pair_bound(*pack_pairs(constants), k)
         if not constants:
             continue
         mid = list(bits(node.remaining))
@@ -269,5 +331,101 @@ def test_heuristic_bounds_below_exact_relaxation():
         constants = pair_constants(inst, node)
         exact = _exact_integer_lb(relevant, constants)
         # both the averaging and the matching bound sit below the optimum
-        assert _pair_bound(_pairs(constants), relevant.bit_count()) <= exact
+        assert _pair_bound(*pack_pairs(constants), relevant.bit_count()) <= exact
         assert branch_lower(inst, node) <= exact
+
+
+def _with_duplicate_scenes(inst, rng, extra):
+    """The instance plus ``extra`` scenes that copy the actor set of a
+    random scene, with their own durations, so that simplification has
+    scenes to merge."""
+    copies = [rng.randrange(inst.num_scenes) for _ in range(extra)]
+    return Instance(
+        inst.num_scenes + extra,
+        inst.num_actors,
+        inst.scene_actors + tuple(inst.scene_actors[j] for j in copies),
+        inst.durations + tuple(rng.randint(1, 4) for _ in copies),
+        inst.wages,
+    )
+
+
+def test_pair_bound_depends_only_on_child_state():
+    # each child state (front set, back set, remaining set) is reached by
+    # pinning any of its front scenes, by pinning any of its back scenes
+    # with the blocks' roles swapped, and by pinning a merged scene after
+    # simplification; the bound must agree on all of these routes
+    rng = random.Random(61)
+    routes = merged = positive = 0
+    for seed in range(120):
+        base = generate_instance(7 + seed % 3, 4 + seed % 5, seed=1600 + seed, density=0.4)
+        inst = _with_duplicate_scenes(base, rng, 2 + seed % 3)
+        scenes = list(range(inst.num_scenes))
+        rng.shuffle(scenes)
+        cut = rng.randint(1, inst.num_scenes - 2)
+        placed, rest = scenes[:cut], scenes[cut:]
+        split = rng.randint(0, len(placed))
+        front, back = placed[:split], placed[split:]
+        parent = SearchNode(tuple(front), tuple(back), mask_of(rest))
+        kn = simplify(kernel_node(inst, parent))
+        for r in bits(kn.q_reps):
+            group = kn.members[r]
+            child_front = front + list(group)
+            remaining = parent.remaining & ~mask_of(group)
+            value = lower_at(inst, kn, r)
+            merged += len(group) > 1
+            positive += value > 0
+            for _ in range(3):
+                f = child_front[:]
+                b = back[:]
+                rng.shuffle(f)
+                rng.shuffle(b)
+                assert branch_lower(inst, SearchNode(tuple(f), tuple(b), remaining)) == value
+                if b:
+                    flipped = SearchNode(tuple(b), tuple(f), remaining)
+                    assert branch_lower(inst, flipped) == value
+                routes += 1
+    assert routes > 1000 and merged > 50 and positive > 100
+
+
+class _CheckedMemo(dict):
+    """A pair-bound memo that never answers: every value is recomputed
+    and, when its state is still stored, compared with the stored one."""
+
+    def __init__(self):
+        super().__init__()
+        self.compared = 0
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        if key in self:
+            assert self[key] == value
+            self.compared += 1
+        super().__setitem__(key, value)
+
+
+def test_memoised_pair_bound_equals_recomputed(monkeypatch):
+    original = solver_mod._Search.__init__
+    memos = []
+
+    def checked_init(self, *args):
+        original(self, *args)
+        self.lower_memo = _CheckedMemo()
+        memos.append(self.lower_memo)
+
+    solves = []
+    for n, m, seed in ((11, 7, 7102), (12, 8, 7103), (13, 7, 7105)):
+        inst = generate_instance(n, m, seed=seed, density=0.35)
+        for pre, order in product((True, False), ("id", "cheapest")):
+            cfg = SolveConfig(cache_capacity=1 << 10, enable_preprocess=pre, branch_order=order)
+            solves.append((inst, cfg, solve(inst, cfg)))
+    monkeypatch.setattr(solver_mod._Search, "__init__", checked_init)
+    for inst, cfg, memoised in solves:
+        checked = solve(inst, cfg)
+        assert checked.holding_cost == memoised.holding_cost
+        assert checked.schedule == memoised.schedule
+        assert checked.subproblems == memoised.subproblems
+        assert checked.cache_stats == memoised.cache_stats
+    assert len(memos) == len(solves)
+    assert sum(memo.compared for memo in memos) > 1000

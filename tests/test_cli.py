@@ -101,6 +101,23 @@ def test_env_var_sets_default_cache_bits(tmp_path, capsys, monkeypatch):
     assert out["cache"]["bits"] == 4
 
 
+@pytest.mark.parametrize("raw", ["x", "31"])
+def test_bad_env_cache_bits_fails_only_the_cache_commands(tmp_path, capsys, monkeypatch, raw):
+    (path,) = _write_instances(tmp_path, count=1)
+    monkeypatch.setenv("TALENTSCHED_CACHE_BITS", raw)
+    assert main(["gen", "-n", "3", "-m", "2"]) == 0
+    assert main(["oracle", str(path)]) == 0
+    assert main(["export-ilp", str(path)]) == 0
+    capsys.readouterr()
+    for command in ("solve", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error: TALENTSCHED_CACHE_BITS")
+    # an explicit flag needs no default, so the variable is never read
+    assert main(["solve", str(path), "--cache-bits", "4"]) == 0
+
+
 def test_json_deterministic_excluding_elapsed(tmp_path, capsys):
     inst = generate_instance(10, 6, seed=3, density=0.4)
     path = tmp_path / "d.txt"
@@ -230,6 +247,7 @@ def test_bench_parallel_matches_serial(tmp_path):
     "argv",
     [
         ["solve", "--time-limit", "0"],
+        ["solve", "--time-limit", "nan"],
         ["bench", "--time-limit", "-1"],
         ["bench", "--strategies", "clock"],
         ["bench", "--cache-bits", "4,x"],
@@ -238,6 +256,7 @@ def test_bench_parallel_matches_serial(tmp_path):
     ],
     ids=[
         "solve-time-limit",
+        "solve-time-limit-nan",
         "bench-time-limit",
         "bench-strategies",
         "bench-cache-bits",

@@ -71,6 +71,23 @@ def test_identical_scenes_tie_break_keeps_smaller_id():
     assert 0 in survivors and 3 not in survivors
 
 
+def test_rule1_spares_the_smaller_id_only_on_a_true_tie():
+    # scene 2 is in the front block (a0), scene 3 in the back block (a1):
+    # scene 1 = {a0, a1} adds to the front what scene 0 = {a1} adds, and
+    # covers it at the back, but not the other way round, so scene 0 goes
+    # although its id is smaller
+    inst = Instance.from_rows([".XX.", "XX.X"], (1, 1, 1, 1), (3, 5))
+    node = SearchNode(front=(2,), back=(3,), remaining=0b0011)
+    assert is_dominated(inst, node, 0, use_rule2=False)
+    assert not is_dominated(inst, node, 1, use_rule2=False)
+    # the other way round: scene 1 = {a1} matches scene 0 = {a0} at the
+    # back (a0 and a1 are both there already) and adds less at the front
+    inst = Instance.from_rows(["X..X", ".XXX"], (1, 1, 1, 1), (3, 5))
+    node = SearchNode(front=(2,), back=(3,), remaining=0b0011)
+    assert is_dominated(inst, node, 0, use_rule2=False)
+    assert not is_dominated(inst, node, 1, use_rule2=False)
+
+
 def test_rules_never_change_the_optimum():
     for seed in range(30):
         inst = generate_instance(

@@ -174,6 +174,15 @@ def test_time_limit_is_checked_at_every_node():
     assert wall < 2
 
 
+def test_infinite_time_limit_means_no_limit():
+    result = solve(
+        fixture_worked_example(),
+        SolveConfig(cache_capacity=1 << 10, time_limit=float("inf")),
+    )
+    assert result.status == "optimal"
+    assert result.holding_cost == WORKED_HOLDING_BEST
+
+
 def test_initial_ub_hint_keeps_optimum_reachable():
     inst = generate_instance(8, 5, seed=55, density=0.4)
     expect = brute_force(inst)[0]
@@ -209,8 +218,9 @@ def test_config_validation():
             SolveConfig(cache_capacity=bad)
     with pytest.raises(ValueError):
         SolveConfig(cache_strategy="clock")
-    with pytest.raises(ValueError):
-        SolveConfig(time_limit=0)
+    for bad in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            SolveConfig(time_limit=bad)
     with pytest.raises(ValueError):
         SolveConfig(branch_order="random")
     with pytest.raises(ValueError):
