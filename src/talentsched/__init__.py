@@ -26,10 +26,7 @@ from .instance import (
     InstanceFormatError,
     actors_of_scenes,
     generate_instance,
-    on_location_actors,
     parse_instance,
-    total_duration,
-    total_wage,
     write_instance,
 )
 from .solver import (

@@ -4,6 +4,9 @@ Subcommands: ``solve`` one instance, ``bench`` a sweep over many instances,
 ``gen`` a random instance, ``export-ilp`` the MILP text, ``oracle`` the
 exhaustive minimum for small instances.  Exit codes: 0 success/optimal,
 1 usage or input error, 2 time limit hit (incumbent still printed).
+
+Every solver flag takes its default from ``SolveConfig()`` and is checked
+by ``SolveConfig``, before any instance is read.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import csv
 import itertools
 import json
-import os
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -22,18 +25,30 @@ from .ilp import export_milp
 from .instance import Instance, InstanceFormatError, generate_instance, parse_instance, write_instance
 from .solver import SolveConfig, SolveResult, brute_force, solve
 
-ENV_CACHE_BITS = "TALENTSCHED_CACHE_BITS"
+
+def _cache_bits(cfg: SolveConfig) -> int:
+    return cfg.cache_capacity.bit_length() - 1 if cfg.cache_capacity else 0
+
+
+def _param_columns(cfg: SolveConfig) -> dict:
+    """The bench columns that name a solve's settings: one per CSV row,
+    and the grouping of ``--summary``."""
+    return {
+        "cache_bits": _cache_bits(cfg),
+        "strategy": cfg.cache_strategy,
+        "preprocess": int(cfg.enable_preprocess),
+        "rule1": int(cfg.enable_rule1),
+        "rule2": int(cfg.enable_rule2),
+        "lower": int(cfg.enable_lower),
+    }
+
+
+_DEFAULTS = SolveConfig()
+_GROUP_FIELDS = ["n", "m", *_param_columns(_DEFAULTS)]
 
 BENCH_FIELDS = [
     "instance",
-    "n",
-    "m",
-    "cache_bits",
-    "strategy",
-    "preprocess",
-    "rule1",
-    "rule2",
-    "lower",
+    *_GROUP_FIELDS,
     "status",
     "holding_cost",
     "total_cost",
@@ -44,20 +59,7 @@ BENCH_FIELDS = [
     "cache_replacements",
 ]
 
-SUMMARY_FIELDS = [
-    "n",
-    "m",
-    "cache_bits",
-    "strategy",
-    "preprocess",
-    "rule1",
-    "rule2",
-    "lower",
-    "instances",
-    "solved",
-    "avg_seconds",
-    "avg_subproblems",
-]
+SUMMARY_FIELDS = [*_GROUP_FIELDS, "instances", "solved", "avg_seconds", "avg_subproblems"]
 
 
 def _read_instance(path: str) -> Instance:
@@ -72,47 +74,22 @@ def _fail(message: str) -> NoReturn:
     raise SystemExit(1)
 
 
-def _default_cache_bits() -> int:
-    """The cache exponent ``solve`` and ``bench`` use without
-    ``--cache-bits``: ``TALENTSCHED_CACHE_BITS``, else 25.  Read only by
-    those commands, so a bad value fails nothing else."""
-    raw = os.environ.get(ENV_CACHE_BITS)
-    if raw is None:
-        return 25
-    try:
-        bits = int(raw)
-    except ValueError:
-        _fail(f"{ENV_CACHE_BITS} must be an integer, got {raw!r}")
-    if not 0 <= bits <= 30:
-        _fail(f"{ENV_CACHE_BITS} must be in 0..30, got {bits}")
-    return bits
-
-
-def _solver_config(cache_bits: int, strategy: str, time_limit: float, **switches) -> SolveConfig:
+def _solver_config(cache_bits: int, **settings) -> SolveConfig:
     """The solver config for one set of flag values; a bad value prints an
     ``error:`` line and exits with code 1."""
     if not 0 <= cache_bits <= 30:
         _fail(f"cache bits must be in 0..30, got {cache_bits}")
     try:
-        return SolveConfig(
-            cache_capacity=(1 << cache_bits) if cache_bits else 0,
-            cache_strategy=strategy,
-            time_limit=time_limit,
-            **switches,
-        )
+        return SolveConfig(cache_capacity=(1 << cache_bits) if cache_bits else 0, **settings)
     except ValueError as exc:
         _fail(str(exc))
 
 
-def _cache_bits(cfg: SolveConfig) -> int:
-    return cfg.cache_capacity.bit_length() - 1 if cfg.cache_capacity else 0
-
-
 def _config_from_args(args) -> SolveConfig:
     return _solver_config(
-        _default_cache_bits() if args.cache_bits is None else args.cache_bits,
-        args.cache_strategy,
-        args.time_limit,
+        args.cache_bits,
+        cache_strategy=args.cache_strategy,
+        time_limit=args.time_limit,
         enable_preprocess=not args.no_preprocess,
         enable_rule1=not args.no_rule1,
         enable_rule2=not args.no_rule2,
@@ -125,10 +102,10 @@ def result_to_json(
     inst: Instance,
     cfg: SolveConfig,
     result: SolveResult,
-    include_elapsed: bool = True,
     include_trace: bool = False,
 ) -> dict:
-    """Schema-stable JSON payload for one solve."""
+    """Schema-stable JSON payload for one solve; ``time_limit`` is ``None``
+    for no limit, since JSON has no infinity."""
     out = {
         "instance": inst.name,
         "n": inst.num_scenes,
@@ -153,11 +130,10 @@ def result_to_json(
             "rule2": cfg.enable_rule2,
             "lower": cfg.enable_lower,
             "branch_order": cfg.branch_order,
-            "time_limit": cfg.time_limit,
+            "time_limit": None if cfg.time_limit == math.inf else cfg.time_limit,
         },
+        "elapsed": result.elapsed,
     }
-    if include_elapsed:
-        out["elapsed"] = result.elapsed
     if include_trace:
         out["trace"] = [[t.subproblems, t.holding_cost] for t in result.ub_trace]
     return out
@@ -193,20 +169,17 @@ def cmd_solve(args) -> int:
 def _bench_configs(args) -> list[SolveConfig]:
     """Every solver config of the sweep, all validated before any instance
     is read."""
-    if args.cache_bits is None:
-        bit_values = [_default_cache_bits()]
-    else:
-        try:
-            bit_values = [int(b) for b in args.cache_bits.split(",")]
-        except ValueError:
-            _fail(f"--cache-bits must be comma-separated integers, got {args.cache_bits!r}")
+    try:
+        bit_values = [int(b) for b in args.cache_bits.split(",")]
+    except ValueError:
+        _fail(f"--cache-bits must be comma-separated integers, got {args.cache_bits!r}")
     strategies = [s.strip() for s in args.strategies.split(",")]
     switches = (True, False) if args.ablate else (True,)
     return [
         _solver_config(
             bits,
-            strat,
-            args.time_limit,
+            cache_strategy=strat,
+            time_limit=args.time_limit,
             enable_preprocess=pre,
             enable_rule1=r1,
             enable_rule2=r2,
@@ -226,12 +199,7 @@ def _bench_one(task):
         "instance": name,
         "n": inst.num_scenes,
         "m": inst.num_actors,
-        "cache_bits": _cache_bits(cfg),
-        "strategy": cfg.cache_strategy,
-        "preprocess": int(cfg.enable_preprocess),
-        "rule1": int(cfg.enable_rule1),
-        "rule2": int(cfg.enable_rule2),
-        "lower": int(cfg.enable_lower),
+        **_param_columns(cfg),
         "status": result.status,
         "holding_cost": result.holding_cost,
         "total_cost": result.total_cost,
@@ -299,33 +267,17 @@ def cmd_bench(args) -> int:
 def _write_summary(rows: list[dict], path: str) -> None:
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (
-            row["n"],
-            row["m"],
-            row["cache_bits"],
-            row["strategy"],
-            row["preprocess"],
-            row["rule1"],
-            row["rule2"],
-            row["lower"],
-        )
+        key = tuple(row[f] for f in _GROUP_FIELDS)
         groups.setdefault(key, []).append(row)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
         writer.writeheader()
-        for key in sorted(groups, key=str):
+        for key in sorted(groups):
             members = groups[key]
             solved = [r for r in members if r["status"] == "optimal"]
             writer.writerow(
                 {
-                    "n": key[0],
-                    "m": key[1],
-                    "cache_bits": key[2],
-                    "strategy": key[3],
-                    "preprocess": key[4],
-                    "rule1": key[5],
-                    "rule2": key[6],
-                    "lower": key[7],
+                    **dict(zip(_GROUP_FIELDS, key)),
                     "instances": len(members),
                     "solved": len(solved),
                     "avg_seconds": (
@@ -395,24 +347,39 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _add_time_limit(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--time-limit",
+        type=float,
+        default=_DEFAULTS.time_limit,
+        metavar="SECONDS",
+        help="positive; inf means no limit (default %(default)s)",
+    )
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cache-bits",
         type=int,
-        default=None,
+        default=_cache_bits(_DEFAULTS),
         help="state cache capacity exponent: at most 2^K states are kept, "
-        "memory grows only with those stored (0 disables; default "
-        f"${ENV_CACHE_BITS} or 25)",
+        "memory grows only with those stored (0 disables; default %(default)s)",
     )
     p.add_argument(
-        "--cache-strategy", choices=["latest", "greedy"], default="greedy"
+        "--cache-strategy",
+        default=_DEFAULTS.cache_strategy,
+        help="which state keeps a slot on a collision (default %(default)s)",
     )
     p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--no-rule1", action="store_true")
     p.add_argument("--no-rule2", action="store_true")
     p.add_argument("--no-lower", action="store_true")
-    p.add_argument("--time-limit", type=float, default=600.0, metavar="SECONDS")
-    p.add_argument("--branch-order", choices=["id", "cheapest"], default="id")
+    _add_time_limit(p)
+    p.add_argument(
+        "--branch-order",
+        default=_DEFAULTS.branch_order,
+        help="order in which a node tries its scenes (default %(default)s)",
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -439,16 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="CSV sweep over instances and parameters")
     p.add_argument("paths", nargs="+", help="instance files or directories of *.txt")
-    p.add_argument("--cache-bits", default=None,
+    p.add_argument("--cache-bits", default=str(_cache_bits(_DEFAULTS)),
                    help="comma-separated capacity exponents, each capping the cache "
-                   f"at 2^K states, 0 disables (e.g. 0,10,25; default ${ENV_CACHE_BITS} "
-                   "or 25)")
-    p.add_argument("--strategies", default="greedy",
-                   help="comma-separated replacement strategies")
+                   "at 2^K states, 0 disables (e.g. 0,10,25; default %(default)s)")
+    p.add_argument("--strategies", default=_DEFAULTS.cache_strategy,
+                   help="comma-separated cache strategies (default %(default)s)")
     p.add_argument("--ablate", action="store_true",
                    help="sweep all 16 on/off combinations of the search features")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--time-limit", type=float, default=600.0, metavar="SECONDS")
+    _add_time_limit(p)
     p.add_argument("--output", "-o", default=None, help="CSV output path (default stdout)")
     p.add_argument("--summary", default=None,
                    help="also write per-(n,m,parameters) averages to this CSV")

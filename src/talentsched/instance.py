@@ -59,10 +59,6 @@ def bitset_lt(a: int, b: int) -> bool:
     return bool(a & (diff & -diff))
 
 
-def bitset_leq(a: int, b: int) -> bool:
-    return a == b or bitset_lt(a, b)
-
-
 # --- instance --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -149,26 +145,6 @@ def actors_of_scenes(inst: Instance, scenes: int) -> int:
     for j in bits(scenes):
         out |= sa[j]
     return out
-
-
-def on_location_actors(inst: Instance, scenes: int) -> int:
-    """Actors required both inside and outside ``scenes`` (the actors that
-    are on location across the set's boundary)."""
-    return actors_of_scenes(inst, scenes) & actors_of_scenes(
-        inst, inst.all_scenes & ~scenes
-    )
-
-
-def total_wage(inst: Instance, actor_mask: int) -> int:
-    """Combined daily wage of the actors in the mask."""
-    w = inst.wages
-    return sum(w[i] for i in bits(actor_mask))
-
-
-def total_duration(inst: Instance, scene_mask: int) -> int:
-    """Combined duration of the scenes in the mask."""
-    d = inst.durations
-    return sum(d[j] for j in bits(scene_mask))
 
 
 # --- file format ------------------------------------------------------------

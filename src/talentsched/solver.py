@@ -46,10 +46,16 @@ from .instance import Instance, bits
 class SolveConfig:
     """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two
     (``1 << 64`` evicts a state only for one with an equal hash).
-    ``time_limit`` is in seconds, positive; ``float("inf")`` means no limit.
-    ``initial_ub`` is a holding cost some schedule is known to reach: it
-    tightens pruning without hiding value-equal optima, and a search that
-    finishes without reaching it raises ``ValueError``."""
+    ``cache_strategy`` is ``"greedy"`` or ``"latest"``; ``branch_order`` is
+    ``"id"`` or ``"cheapest"``.  ``time_limit`` is in seconds, positive;
+    ``float("inf")`` means no limit.  ``initial_ub`` is a holding cost some
+    schedule is known to reach: it tightens pruning without hiding
+    value-equal optima, and a search that finishes without reaching it
+    raises ``ValueError``.
+
+    The defaults below and the checks in ``__post_init__`` are the only
+    statement of each setting: the CLI's flags take their defaults from
+    ``SolveConfig()`` and are checked here."""
 
     cache_capacity: int = 1 << 25
     cache_strategy: str = "greedy"
@@ -66,12 +72,14 @@ class SolveConfig:
         if not isinstance(cap, int) or cap < 0 or cap & (cap - 1):
             raise ValueError("cache_capacity must be 0 or a power of two")
         if self.cache_strategy not in ("latest", "greedy"):
-            raise ValueError(f"unknown cache strategy {self.cache_strategy!r}")
+            raise ValueError(
+                f"unknown cache strategy {self.cache_strategy!r} (latest or greedy)"
+            )
         # written so that NaN, which compares false both ways, is refused
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.branch_order not in ("id", "cheapest"):
-            raise ValueError(f"unknown branch order {self.branch_order!r}")
+            raise ValueError(f"unknown branch order {self.branch_order!r} (id or cheapest)")
         if self.initial_ub is not None and self.initial_ub < 0:
             raise ValueError("initial_ub must be >= 0")
 
@@ -461,9 +469,14 @@ class _Search:
                 )
             )
 
+        # ``multi``: actors of two or more remaining scenes, who stay in the
+        # middle whichever scene is pinned next
         aq_full = 0
+        multi = 0
         for s in reps:
-            aq_full |= member_actors[s]
+            a = member_actors[s]
+            multi |= aq_full & a
+            aq_full |= a
         front_onloc = front_act & (aq_full | back_act)
         back_onloc = back_act & (aq_full | front_act)
 
@@ -476,14 +489,6 @@ class _Search:
             [member_mask[s] for s in reps],
         ):
             return
-
-        k = len(reps)
-        prefix = [0] * (k + 1)
-        for idx in range(k):
-            prefix[idx + 1] = prefix[idx] | member_actors[reps[idx]]
-        suffix = [0] * (k + 1)
-        for idx in range(k - 1, 0, -1):
-            suffix[idx] = suffix[idx + 1] | member_actors[reps[idx]]
 
         # per-actor remaining-scene masks and duration totals; the type-2
         # increment term reduces to wage * (middle total - actor's own total)
@@ -519,10 +524,10 @@ class _Search:
                 )
                 for s in reps
             ]
-            order = sorted(range(k), key=incs.__getitem__)
+            order = sorted(range(len(reps)), key=incs.__getitem__)
         else:
             incs = None
-            order = range(k)
+            order = range(len(reps))
 
         for pos in order:
             s = reps[pos]
@@ -543,7 +548,7 @@ class _Search:
                 future = self._branch_lower(
                     s,
                     member_actors[s],
-                    prefix[pos] | suffix[pos + 1],
+                    aq_full & ~(member_actors[s] & ~multi),
                     front_act,
                     back_act,
                     q2,

@@ -181,7 +181,8 @@ def test_criterion_5_ablation_sweep_csv(tmp_path):
     assert code == 0
     import csv as _csv
 
-    rows = list(_csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(_csv.DictReader(fh))
     assert len(rows) == 5 * 2 * 2 * 16
     assert list(rows[0].keys()) == BENCH_FIELDS
     per_instance = {}
@@ -241,12 +242,14 @@ def test_criterion_7_benchmark_capability(tmp_path):
     assert code == 0
     import csv as _csv
 
-    rows = list(_csv.DictReader(rows_path.open()))
+    with rows_path.open() as fh:
+        rows = list(_csv.DictReader(fh))
     assert len(rows) == 25
     assert list(rows[0].keys()) == BENCH_FIELDS
     assert all(row["status"] == "optimal" for row in rows)
     assert elapsed < 600
-    summary = list(_csv.DictReader(summary_path.open()))
+    with summary_path.open() as fh:
+        summary = list(_csv.DictReader(fh))
     assert {(r["n"], r["m"]) for r in summary} == {(str(n), "8") for n, _ in plan}
     assert all(float(r["avg_subproblems"]) > 0 for r in summary)
     _report(7, f"25-instance sweep (n up to 40) finished optimally in {elapsed:.0f}s "
@@ -275,7 +278,7 @@ def test_criterion_8_determinism():
     payloads = []
     for _ in range(2):
         result = solve(inst, cfg)
-        data = result_to_json(inst, cfg, result, include_elapsed=True)
+        data = result_to_json(inst, cfg, result)
         del data["elapsed"]
         payloads.append(json.dumps(data))
     assert payloads[0] == payloads[1]

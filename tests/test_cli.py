@@ -4,11 +4,23 @@ import json
 import pytest
 
 
-from talentsched import brute_force, cli, generate_instance, parse_instance, write_instance
-from talentsched.cli import BENCH_FIELDS, main
+from talentsched import (
+    SolveConfig,
+    brute_force,
+    cli,
+    generate_instance,
+    parse_instance,
+    write_instance,
+)
+from talentsched.cli import BENCH_FIELDS, build_parser, main
 from talentsched.testkit import fixture_worked_example
 
 FAST_FLAGS = ["--cache-bits", "10", "--time-limit", "60"]
+
+
+def _read_csv(path):
+    with path.open() as fh:
+        return list(csv.DictReader(fh))
 
 
 def _write_instances(tmp_path, count=4, scenes=6, actors=4):
@@ -87,35 +99,32 @@ def test_solve_ablation_flags_agree(tmp_path, capsys):
         assert code == 0 and out["holding_cost"] == expect
 
 
-def test_env_var_sets_default_cache_bits(tmp_path, capsys, monkeypatch):
-    inst = generate_instance(5, 3, seed=2, density=0.5)
-    path = tmp_path / "e.txt"
-    path.write_text(write_instance(inst), encoding="utf-8")
-    monkeypatch.setenv("TALENTSCHED_CACHE_BITS", "6")
-    main(["solve", str(path), "--json"])
-    out = json.loads(capsys.readouterr().out)
-    assert out["cache"]["bits"] == 6
-    # explicit flag wins
-    main(["solve", str(path), "--json", "--cache-bits", "4"])
-    out = json.loads(capsys.readouterr().out)
-    assert out["cache"]["bits"] == 4
+def test_solver_flag_defaults_are_solve_configs():
+    args = build_parser().parse_args(["solve", "x.txt"])
+    assert cli._config_from_args(args) == SolveConfig()
+    args = build_parser().parse_args(["bench", "x.txt"])
+    assert cli._bench_configs(args) == [SolveConfig()]
 
 
-@pytest.mark.parametrize("raw", ["x", "31"])
-def test_bad_env_cache_bits_fails_only_the_cache_commands(tmp_path, capsys, monkeypatch, raw):
+def test_cache_bits_environment_variable_is_ignored(tmp_path, capsys, monkeypatch):
     (path,) = _write_instances(tmp_path, count=1)
-    monkeypatch.setenv("TALENTSCHED_CACHE_BITS", raw)
-    assert main(["gen", "-n", "3", "-m", "2"]) == 0
-    assert main(["oracle", str(path)]) == 0
-    assert main(["export-ilp", str(path)]) == 0
-    capsys.readouterr()
-    for command in ("solve", "bench"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, str(path)])
-        assert exc.value.code == 1
-        assert capsys.readouterr().err.startswith("error: TALENTSCHED_CACHE_BITS")
-    # an explicit flag needs no default, so the variable is never read
-    assert main(["solve", str(path), "--cache-bits", "4"]) == 0
+    monkeypatch.setenv("TALENTSCHED_CACHE_BITS", "x")
+    assert main(["solve", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cache"]["bits"] == 25
+
+
+def test_json_writes_no_time_limit_as_null(tmp_path, capsys):
+    (path,) = _write_instances(tmp_path, count=1)
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    assert main(["solve", str(path), "--json", "--time-limit", "inf"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert out["config"]["time_limit"] is None
+    assert main(["solve", str(path), "--json", "--time-limit", "2.5"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert out["config"]["time_limit"] == 2.5
 
 
 def test_json_deterministic_excluding_elapsed(tmp_path, capsys):
@@ -201,7 +210,7 @@ def test_bench_row_grid(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _read_csv(out)
     assert len(rows) == 3 * 2 * 2
     assert list(rows[0].keys()) == BENCH_FIELDS
     by_inst = {}
@@ -218,7 +227,7 @@ def test_bench_skips_unreadable_and_fails_when_empty(tmp_path, capsys):
     code = main(["bench", str(good), str(bad), "--cache-bits", "8", "-o", str(out)])
     assert code == 0
     assert "skipping" in capsys.readouterr().err
-    assert len(list(csv.DictReader(out.open()))) == 1
+    assert len(_read_csv(out)) == 1
 
     only_bad = tmp_path / "solo"
     only_bad.mkdir()
@@ -248,6 +257,8 @@ def test_bench_parallel_matches_serial(tmp_path):
     [
         ["solve", "--time-limit", "0"],
         ["solve", "--time-limit", "nan"],
+        ["solve", "--cache-strategy", "clock"],
+        ["solve", "--branch-order", "random"],
         ["bench", "--time-limit", "-1"],
         ["bench", "--strategies", "clock"],
         ["bench", "--cache-bits", "4,x"],
@@ -257,6 +268,8 @@ def test_bench_parallel_matches_serial(tmp_path):
     ids=[
         "solve-time-limit",
         "solve-time-limit-nan",
+        "solve-cache-strategy",
+        "solve-branch-order",
         "bench-time-limit",
         "bench-strategies",
         "bench-cache-bits",
@@ -298,7 +311,7 @@ def test_bench_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
     out = tmp_path / "rows.csv"
     assert main(["bench", str(tmp_path), "--cache-bits", "8", "--jobs", "8", "-o", str(out)]) == 0
     assert asked == [2]
-    assert len(list(csv.DictReader(out.open()))) == 2
+    assert len(_read_csv(out)) == 2
 
 
 def test_bench_summary(tmp_path):
@@ -314,8 +327,20 @@ def test_bench_summary(tmp_path):
         ]
     )
     assert code == 0
-    table = list(csv.DictReader(summary.open()))
+    table = _read_csv(summary)
     assert len(table) == 1  # one (n, m, parameter) group
     assert table[0]["instances"] == "3"
     assert table[0]["solved"] == "3"
     assert float(table[0]["avg_subproblems"]) > 0
+
+
+def test_bench_summary_groups_sort_by_value(tmp_path):
+    for n in (16, 8):
+        inst = generate_instance(n, 4, seed=n, density=0.5)
+        (tmp_path / f"n{n}.txt").write_text(write_instance(inst), encoding="utf-8")
+    rows = tmp_path / "rows.csv"
+    summary = tmp_path / "summary.csv"
+    assert main(
+        ["bench", str(tmp_path), "--cache-bits", "10", "-o", str(rows), "--summary", str(summary)]
+    ) == 0
+    assert [r["n"] for r in _read_csv(summary)] == ["8", "16"]

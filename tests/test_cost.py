@@ -9,7 +9,6 @@ from talentsched import (
     holding_cost,
     scene_costs,
     total_cost,
-    total_wage,
     work_cost,
 )
 from talentsched.instance import bits
@@ -50,7 +49,7 @@ def test_worked_example_per_scene_costs():
     assert sum(costs) == WORKED_TOTAL_IDENTITY
     # waiting-only part of each column
     working = [
-        inst.durations[s] * total_wage(inst, inst.scene_actors[s])
+        inst.durations[s] * sum(inst.wages[i] for i in bits(inst.scene_actors[s]))
         for s in IDENTITY12.order
     ]
     held = [c - w for c, w in zip(costs, working)]
