@@ -12,6 +12,7 @@ by ``SolveConfig``, before any instance is read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -72,6 +73,23 @@ def _read_instance(path: str) -> Instance:
 def _fail(message: str) -> NoReturn:
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(1)
+
+
+def _open_output(stack: contextlib.ExitStack, path: str | None):
+    """``path`` opened for writing inside ``stack``, or stdout when there
+    is none; an unwritable path prints an ``error:`` line and exits with
+    code 1."""
+    if not path:
+        return sys.stdout
+    try:
+        return stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+    except OSError as exc:
+        _fail(str(exc))
+
+
+def _write_output(path: str | None, text: str) -> None:
+    with contextlib.ExitStack() as stack:
+        _open_output(stack, path).write(text)
 
 
 def _solver_config(cache_bits: int, **settings) -> SolveConfig:
@@ -243,55 +261,51 @@ def cmd_bench(args) -> int:
         print("error: no solvable instances", file=sys.stderr)
         return 1
 
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_one, tasks, chunksize=1))
-    else:
-        rows = [_bench_one(t) for t in tasks]
-
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with contextlib.ExitStack() as stack:
+        # both outputs are opened before any solve, so a bad path loses no work
+        out = _open_output(stack, args.output)
+        summary = _open_output(stack, args.summary) if args.summary else None
+        workers = min(args.jobs, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_bench_one, tasks, chunksize=1))
+        else:
+            rows = [_bench_one(t) for t in tasks]
         writer = csv.DictWriter(out, fieldnames=BENCH_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
-
-    if args.summary:
-        _write_summary(rows, args.summary)
+        if summary is not None:
+            _write_summary(rows, summary)
     return 0
 
 
-def _write_summary(rows: list[dict], path: str) -> None:
+def _write_summary(rows: list[dict], fh) -> None:
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         key = tuple(row[f] for f in _GROUP_FIELDS)
         groups.setdefault(key, []).append(row)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        writer.writeheader()
-        for key in sorted(groups):
-            members = groups[key]
-            solved = [r for r in members if r["status"] == "optimal"]
-            writer.writerow(
-                {
-                    **dict(zip(_GROUP_FIELDS, key)),
-                    "instances": len(members),
-                    "solved": len(solved),
-                    "avg_seconds": (
-                        f"{sum(float(r['seconds']) for r in solved) / len(solved):.6f}"
-                        if solved
-                        else ""
-                    ),
-                    "avg_subproblems": (
-                        f"{sum(r['subproblems'] for r in solved) / len(solved):.1f}"
-                        if solved
-                        else ""
-                    ),
-                }
-            )
+    writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
+    writer.writeheader()
+    for key in sorted(groups):
+        members = groups[key]
+        solved = [r for r in members if r["status"] == "optimal"]
+        writer.writerow(
+            {
+                **dict(zip(_GROUP_FIELDS, key)),
+                "instances": len(members),
+                "solved": len(solved),
+                "avg_seconds": (
+                    f"{sum(float(r['seconds']) for r in solved) / len(solved):.6f}"
+                    if solved
+                    else ""
+                ),
+                "avg_subproblems": (
+                    f"{sum(r['subproblems'] for r in solved) / len(solved):.1f}"
+                    if solved
+                    else ""
+                ),
+            }
+        )
 
 
 def cmd_gen(args) -> int:
@@ -307,11 +321,7 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = write_instance(inst)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, write_instance(inst))
     return 0
 
 
@@ -321,11 +331,7 @@ def cmd_export_ilp(args) -> int:
     except (OSError, InstanceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = export_milp(inst)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, export_milp(inst))
     return 0
 
 

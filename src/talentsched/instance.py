@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_SCENES = 64
 MAX_ACTORS = 64
@@ -42,12 +42,39 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit indices of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# ``_BYTE_BITS[k][b]``: the set bit indices of byte value b at byte k of a
+# mask, ascending.  The tables are built on first use, as far as the widest
+# mask seen needs, so importing the module builds none; a wider mask
+# replaces the whole tuple, so a reader never sees a partial one.
+_BYTE_BITS: tuple[tuple[tuple[int, ...], ...], ...] = ()
+
+
+def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
+    table: list[tuple[int, ...]] = [()] * 256
+    for b in range(1, 256):
+        low = b & -b
+        table[b] = (8 * k + low.bit_length() - 1,) + table[b ^ low]
+    return tuple(table)
+
+
+def bits(mask: int) -> list[int]:
+    """The set bit indices of the non-negative ``mask`` in ascending order,
+    one table lookup per byte."""
+    global _BYTE_BITS
+    out: list[int] = []
+    rest = mask
+    for table in _BYTE_BITS:
+        if not rest:
+            return out
+        out += table[rest & 255]
+        rest >>= 8
+    if not rest:
+        return out
+    if mask < 0:
+        raise ValueError(f"bits needs a non-negative mask, got {mask}")
+    need = max(len(_BYTE_BITS), (mask.bit_length() + 7) >> 3)
+    _BYTE_BITS = tuple(_byte_table(k) for k in range(need))
+    return bits(mask)
 
 
 def bitset_lt(a: int, b: int) -> bool:

@@ -388,20 +388,24 @@ def test_pair_bound_depends_only_on_child_state():
 
 
 class _CheckedMemo(dict):
-    """A pair-bound memo that never answers: every value is recomputed
-    and, when its state is still stored, compared with the stored one."""
+    """A pair-bound memo generation that never answers: every value is
+    recomputed and, when its state is still stored in this generation or
+    in ``peer``, the other one, compared with the stored value."""
 
     def __init__(self):
         super().__init__()
+        self.peer: dict = {}
         self.compared = 0
 
     def get(self, key, default=None):
         return default
 
     def __setitem__(self, key, value):
-        if key in self:
-            assert self[key] == value
-            self.compared += 1
+        for generation in (self, self.peer):
+            if key in generation:
+                assert dict.__getitem__(generation, key) == value
+                self.compared += 1
+                break
         super().__setitem__(key, value)
 
 
@@ -411,8 +415,10 @@ def test_memoised_pair_bound_equals_recomputed(monkeypatch):
 
     def checked_init(self, *args):
         original(self, *args)
-        self.lower_memo = _CheckedMemo()
-        memos.append(self.lower_memo)
+        current, prev = _CheckedMemo(), _CheckedMemo()
+        current.peer, prev.peer = prev, current
+        self.lower_memo, self.lower_prev = current, prev
+        memos.extend((current, prev))
 
     solves = []
     for n, m, seed in ((11, 7, 7102), (12, 8, 7103), (13, 7, 7105)):
@@ -427,5 +433,37 @@ def test_memoised_pair_bound_equals_recomputed(monkeypatch):
         assert checked.schedule == memoised.schedule
         assert checked.subproblems == memoised.subproblems
         assert checked.cache_stats == memoised.cache_stats
-    assert len(memos) == len(solves)
+    assert len(memos) == 2 * len(solves)
     assert sum(memo.compared for memo in memos) > 1000
+
+
+def test_memo_rotation_keeps_the_search(monkeypatch):
+    """Generations far smaller than the default change no answer, node
+    count or cache counter, and never hold more than two generations."""
+    solves = []
+    for n, m, seed in ((12, 7, 7111), (13, 8, 7112), (14, 7, 7113)):
+        inst = generate_instance(n, m, seed=seed, density=0.35)
+        for pre, order in product((True, False), ("id", "cheapest")):
+            cfg = SolveConfig(cache_capacity=1 << 10, enable_preprocess=pre, branch_order=order)
+            solves.append((inst, cfg, solve(inst, cfg)))
+
+    original = solver_mod._Search._branch_lower
+    resident = []
+
+    def watched(self, *args):
+        value = original(self, *args)
+        resident.append(len(self.lower_memo) + len(self.lower_prev))
+        return value
+
+    monkeypatch.setattr(solver_mod._Search, "_branch_lower", watched)
+    for entries in (1, 2, 64):
+        monkeypatch.setattr(solver_mod, "LOWER_MEMO_ENTRIES", entries)
+        resident.clear()
+        for inst, cfg, expected in solves:
+            result = solve(inst, cfg)
+            assert result.holding_cost == expected.holding_cost
+            assert result.schedule == expected.schedule
+            assert result.subproblems == expected.subproblems
+            assert result.cache_stats == expected.cache_stats
+        # both generations filled, and never more
+        assert max(resident) == 2 * entries

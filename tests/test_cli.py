@@ -344,3 +344,34 @@ def test_bench_summary_groups_sort_by_value(tmp_path):
         ["bench", str(tmp_path), "--cache-bits", "10", "-o", str(rows), "--summary", str(summary)]
     ) == 0
     assert [r["n"] for r in _read_csv(summary)] == ["8", "16"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["-o", "{bad}"], ["-o", "{good}", "--summary", "{bad}"], ["--summary", "{bad}"]],
+    ids=["output", "summary", "summary-to-stdout"],
+)
+def test_bench_unwritable_output_exits_1_before_solving(tmp_path, capsys, monkeypatch, flags):
+    _write_instances(tmp_path, count=1)
+
+    def no_solve(*args):
+        raise AssertionError("solved although an output cannot be written")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    paths = {"bad": str(tmp_path / "missing" / "out.csv"), "good": str(tmp_path / "rows.csv")}
+    argv = ["bench", str(tmp_path), "--ablate", *(f.format(**paths) for f in flags)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "export-ilp"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    (path,) = _write_instances(tmp_path, count=1)
+    args = ["-n", "4", "-m", "3"] if command == "gen" else [str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "-o", str(tmp_path / "missing" / "out.txt")])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: ")

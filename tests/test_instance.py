@@ -179,3 +179,16 @@ def test_bitset_order():
     for _ in range(100):
         x, y = rng.getrandbits(10), rng.getrandbits(10)
         assert (bitset_lt(x, y), bitset_lt(y, x), x == y).count(True) == 1
+
+
+def test_bits_matches_a_naive_scan():
+    def naive(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    rng = random.Random(11)
+    masks = [0, 1, 1 << 63, 2**64 - 1, 1 << 64 | 1, 1 << 100]
+    masks += [rng.getrandbits(rng.randint(1, 64)) for _ in range(500)]
+    for mask in masks:
+        assert bits(mask) == naive(mask), mask
+    with pytest.raises(ValueError):
+        bits(-1)

@@ -317,10 +317,12 @@ def test_matches_subset_dp_past_the_brute_force_ceiling():
         {flag: False}
         for flag in ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
     ]
-    for n, m, density in itertools.product((11, 12, 13, 14), (6, 8), (0.3, 0.45)):
+    for n, m, density in itertools.product((11, 12, 13, 14, 15, 16), (6, 8), (0.3, 0.45)):
         inst = generate_instance(n, m, seed=9100 + n, density=density)
         expect = subset_dp(inst)
-        for flags, cap in itertools.product(switches, (0, 1 << 4, 1 << 64)):
+        # past 14 scenes only the unbounded cache, to keep the test's time
+        caps = (0, 1 << 4, 1 << 64) if n <= 14 else (1 << 64,)
+        for flags, cap in itertools.product(switches, caps):
             result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
             assert result.status == "optimal"
             assert result.holding_cost == expect, (n, flags, cap)
