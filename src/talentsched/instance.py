@@ -72,8 +72,7 @@ def bits(mask: int) -> list[int]:
         return out
     if mask < 0:
         raise ValueError(f"bits needs a non-negative mask, got {mask}")
-    need = max(len(_BYTE_BITS), (mask.bit_length() + 7) >> 3)
-    _BYTE_BITS = tuple(_byte_table(k) for k in range(need))
+    _BYTE_BITS = tuple(_byte_table(k) for k in range((mask.bit_length() + 7) >> 3))
     return bits(mask)
 
 

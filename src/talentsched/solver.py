@@ -15,10 +15,9 @@ the merge history that produced it.
 
 Simplification, the increment, dominance and the pair bound each have one
 implementation, here: ``_simplify``, ``_Search._increment``,
-``_Search._dominated`` and ``_Search._branch_lower``, which computes
-through ``_Search._pair_value`` and its halves ``_pair_constants`` and
-``_pair_bound``.  Tests reach them on single nodes through the adapters
-in ``testkit``.
+``_Search._dominated`` and ``_Search._branch_lower`` with its halves
+``_pair_constants`` and ``_pair_bound``.  Tests reach them on single nodes
+through the adapters in ``testkit``.
 
 Two tables keep those kernels cheap.  Each node builds a dominance table
 (``_dominance_table``: per remaining scene its actors joined with each
@@ -27,13 +26,14 @@ it.  The pair bound of a child is memoised per solve in
 ``_Search.lower_memo``, keyed by the child's state: its relevant actors at
 each block and its remaining scenes over original ids.  The double-ended
 search reaches one child state through many orders of the placed scenes,
-so about 60% of all bound calls repeat an earlier one.  The memo keeps two
-generations of ``LOWER_MEMO_ENTRIES`` values: when the one being filled is
-full it becomes the previous one, whose values are dropped, and a value
-found in the previous one is copied forward, so the states still in use
-survive.  On the benchmark's base instances it answers 52.4% of the calls
-on ``wide-cast`` and 48.2% on ``sweep``, where one memo cleared at the same
-size answered 43.6% and 40.1%; both generations full take about 0.6 MB.
+so on the larger benchmark workloads about 60% of all bound calls repeat
+an earlier one.  The memo keeps two generations of ``LOWER_MEMO_ENTRIES``
+values: when the one being filled is full it becomes the previous one,
+whose values are dropped, and a value found in the previous one is copied
+forward, so the states still in use survive.  On the benchmark's base
+instances it answers 52.4% of the calls on ``wide-cast`` and 48.2% on
+``sweep``, where one memo cleared at the same size answered 43.6% and
+40.1%; both generations full take about 0.6 MB.
 """
 
 from __future__ import annotations
@@ -666,40 +666,41 @@ class _Search:
             key = (q2 << m | back_rel) << m | front_rel
         memo = self.lower_memo
         value = memo.get(key)
+        if value is not None:
+            return value
+        value = self.lower_prev.get(key)
         if value is None:
-            value = self.lower_prev.get(key)
-            if value is None:
-                value = self._pair_value(
-                    s, a_s, front_rel, back_rel, count, actor_q, actor_qd,
-                    dur_view, dq_total,
-                )
-            if len(memo) >= LOWER_MEMO_ENTRIES:
-                prev = self.lower_prev
-                prev.clear()
-                self.lower_prev = memo
-                self.lower_memo = memo = prev
-            memo[key] = value
+            # only the actors of s lose a remaining scene, and none of them
+            # is relevant at the back
+            sbit = 1 << s
+            ds = dur_view[s]
+            wages = self.inst.wages
+            front = []
+            rel = front_rel
+            while rel:
+                low = rel & -rel
+                i = low.bit_length() - 1
+                if a_s & low:
+                    front.append((i, actor_q[i] & ~sbit, actor_qd[i] - ds, wages[i]))
+                else:
+                    front.append((i, actor_q[i], actor_qd[i], wages[i]))
+                rel ^= low
+            back = []
+            rel = back_rel
+            while rel:
+                low = rel & -rel
+                i = low.bit_length() - 1
+                back.append((i, actor_q[i], actor_qd[i], wages[i]))
+                rel ^= low
+            keys, total = _pair_constants(front, back, dq_total - ds, dur_view)
+            value = _pair_bound(keys, total, count)
+        if len(memo) >= LOWER_MEMO_ENTRIES:
+            prev = self.lower_prev
+            prev.clear()
+            self.lower_prev = memo
+            self.lower_memo = memo = prev
+        memo[key] = value
         return value
-
-    def _pair_value(
-        self, s, a_s, front_rel, back_rel, count, actor_q, actor_qd, dur_view, dq_total
-    ):
-        """The pair bound ``_branch_lower`` memoises, computed from the
-        parent's per-actor tables."""
-        # only the actors of s lose a remaining scene, and none of them is
-        # relevant at the back
-        sbit = 1 << s
-        ds = dur_view[s]
-        wages = self.inst.wages
-        front = []
-        for i in bits(front_rel):
-            if a_s >> i & 1:
-                front.append((i, actor_q[i] & ~sbit, actor_qd[i] - ds, wages[i]))
-            else:
-                front.append((i, actor_q[i], actor_qd[i], wages[i]))
-        back = [(i, actor_q[i], actor_qd[i], wages[i]) for i in bits(back_rel)]
-        keys, total = _pair_constants(front, back, dq_total - ds, dur_view)
-        return _pair_bound(keys, total, count)
 
 
 def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
