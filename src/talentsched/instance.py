@@ -44,8 +44,8 @@ def mask_of(indices: Iterable[int]) -> int:
 
 # ``_BYTE_BITS[k][b]``: the set bit indices of byte value b at byte k of a
 # mask, ascending.  The tables are built on first use, as far as the widest
-# mask seen needs, so importing the module builds none; a wider mask
-# replaces the whole tuple, so a reader never sees a partial one.
+# mask seen needs, so importing the module builds none; a wider mask adds
+# the missing ones in a new tuple, so a reader never sees a partial one.
 _BYTE_BITS: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
 
@@ -72,7 +72,8 @@ def bits(mask: int) -> list[int]:
         return out
     if mask < 0:
         raise ValueError(f"bits needs a non-negative mask, got {mask}")
-    _BYTE_BITS = tuple(_byte_table(k) for k in range((mask.bit_length() + 7) >> 3))
+    need = range(len(_BYTE_BITS), (mask.bit_length() + 7) >> 3)
+    _BYTE_BITS += tuple(_byte_table(k) for k in need)
     return bits(mask)
 
 

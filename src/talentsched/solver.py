@@ -31,9 +31,9 @@ an earlier one.  The memo keeps two generations of ``LOWER_MEMO_ENTRIES``
 values: when the one being filled is full it becomes the previous one,
 whose values are dropped, and a value found in the previous one is copied
 forward, so the states still in use survive.  On the benchmark's base
-instances it answers 52.4% of the calls on ``wide-cast`` and 48.2% on
-``sweep``, where one memo cleared at the same size answered 43.6% and
-40.1%; both generations full take about 0.6 MB.
+instances it answers 55.5% of the calls on ``wide-cast`` and 50.3% on
+``sweep``, where one memo of 4,096 values cleared when full answered 43.6%
+and 40.1%; both generations full take about 0.8 MB.
 """
 
 from __future__ import annotations
@@ -109,10 +109,11 @@ class SolveResult:
     ub_trace: tuple[TraceEntry, ...] = ()
 
 
-# values per generation of the pair-bound memo, which keeps two.  Twice as
-# many answered 5-7 more bound calls in 100 on the benchmark, but raised
-# the peak RSS of a pass over its instances by about 1 MB (5%).
-LOWER_MEMO_ENTRIES = 4096
+# values per generation of the pair-bound memo, which keeps two.  A CPython
+# 3.11 dict keeps its table at most two-thirds full, so 5,461 values fit the
+# same 8,192-slot table as 4,096 and answer 3 more bound calls in 100 on the
+# benchmark; one value more doubles the table.
+LOWER_MEMO_ENTRIES = 5461
 
 
 class _TimeLimit(Exception):
