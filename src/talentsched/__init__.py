@@ -5,8 +5,9 @@ shooting order packs each actor's scenes together.  The solver is a
 double-ended branch and bound with subproblem simplification, pairwise
 lower bounds, dominance pruning, and a direct-mapped cache of search
 states; each of those rules is implemented once, as a kernel in
-``solver``.  The package also ships an LP-format model exporter, a
-brute-force oracle, instance tooling, and a benchmark CLI; ``testkit``
+``solver``.  The package also ships an LP-format model exporter, an
+exact oracle (a dynamic program over scene sets, ``brute_force``),
+instance tooling, and a benchmark CLI; ``testkit``
 holds test fixtures, slow reference oracles and adapters that call the
 solver's kernels on one search node.
 """

@@ -2,8 +2,10 @@
 
 Subcommands: ``solve`` one instance, ``bench`` a sweep over many instances,
 ``gen`` a random instance, ``export-ilp`` the MILP text, ``oracle`` the
-exhaustive minimum for small instances.  Exit codes: 0 success/optimal,
-1 usage or input error, 2 time limit hit (incumbent still printed).
+exact minimum by a dynamic program over scene sets, for at most
+``BRUTE_FORCE_MAX_SCENES`` scenes.  Exit codes: 0 success/optimal, 1 usage
+or input error, 2 time limit hit (incumbent still printed).  An error found
+before any work prints one ``error:`` line and raises ``SystemExit(1)``.
 
 Every solver flag takes its default from ``SolveConfig()`` and is checked
 by ``SolveConfig``, before any instance is read.
@@ -24,7 +26,7 @@ from typing import NoReturn
 
 from .ilp import export_milp
 from .instance import Instance, InstanceFormatError, generate_instance, parse_instance, write_instance
-from .solver import SolveConfig, SolveResult, brute_force, solve
+from .solver import BRUTE_FORCE_MAX_SCENES, SolveConfig, SolveResult, brute_force, solve
 
 
 def _cache_bits(cfg: SolveConfig) -> int:
@@ -63,16 +65,20 @@ BENCH_FIELDS = [
 SUMMARY_FIELDS = [*_GROUP_FIELDS, "instances", "solved", "avg_seconds", "avg_subproblems"]
 
 
-def _read_instance(path: str) -> Instance:
-    if path == "-":
-        return parse_instance(sys.stdin.read(), name="stdin")
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_instance(text, name=Path(path).stem)
-
-
 def _fail(message: str) -> NoReturn:
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(1)
+
+
+def _read_instance(path: str) -> Instance:
+    """The instance in file ``path``, or on stdin for ``-``; an unreadable
+    or malformed one prints an ``error:`` line and exits with code 1."""
+    try:
+        if path == "-":
+            return parse_instance(sys.stdin.read(), name="stdin")
+        return parse_instance(Path(path).read_text(encoding="utf-8"), name=Path(path).stem)
+    except (OSError, InstanceFormatError) as exc:
+        _fail(str(exc))
 
 
 def _open_output(stack: contextlib.ExitStack, path: str | None):
@@ -159,11 +165,7 @@ def result_to_json(
 
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    try:
-        inst = _read_instance(args.instance)
-    except (OSError, InstanceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst = _read_instance(args.instance)
     result = solve(inst, cfg)
     if args.json:
         payload = result_to_json(inst, cfg, result, include_trace=args.trace)
@@ -319,31 +321,21 @@ def cmd_gen(args) -> int:
             max_wage=args.max_wage,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _fail(str(exc))
     _write_output(args.output, write_instance(inst))
     return 0
 
 
 def cmd_export_ilp(args) -> int:
-    try:
-        inst = _read_instance(args.instance)
-    except (OSError, InstanceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst = _read_instance(args.instance)
     _write_output(args.output, export_milp(inst))
     return 0
 
 
 def cmd_oracle(args) -> int:
-    try:
-        inst = _read_instance(args.instance)
-    except (OSError, InstanceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if inst.num_scenes > 10:
-        print("error: oracle refuses instances with more than 10 scenes", file=sys.stderr)
-        return 1
+    inst = _read_instance(args.instance)
+    if inst.num_scenes > BRUTE_FORCE_MAX_SCENES:
+        _fail(f"oracle refuses instances with more than {BRUTE_FORCE_MAX_SCENES} scenes")
     holding, sched = brute_force(inst)
     if args.json:
         print(json.dumps({"holding_cost": holding, "schedule": list(sched.order)}))
@@ -441,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_export_ilp)
 
-    p = sub.add_parser("oracle", help="exhaustive minimum for small instances (n <= 10)")
+    p = sub.add_parser(
+        "oracle",
+        help=f"exact minimum by a subset DP, for at most {BRUTE_FORCE_MAX_SCENES} scenes",
+    )
     p.add_argument("instance")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)

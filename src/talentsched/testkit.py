@@ -1,15 +1,16 @@
-"""Worked-example fixtures, enumeration oracles and kernel adapters shared
+"""Worked-example fixtures, reference oracles and kernel adapters shared
 by the test suite.
 
 Everything here is test support.  The oracles (``SearchNode``,
-``past_cost``, ``enumerate_future_cost``, ``subset_dp`` and the
-``CacheModel`` of the state cache) are small, slow, and written
-independently of the solver's fast paths so they can serve as ground
-truth.  The adapters turn a ``SearchNode`` into the per-node arguments of
-the solver's own kernels -- ``_simplify``, ``_Search._increment``,
-``_Search._dominated`` over its ``_dominance_table``,
-``_Search._branch_lower`` (on a plain node or, by ``lower_at``, on a
-simplified one) and its two halves
+``past_cost``, ``enumerate_future_cost`` and the ``CacheModel`` of the
+state cache) are small, slow, and written independently of the solver's
+fast paths so they can serve as ground truth; the optimum of a whole
+instance is ``solver.brute_force``, whose subset DP also gives
+``enumerate_future_cost``.  The adapters turn a ``SearchNode`` into the
+per-node arguments of the solver's own kernels -- ``_simplify``,
+``_Search._increment``, ``_Search._dominated`` over its
+``_dominance_table``, ``_Search._branch_lower`` (on a plain node or, by
+``lower_at``, on a simplified one) and its two halves
 ``_pair_constants``/``_pair_bound`` -- so that tests check the code every
 solve runs.  ``pack_pairs``/``unpack_pairs`` translate between pair
 constants keyed by actor pair and the packed keys of those two halves.
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 
 from .cache import CacheStats
 from .instance import Instance, actors_of_scenes, bits, mask_of
 from .solver import (
     SolveConfig,
     _dominance_table,
+    _order_dp,
     _pair_constants,
     _Search,
     _simplify,
@@ -88,51 +89,27 @@ def fixture_partial_example() -> tuple[Instance, SearchNode]:
 
 
 def enumerate_future_cost(inst: Instance, node: SearchNode) -> int:
-    """Exact minimum holding cost the middle scenes can still incur, by
-    trying every order of the remaining set (capped at 7 scenes).
+    """Exact minimum holding cost the middle scenes can still incur.
 
-    Counts, per candidate order, the waiting days inside the middle block of
-    every actor whose span is not yet fully decided, using only first/last
-    anchoring logic (independent of the solver's incremental bookkeeping).
+    Counts the waiting days inside the middle block of every actor whose
+    span is not yet fully decided: those anchored at the front are on
+    location from its first day, those anchored at the back stay to its
+    last.  ``brute_force``'s subset DP takes every order of the middle into
+    account, independently of the solver's incremental bookkeeping.
     """
-    q = sorted(bits(node.remaining))
-    if len(q) > 7:
-        raise ValueError("future-cost enumeration is capped at 7 remaining scenes")
-
+    q = bits(node.remaining)
     a_front = actors_of_scenes(inst, mask_of(node.front))
     a_back = actors_of_scenes(inst, mask_of(node.back))
     a_mid = actors_of_scenes(inst, node.remaining)
     active = node.active_actors if node.active_actors is not None else inst.all_actors
     relevant = (a_front | a_back | a_mid) & ~(a_front & a_back) & active
-    mid_days = sum(inst.durations[s] for s in q)
-
-    best = None
-    for order in permutations(q):
-        total = 0
-        day = 0
-        first = {}
-        last = {}
-        for s in order:
-            d = inst.durations[s]
-            for i in bits(inst.scene_actors[s] & relevant):
-                if i not in first:
-                    first[i] = day
-                last[i] = day + d
-            day += d
-        for i in bits(relevant):
-            in_front = bool(a_front >> i & 1)
-            in_back = bool(a_back >> i & 1)
-            start = 0 if in_front else first.get(i)
-            end = mid_days if in_back else last.get(i)
-            if start is None or end is None:
-                continue
-            work = sum(
-                inst.durations[s] for s in q if inst.scene_actors[s] >> i & 1
-            )
-            total += inst.wages[i] * (end - start - work)
-        if best is None or total < best:
-            best = total
-    return best if best is not None else 0
+    return _order_dp(
+        [inst.scene_actors[s] & relevant for s in q],
+        [inst.durations[s] for s in q],
+        inst.wages,
+        a_front & relevant,
+        a_back & relevant,
+    )[0]
 
 
 def random_node(
@@ -212,43 +189,6 @@ def past_cost(inst: Instance, node: SearchNode) -> int:
             start = 0 if in_mid else b_first
             out += wage * ((b_last_end - start) - b_work)
     return out
-
-
-# --- subset-DP oracle ---------------------------------------------------------
-
-def subset_dp(inst: Instance) -> int:
-    """Minimum holding cost by dynamic programming over scene sets (Garcia
-    de la Banda, Stuckey & Chu, *Solving talent scheduling with dynamic
-    programming*, INFORMS JoC 2011).
-
-    Shooting scene ``s`` right after the set ``S`` holds, for ``d_s`` days,
-    every actor needed both in ``S`` and after it but not by ``s``, so
-    ``f(S | s) = min f(S) + d_s * wage(a(S) & a(rest) & ~a(s))``, with
-    ``rest`` the scenes outside ``S``, over all 2^n sets; seconds up to
-    about n = 18.
-    """
-    n = inst.num_scenes
-    if n > 20:
-        raise ValueError("subset DP is capped at 20 scenes")
-    full = (1 << n) - 1
-    needs = [0] * (1 << n)  # actors needed by a scene set
-    for done in range(1, 1 << n):
-        low = done & -done
-        needs[done] = needs[done ^ low] | inst.scene_actors[low.bit_length() - 1]
-    wage = {}
-    best = [0] + [None] * full
-    # a set's value is final before it is extended: subsets are smaller ints
-    for done in range(full):
-        waiting = needs[done] & needs[full & ~done]
-        for s in bits(full & ~done):
-            held = waiting & ~inst.scene_actors[s]
-            if held not in wage:
-                wage[held] = sum(inst.wages[i] for i in bits(held))
-            cost = best[done] + inst.durations[s] * wage[held]
-            after = done | 1 << s
-            if best[after] is None or cost < best[after]:
-                best[after] = cost
-    return best[full]
 
 
 # --- state-cache model --------------------------------------------------------

@@ -5,14 +5,18 @@ import pytest
 
 
 from talentsched import (
+    Schedule,
     SolveConfig,
     brute_force,
     cli,
     generate_instance,
+    holding_cost,
     parse_instance,
+    solver,
     write_instance,
 )
 from talentsched.cli import BENCH_FIELDS, build_parser, main
+from talentsched.solver import BRUTE_FORCE_MAX_SCENES
 from talentsched.testkit import fixture_worked_example
 
 FAST_FLAGS = ["--cache-bits", "10", "--time-limit", "60"]
@@ -59,15 +63,25 @@ def test_solve_human_output(tmp_path, capsys):
     assert "total cost    434" in text
 
 
+def _exit_code(argv) -> int:
+    """The code ``main(argv)`` exits with when it fails before any work."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
 def test_solve_bad_file_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.txt"
     path.write_text("not an instance\n", encoding="utf-8")
-    assert main(["solve", str(path)]) == 1
-    assert "error" in capsys.readouterr().err
+    assert _exit_code(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: header must be 'n m', got 'not an instance'\n"
+    )
 
 
 def test_solve_missing_file_exits_1(tmp_path, capsys):
-    assert main(["solve", str(tmp_path / "nope.txt")]) == 1
+    assert _exit_code(["solve", str(tmp_path / "nope.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_time_limit_exits_2(tmp_path, capsys):
@@ -155,7 +169,8 @@ def test_gen_deterministic_and_parsable(tmp_path, capsys):
 
 
 def test_gen_rejects_bad_arguments(capsys):
-    assert main(["gen", "-n", "0", "-m", "3"]) == 1
+    assert _exit_code(["gen", "-n", "0", "-m", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -189,12 +204,28 @@ def test_oracle_agrees_with_api(tmp_path, capsys):
     assert tuple(out["schedule"]) == sched.order
 
 
-def test_oracle_refuses_large_instances(tmp_path, capsys):
-    inst = generate_instance(11, 4, seed=5, density=0.5)
+@pytest.mark.parametrize("n", [11, BRUTE_FORCE_MAX_SCENES])
+def test_oracle_answers_up_to_its_cap(tmp_path, capsys, n):
+    inst = generate_instance(n, 6, seed=n, density=0.4, max_duration=3, max_wage=20)
+    path = tmp_path / "o.txt"
+    path.write_text(write_instance(inst), encoding="utf-8")
+    assert main(["oracle", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert holding_cost(inst, Schedule(tuple(out["schedule"]))) == out["holding_cost"]
+
+
+def test_oracle_refuses_large_instances(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the oracle ran past its cap")
+
+    monkeypatch.setattr(solver, "_order_dp", unreachable)
+    inst = generate_instance(BRUTE_FORCE_MAX_SCENES + 1, 4, seed=5, density=0.5)
     path = tmp_path / "big.txt"
     path.write_text(write_instance(inst), encoding="utf-8")
-    assert main(["oracle", str(path)]) == 1
-    assert "refuses" in capsys.readouterr().err
+    assert _exit_code(["oracle", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: oracle refuses instances with more than {BRUTE_FORCE_MAX_SCENES} scenes\n"
+    )
 
 
 def test_bench_row_grid(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from talentsched.testkit import (
     WORKED_TOTAL_BEST,
     WORKED_TOTAL_IDENTITY,
     SearchNode,
+    enumerate_future_cost,
     fixture_partial_example,
     fixture_worked_example,
     increment,
@@ -191,3 +193,17 @@ def test_past_cost_on_random_split_nodes():
             rng.shuffle(mid)
             sched = Schedule(node.front + tuple(mid) + node.back)
             assert pc <= holding_cost(inst, sched)
+
+
+def test_future_cost_oracle_completes_the_past_cost():
+    # past plus future cost is the best holding over every middle order
+    rng = random.Random(29)
+    for seed in range(20):
+        inst = generate_instance(7, 5, seed=300 + seed, density=0.4)
+        for _ in range(5):
+            node = random_node(inst, rng, max_remaining=5)
+            best = min(
+                holding_cost(inst, Schedule(node.front + mid + node.back))
+                for mid in itertools.permutations(bits(node.remaining))
+            )
+            assert past_cost(inst, node) + enumerate_future_cost(inst, node) == best

@@ -17,11 +17,11 @@ from talentsched import (
     total_cost,
 )
 from talentsched import solver as solver_mod
+from talentsched.solver import BRUTE_FORCE_MAX_SCENES
 from talentsched.testkit import (
     WORKED_HOLDING_BEST,
     WORKED_TOTAL_BEST,
     fixture_worked_example,
-    subset_dp,
 )
 
 FAST = SolveConfig(cache_capacity=1 << 12)
@@ -74,21 +74,22 @@ def test_branch_orders_agree():
 
 
 def test_brute_force_guard_and_tie_break():
-    with pytest.raises(ValueError):
-        brute_force(generate_instance(11, 3, seed=1, density=0.5))
+    # past the cap it refuses before allocating anything of size 2^n
+    for n in (BRUTE_FORCE_MAX_SCENES + 1, 64):
+        inst = generate_instance(n, 3, seed=1, density=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capped"):
+                brute_force(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
     inst = generate_instance(6, 4, seed=9, density=0.4)
     best_h, best_sched = brute_force(inst)
-    # reversal gives the same value, and the reported order is the
-    # lexicographically smallest optimum
+    # reversal gives the same value; the order's tie-break is checked
+    # against enumeration in test_brute_force_matches_permutation_enumeration
     assert holding_cost(inst, Schedule(tuple(reversed(best_sched.order)))) == best_h
-    import itertools as it
-
-    optima = [
-        perm
-        for perm in it.permutations(range(inst.num_scenes))
-        if holding_cost(inst, Schedule(perm)) == best_h
-    ]
-    assert best_sched.order == min(optima)
 
 
 def test_greedy_upper_bound_is_feasible_and_above_optimum():
@@ -296,39 +297,72 @@ def test_default_cache_costs_what_it_stores():
     assert peak < 10e6
 
 
-def test_matches_brute_force_at_oracle_ceiling():
-    for n, seed in ((9, 8800), (10, 8801)):
-        inst = generate_instance(n, 5, seed=seed, density=0.4, max_duration=3, max_wage=20)
-        expect, _ = brute_force(inst)
-        result = solve(inst, SolveConfig(cache_capacity=1 << 14))
-        assert result.holding_cost == expect
-        assert holding_cost(inst, result.schedule) == expect
+def _small_instances():
+    """Random draws for n = 1-8, with zero wages and scenes that need
+    nobody among them."""
+    rng = random.Random(8900)
+    for n in range(1, 9):
+        yield generate_instance(n, 5, seed=8900 + n, density=0.4, max_duration=4, max_wage=30)
+        for _ in range(2 if n < 8 else 1):
+            m = rng.randint(1, 6)
+            yield Instance(
+                n,
+                m,
+                tuple(rng.choice([0, rng.getrandbits(m)]) for _ in range(n)),
+                tuple(rng.randint(1, 4) for _ in range(n)),
+                tuple(rng.choice([0, 0, 1, 7]) for _ in range(m)),
+            )
 
 
-def test_subset_dp_matches_brute_force():
-    for n in range(4, 10):
-        inst = generate_instance(n, 5, seed=8900 + n, density=0.4, max_duration=4, max_wage=30)
-        assert subset_dp(inst) == brute_force(inst)[0]
-    assert subset_dp(fixture_worked_example()) == WORKED_HOLDING_BEST
+def test_brute_force_matches_permutation_enumeration():
+    for inst in _small_instances():
+        best = min(
+            (holding_cost(inst, Schedule(perm)), perm)
+            for perm in itertools.permutations(range(inst.num_scenes))
+        )
+        holding, sched = brute_force(inst)
+        # same value and the lexicographically smallest optimal order
+        assert (holding, sched.order) == best
+    assert brute_force(fixture_worked_example())[0] == WORKED_HOLDING_BEST
 
 
-def test_matches_subset_dp_past_the_brute_force_ceiling():
+def test_matches_brute_force_at_9_to_16_scenes():
+    draws = [
+        (
+            generate_instance(n, 5, seed=seed, density=0.4, max_duration=3, max_wage=20),
+            [({}, 1 << 14)],
+        )
+        for n, seed in ((9, 8800), (10, 8801))
+    ]
     switches = [{}] + [
         {flag: False}
         for flag in ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
     ]
     for n, m, density in itertools.product((11, 12, 13, 14, 15, 16), (6, 8), (0.3, 0.45)):
-        inst = generate_instance(n, m, seed=9100 + n, density=density)
-        expect = subset_dp(inst)
         # past 14 scenes only the unbounded cache, to keep the test's time
         caps = (0, 1 << 4, 1 << 64) if n <= 14 else (1 << 64,)
-        for flags, cap in itertools.product(switches, caps):
+        inst = generate_instance(n, m, seed=9100 + n, density=density)
+        draws.append((inst, list(itertools.product(switches, caps))))
+    for inst, runs in draws:
+        expect, _ = brute_force(inst)
+        for flags, cap in runs:
             result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
             assert result.status == "optimal"
-            assert result.holding_cost == expect, (n, flags, cap)
+            assert result.holding_cost == expect, (inst.num_scenes, flags, cap)
             assert holding_cost(inst, result.schedule) == expect
             if cap == 1 << 64:
                 assert result.cache_stats.collisions == 0
+
+
+def test_time_limited_answers_never_undercut_the_optimum():
+    for n in range(17, 21):
+        inst = generate_instance(n, 8, seed=9400 + n, density=0.35, max_duration=3, max_wage=20)
+        optimum, _ = brute_force(inst)
+        result = solve(inst, SolveConfig(cache_capacity=1 << 16, time_limit=0.2))
+        assert holding_cost(inst, result.schedule) == result.holding_cost
+        assert result.holding_cost >= optimum
+        if result.status == "optimal":
+            assert result.holding_cost == optimum
 
 
 def test_cache_modes_only_change_node_counts():
