@@ -326,29 +326,33 @@ def test_brute_force_matches_permutation_enumeration():
     assert brute_force(fixture_worked_example())[0] == WORKED_HOLDING_BEST
 
 
-def test_matches_brute_force_at_9_to_16_scenes():
-    draws = [
-        (
-            generate_instance(n, 5, seed=seed, density=0.4, max_duration=3, max_wage=20),
-            [({}, 1 << 14)],
-        )
-        for n, seed in ((9, 8800), (10, 8801))
-    ]
+def test_matches_brute_force_at_oracle_ceiling():
+    # n = 9 and 10 were the permutation oracle's ceiling; kept as draws
+    for n, seed in ((9, 8800), (10, 8801)):
+        inst = generate_instance(n, 5, seed=seed, density=0.4, max_duration=3, max_wage=20)
+        expect, _ = brute_force(inst)
+        result = solve(inst, SolveConfig(cache_capacity=1 << 14))
+        assert result.status == "optimal"
+        assert result.holding_cost == expect
+        assert holding_cost(inst, result.schedule) == expect
+
+
+def test_matches_subset_dp_past_the_brute_force_ceiling():
+    # brute_force is the subset DP now; n = 11-16 were past the old
+    # permutation oracle's ceiling
     switches = [{}] + [
         {flag: False}
         for flag in ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
     ]
     for n, m, density in itertools.product((11, 12, 13, 14, 15, 16), (6, 8), (0.3, 0.45)):
+        inst = generate_instance(n, m, seed=9100 + n, density=density)
+        expect, _ = brute_force(inst)
         # past 14 scenes only the unbounded cache, to keep the test's time
         caps = (0, 1 << 4, 1 << 64) if n <= 14 else (1 << 64,)
-        inst = generate_instance(n, m, seed=9100 + n, density=density)
-        draws.append((inst, list(itertools.product(switches, caps))))
-    for inst, runs in draws:
-        expect, _ = brute_force(inst)
-        for flags, cap in runs:
+        for flags, cap in itertools.product(switches, caps):
             result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
             assert result.status == "optimal"
-            assert result.holding_cost == expect, (inst.num_scenes, flags, cap)
+            assert result.holding_cost == expect, (n, flags, cap)
             assert holding_cost(inst, result.schedule) == expect
             if cap == 1 << 64:
                 assert result.cache_stats.collisions == 0
