@@ -11,13 +11,9 @@ held in a dict filled only on store, so memory grows with the states
 stored and the capacity only bounds it.  With ``capacity = 1 << 64`` the
 mask keeps the whole 64-bit hash, so distinct states share a slot only
 when their hashes are equal and nothing else is ever evicted.  A prune is
-only ever issued on an exact field-by-field key match -- colliding keys
-fall through to the replacement policy:
-
-* ``latest`` -- a collision always overwrites the resident entry.
-* ``greedy`` -- a collision overwrites only if the incoming value is smaller.
-
-Equal keys always keep the minimum value under either policy.  A node may
+only ever issued on an exact field-by-field key match.  On a collision the
+incoming state takes the slot only if its value is smaller (the ``greedy``
+policy, the only one), and equal keys keep the minimum value.  A node may
 also be pruned when the state reached by dropping any one remaining scene
 (a merged scene drops all its members at once) is cached with a value not
 above the node's past cost: finishing a subset of the work, in the same
@@ -40,7 +36,8 @@ class CacheStats:
       the past cost, and so pruned the node.
     * ``misses`` -- probes that did not prune; ``hits + misses == probes``.
     * ``collisions`` -- stores that found a different key in the slot.
-    * ``replacements`` -- collisions in which the incoming state took the slot.
+    * ``replacements`` -- collisions in which the incoming state took the slot,
+      because its value was smaller.
     * ``stores`` -- fills of an empty slot; lowering the value of a resident
       equal key is not a store.
     """
@@ -60,16 +57,17 @@ class StateCache:
     Slot ``hash(key) & (capacity - 1)`` holds one ``(key, value)`` pair; a
     key is the plain tuple ``(front, back, remaining)``, and tuples of ints
     hash through the interpreter's 64-bit mixer, which is deterministic
-    across runs.
+    across runs.  A colliding state takes the slot only if its value is
+    smaller.  ``strategy`` accepts only ``"greedy"``, that policy's name;
+    the benchmark runner still passes it.
     """
 
     def __init__(self, capacity: int, strategy: str = "greedy"):
         if capacity < 1 or capacity & (capacity - 1):
             raise ValueError("capacity must be a positive power of two")
-        if strategy not in ("latest", "greedy"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+        if strategy != "greedy":
+            raise ValueError(f"unknown strategy {strategy!r} (greedy is the only one)")
         self.capacity = capacity
-        self.strategy = strategy
         self._slots: dict[int, tuple[tuple[int, int, int], int]] = {}
         self.stats = CacheStats()
 
@@ -79,7 +77,8 @@ class StateCache:
         Probes the node's own state, then the state left by dropping each
         of ``removable_masks`` (the scene-set mask each remaining candidate
         removes) from ``remaining``.  When no probe prunes, the node's state
-        is offered to the cache under its replacement policy.
+        is stored, unless it collides with a resident state of a value not
+        above its own.
         """
         if bitset_lt(back, front):
             front, back = back, front
@@ -114,7 +113,7 @@ class StateCache:
             slots[slot] = (key, past_cost)
         else:
             stats.collisions += 1
-            if self.strategy == "latest" or past_cost < own[1]:
+            if past_cost < own[1]:
                 slots[slot] = (key, past_cost)
                 stats.replacements += 1
         return False

@@ -8,7 +8,8 @@ or input error, 2 time limit hit (incumbent still printed).  An error found
 before any work prints one ``error:`` line and raises ``SystemExit(1)``.
 
 Every solver flag takes its default from ``SolveConfig()`` and is checked
-by ``SolveConfig``, before any instance is read.
+by ``SolveConfig``, before any instance is read; ``gen``'s flags take
+theirs from ``generate_instance``'s signature.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -38,7 +40,6 @@ def _param_columns(cfg: SolveConfig) -> dict:
     and the grouping of ``--summary``."""
     return {
         "cache_bits": _cache_bits(cfg),
-        "strategy": cfg.cache_strategy,
         "preprocess": int(cfg.enable_preprocess),
         "rule1": int(cfg.enable_rule1),
         "rule2": int(cfg.enable_rule2),
@@ -112,7 +113,6 @@ def _solver_config(cache_bits: int, **settings) -> SolveConfig:
 def _config_from_args(args) -> SolveConfig:
     return _solver_config(
         args.cache_bits,
-        cache_strategy=args.cache_strategy,
         time_limit=args.time_limit,
         enable_preprocess=not args.no_preprocess,
         enable_rule1=not args.no_rule1,
@@ -141,7 +141,6 @@ def result_to_json(
         "subproblems": result.subproblems,
         "cache": {
             "bits": _cache_bits(cfg),
-            "strategy": cfg.cache_strategy,
             "probes": result.cache_stats.probes,
             "hits": result.cache_stats.hits,
             "misses": result.cache_stats.misses,
@@ -193,12 +192,10 @@ def _bench_configs(args) -> list[SolveConfig]:
         bit_values = [int(b) for b in args.cache_bits.split(",")]
     except ValueError:
         _fail(f"--cache-bits must be comma-separated integers, got {args.cache_bits!r}")
-    strategies = [s.strip() for s in args.strategies.split(",")]
     switches = (True, False) if args.ablate else (True,)
     return [
         _solver_config(
             bits,
-            cache_strategy=strat,
             time_limit=args.time_limit,
             enable_preprocess=pre,
             enable_rule1=r1,
@@ -206,7 +203,6 @@ def _bench_configs(args) -> list[SolveConfig]:
             enable_lower=lo,
         )
         for bits in bit_values
-        for strat in strategies
         for pre, r1, r2, lo in itertools.product(switches, repeat=4)
     ]
 
@@ -260,8 +256,7 @@ def cmd_bench(args) -> int:
         for cfg in configs:
             tasks.append((text, path.stem, cfg))
     if not tasks:
-        print("error: no solvable instances", file=sys.stderr)
-        return 1
+        _fail("no solvable instances")
 
     with contextlib.ExitStack() as stack:
         # both outputs are opened before any solve, so a bad path loses no work
@@ -363,11 +358,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="state cache capacity exponent: at most 2^K states are kept, "
         "memory grows only with those stored (0 disables; default %(default)s)",
     )
-    p.add_argument(
-        "--cache-strategy",
-        default=_DEFAULTS.cache_strategy,
-        help="which state keeps a slot on a collision (default %(default)s)",
-    )
     p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--no-rule1", action="store_true")
     p.add_argument("--no-rule2", action="store_true")
@@ -407,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-bits", default=str(_cache_bits(_DEFAULTS)),
                    help="comma-separated capacity exponents, each capping the cache "
                    "at 2^K states, 0 disables (e.g. 0,10,25; default %(default)s)")
-    p.add_argument("--strategies", default=_DEFAULTS.cache_strategy,
-                   help="comma-separated cache strategies (default %(default)s)")
     p.add_argument("--ablate", action="store_true",
                    help="sweep all 16 on/off combinations of the search features")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
@@ -422,9 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", "-n", type=int, required=True)
     p.add_argument("--actors", "-m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--max-duration", type=int, default=5)
-    p.add_argument("--max-wage", type=int, default=50)
+    gen_defaults = inspect.signature(generate_instance).parameters
+    p.add_argument("--density", type=float, default=gen_defaults["density"].default,
+                   help="chance that a scene needs an actor (default %(default)s)")
+    p.add_argument("--max-duration", type=int, default=gen_defaults["max_duration"].default,
+                   help="longest scene in days (default %(default)s)")
+    p.add_argument("--max-wage", type=int, default=gen_defaults["max_wage"].default,
+                   help="highest daily wage (default %(default)s)")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_gen)
 

@@ -51,8 +51,8 @@ from .instance import Instance, bits
 @dataclass(frozen=True)
 class SolveConfig:
     """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two
-    (``1 << 64`` evicts a state only for one with an equal hash).
-    ``cache_strategy`` is ``"greedy"`` or ``"latest"``; ``branch_order`` is
+    (``1 << 64`` evicts a state only for one with an equal hash); the
+    cache's collision policy is fixed, not a setting.  ``branch_order`` is
     ``"id"`` or ``"cheapest"``.  ``time_limit`` is in seconds, positive;
     ``float("inf")`` means no limit.  ``initial_ub`` is a holding cost some
     schedule is known to reach: it tightens pruning without hiding
@@ -64,7 +64,6 @@ class SolveConfig:
     ``SolveConfig()`` and are checked here."""
 
     cache_capacity: int = 1 << 25
-    cache_strategy: str = "greedy"
     enable_preprocess: bool = True
     enable_rule1: bool = True
     enable_rule2: bool = True
@@ -73,14 +72,14 @@ class SolveConfig:
     initial_ub: int | None = None
     branch_order: str = "id"
 
+    # not a field, so not settable: the cache's one collision policy, which
+    # the benchmark runner still reads
+    cache_strategy = "greedy"
+
     def __post_init__(self):
         cap = self.cache_capacity
         if not isinstance(cap, int) or cap < 0 or cap & (cap - 1):
             raise ValueError("cache_capacity must be 0 or a power of two")
-        if self.cache_strategy not in ("latest", "greedy"):
-            raise ValueError(
-                f"unknown cache strategy {self.cache_strategy!r} (latest or greedy)"
-            )
         # written so that NaN, which compares false both ways, is refused
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
@@ -390,9 +389,7 @@ class _Search:
         self.inst = inst
         self.cfg = cfg
         self.wage_tables = _sum_tables(inst.wages)
-        self.cache = (
-            StateCache(cfg.cache_capacity, cfg.cache_strategy) if cfg.cache_capacity else None
-        )
+        self.cache = StateCache(cfg.cache_capacity) if cfg.cache_capacity else None
         # the pair-bound memo: the generation being filled, and the full one
         # before it, whose values are copied forward when they hit
         self.lower_memo: dict[int, int] = {}

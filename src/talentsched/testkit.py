@@ -201,13 +201,12 @@ def _set_order(mask: int) -> list[int]:
 
 class CacheModel:
     """The direct-mapped state cache, one probe and one store at a time:
-    the same slots, replacement policies and ``CacheStats`` counters as
+    the same slots, replacement rule and ``CacheStats`` counters as
     ``StateCache``, with ``check_and_update`` as a lookup of the node's own
     state, then of each subset state, then a store."""
 
-    def __init__(self, capacity: int, strategy: str):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.strategy = strategy
         self.slots: dict[int, tuple[tuple[int, int, int], int]] = {}
         self.stats = CacheStats()
 
@@ -230,7 +229,7 @@ class CacheModel:
                 return
         else:
             self.stats.collisions += 1
-            if self.strategy == "greedy" and value >= entry[1]:
+            if value >= entry[1]:
                 return
             self.stats.replacements += 1
         self.slots[slot] = (key, value)

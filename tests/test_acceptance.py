@@ -172,7 +172,6 @@ def test_criterion_5_ablation_sweep_csv(tmp_path):
         [
             "bench", str(tmp_path),
             "--cache-bits", "0,8",
-            "--strategies", "latest,greedy",
             "--ablate",
             "--time-limit", "60",
             "-o", str(out),
@@ -183,7 +182,7 @@ def test_criterion_5_ablation_sweep_csv(tmp_path):
 
     with out.open() as fh:
         rows = list(_csv.DictReader(fh))
-    assert len(rows) == 5 * 2 * 2 * 16
+    assert len(rows) == 5 * 2 * 16
     assert list(rows[0].keys()) == BENCH_FIELDS
     per_instance = {}
     for row in rows:

@@ -57,8 +57,9 @@ def test_capacity_must_be_power_of_two():
     for bad in (0, -4, 3, 12):
         with pytest.raises(ValueError):
             StateCache(bad)
-    with pytest.raises(ValueError):
-        StateCache(8, strategy="random")
+    for bad in ("random", "latest"):
+        with pytest.raises(ValueError):
+            StateCache(8, strategy=bad)
 
 
 def test_capacity_only_bounds_memory():
@@ -74,33 +75,26 @@ def test_capacity_only_bounds_memory():
 
 
 def test_replace_policies():
-    latest = StateCache(1, strategy="latest")
-    assert not latest.check_and_update(1, 2, 7, 10, [])  # stored
-    assert not latest.check_and_update(4, 8, 7, 99, [])  # collision always overwrites
-    assert latest.check_and_update(4, 8, 7, 99, [])
-    assert (latest.stats.collisions, latest.stats.replacements) == (1, 1)
-    assert _resident_keys(latest) == [(4, 8, 7)]
-
-    greedy = StateCache(1, strategy="greedy")
-    assert not greedy.check_and_update(1, 2, 7, 10, [])
-    assert not greedy.check_and_update(4, 8, 7, 12, [])  # larger value loses the slot fight
-    assert greedy.check_and_update(1, 2, 7, 10, [])
-    assert not greedy.check_and_update(4, 8, 7, 9, [])  # smaller value wins it
-    assert greedy.check_and_update(4, 8, 7, 9, [])
-    assert (greedy.stats.collisions, greedy.stats.replacements) == (2, 1)
-    assert _resident_keys(greedy) == [(4, 8, 7)]
+    cache = StateCache(1)
+    assert not cache.check_and_update(1, 2, 7, 10, [])  # stored
+    assert not cache.check_and_update(4, 8, 7, 12, [])  # larger value loses the slot fight
+    assert not cache.check_and_update(4, 8, 7, 10, [])  # and so does an equal one
+    assert cache.check_and_update(1, 2, 7, 10, [])
+    assert not cache.check_and_update(4, 8, 7, 9, [])  # smaller value wins it
+    assert cache.check_and_update(4, 8, 7, 9, [])
+    assert (cache.stats.collisions, cache.stats.replacements) == (3, 1)
+    assert _resident_keys(cache) == [(4, 8, 7)]
 
 
 def test_equal_keys_keep_minimum_value():
-    for strategy in ("latest", "greedy"):
-        cache = StateCache(4, strategy=strategy)
-        assert not cache.check_and_update(3, 5, 1, 10, [])
-        assert not cache.check_and_update(3, 5, 1, 7, [])  # improves the value
-        assert cache.check_and_update(3, 5, 1, 7, [])
-        assert cache.check_and_update(3, 5, 1, 9, [])  # never regress to a larger value
-        assert cache.check_and_update(3, 5, 1, 8, [])
-        # improving a resident equal key is neither a store nor a collision
-        assert (cache.stats.stores, cache.stats.collisions) == (1, 0)
+    cache = StateCache(4)
+    assert not cache.check_and_update(3, 5, 1, 10, [])
+    assert not cache.check_and_update(3, 5, 1, 7, [])  # improves the value
+    assert cache.check_and_update(3, 5, 1, 7, [])
+    assert cache.check_and_update(3, 5, 1, 9, [])  # never regress to a larger value
+    assert cache.check_and_update(3, 5, 1, 8, [])
+    # improving a resident equal key is neither a store nor a collision
+    assert (cache.stats.stores, cache.stats.collisions) == (1, 0)
 
 
 def test_collision_never_prunes():
@@ -177,15 +171,13 @@ def test_exact_store_always_prunes_revisits():
     assert cache.stats.stores == len(seen)
 
 
-@pytest.mark.parametrize(
-    "capacity, strategy",
-    [(FULL_HASH, "greedy")] + [(cap, s) for cap in (1, 16, 256) for s in ("latest", "greedy")],
-)
-def test_check_and_update_matches_lookups_then_store(capacity, strategy):
+# each case is named for its capacity and the cache's one collision policy
+@pytest.mark.parametrize("capacity", [FULL_HASH, 1, 16, 256], ids=lambda cap: f"{cap}-greedy")
+def test_check_and_update_matches_lookups_then_store(capacity):
     # the one-pass probe against the testkit model, which looks up the own
     # state, then each subset, then stores, on a key space small enough for
     # hits, equal keys and slot collisions
-    fast, ref = StateCache(capacity, strategy), CacheModel(capacity, strategy)
+    fast, ref = StateCache(capacity), CacheModel(capacity)
     rng = random.Random(73)
     for _ in range(3000):
         front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(5)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 
 import pytest
@@ -49,7 +50,7 @@ def test_solve_json_worked_example(tmp_path, capsys):
     assert out["n"] == 12 and out["m"] == 6
     assert sorted(out["schedule"]) == list(range(12))
     assert set(out["cache"]) == {
-        "bits", "strategy", "probes", "hits", "misses", "collisions", "replacements",
+        "bits", "probes", "hits", "misses", "collisions", "replacements",
     }
 
 
@@ -118,6 +119,15 @@ def test_solver_flag_defaults_are_solve_configs():
     assert cli._config_from_args(args) == SolveConfig()
     args = build_parser().parse_args(["bench", "x.txt"])
     assert cli._bench_configs(args) == [SolveConfig()]
+
+
+def test_gen_flag_defaults_are_generate_instances(capsys):
+    args = build_parser().parse_args(["gen", "-n", "9", "-m", "5"])
+    params = inspect.signature(generate_instance).parameters
+    for flag in ("density", "max_duration", "max_wage"):
+        assert getattr(args, flag) == params[flag].default, flag
+    assert main(["gen", "-n", "9", "-m", "5"]) == 0
+    assert capsys.readouterr().out == write_instance(generate_instance(9, 5, seed=0))
 
 
 def test_cache_bits_environment_variable_is_ignored(tmp_path, capsys, monkeypatch):
@@ -235,14 +245,13 @@ def test_bench_row_grid(tmp_path):
         [
             "bench", str(tmp_path),
             "--cache-bits", "0,10",
-            "--strategies", "latest,greedy",
             "--time-limit", "30",
             "-o", str(out),
         ]
     )
     assert code == 0
     rows = _read_csv(out)
-    assert len(rows) == 3 * 2 * 2
+    assert len(rows) == 3 * 2
     assert list(rows[0].keys()) == BENCH_FIELDS
     by_inst = {}
     for row in rows:
@@ -263,7 +272,9 @@ def test_bench_skips_unreadable_and_fails_when_empty(tmp_path, capsys):
     only_bad = tmp_path / "solo"
     only_bad.mkdir()
     (only_bad / "nope.txt").write_text("garbage\n", encoding="utf-8")
-    assert main(["bench", str(only_bad), "-o", str(out)]) == 1
+    assert _exit_code(["bench", str(only_bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: no solvable instances"
 
 
 def test_bench_parallel_matches_serial(tmp_path):
@@ -288,10 +299,8 @@ def test_bench_parallel_matches_serial(tmp_path):
     [
         ["solve", "--time-limit", "0"],
         ["solve", "--time-limit", "nan"],
-        ["solve", "--cache-strategy", "clock"],
         ["solve", "--branch-order", "random"],
         ["bench", "--time-limit", "-1"],
-        ["bench", "--strategies", "clock"],
         ["bench", "--cache-bits", "4,x"],
         ["bench", "--jobs", "0"],
         ["bench", "--jobs", "-3"],
@@ -299,10 +308,8 @@ def test_bench_parallel_matches_serial(tmp_path):
     ids=[
         "solve-time-limit",
         "solve-time-limit-nan",
-        "solve-cache-strategy",
         "solve-branch-order",
         "bench-time-limit",
-        "bench-strategies",
         "bench-cache-bits",
         "bench-jobs-zero",
         "bench-jobs-negative",
@@ -319,6 +326,18 @@ def test_bad_solver_flags_exit_1_before_solving(tmp_path, capsys, monkeypatch, a
         main([argv[0], str(path), *argv[1:]])
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--cache-strategy", "greedy"], ["bench", "--strategies", "greedy"]],
+    ids=["solve-cache-strategy", "bench-strategies"],
+)
+def test_cache_policy_flags_are_unknown(tmp_path, capsys, argv):
+    # the cache has one collision policy, so no flag names one
+    (path,) = _write_instances(tmp_path, count=1)
+    assert _exit_code([argv[0], str(path), *argv[1:]]) == 1
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_bench_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""The README's command synopsis and public API list against the code."""
+"""The README's command synopsis, output schemas and public API list
+against the code."""
 
 import argparse
 import re
@@ -6,13 +7,22 @@ import types
 from pathlib import Path
 
 import talentsched
-from talentsched.cli import build_parser
+from talentsched import SolveConfig, generate_instance, solve
+from talentsched.cli import BENCH_FIELDS, SUMMARY_FIELDS, build_parser, result_to_json
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def _section(heading: str) -> str:
     return README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _code_blocks(heading: str) -> list[str]:
+    return _section(heading).split("```\n")[1::2]
+
+
+def _csv_schema(block: str) -> list[str]:
+    return [f.strip() for f in block.replace("\n", "").split(",")]
 
 
 def _synopsis() -> dict[str, set[str]]:
@@ -55,3 +65,24 @@ def test_api_list_names_exactly_the_package_exports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert listed == exported
+
+
+def test_bench_csv_schemas_name_exactly_the_written_columns():
+    rows, summary = _code_blocks("Bench CSV")
+    assert _csv_schema(rows) == BENCH_FIELDS
+    assert _csv_schema(summary) == SUMMARY_FIELDS
+
+
+def test_json_key_list_names_exactly_the_emitted_keys():
+    (block,) = _code_blocks("JSON output")
+    block = re.sub(r"\([^)]*\)", "", block)  # drop the remarks on values
+    nested = {
+        name: set(re.findall(r"\w+", keys))
+        for name, keys in re.findall(r"(\w+) \{([^}]*)\}", block)
+    }
+    top = set(re.findall(r"\w+", re.sub(r"\{[^}]*\}", "", block)))
+    inst = generate_instance(5, 3, seed=1)
+    cfg = SolveConfig(cache_capacity=1 << 4)
+    payload = result_to_json(inst, cfg, solve(inst, cfg), include_trace=True)
+    assert top == set(payload)
+    assert nested == {"cache": set(payload["cache"]), "config": set(payload["config"])}

@@ -217,8 +217,8 @@ def test_config_validation():
     for bad in (3, -4, None):
         with pytest.raises(ValueError):
             SolveConfig(cache_capacity=bad)
-    with pytest.raises(ValueError):
-        SolveConfig(cache_strategy="clock")
+    with pytest.raises(TypeError):  # one collision policy, not a setting
+        SolveConfig(cache_strategy="latest")
     for bad in (0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             SolveConfig(time_limit=bad)
@@ -340,22 +340,30 @@ def test_matches_brute_force_at_oracle_ceiling():
 def test_matches_subset_dp_past_the_brute_force_ceiling():
     # brute_force is the subset DP now; n = 11-16 were past the old
     # permutation oracle's ceiling
-    switches = [{}] + [
-        {flag: False}
-        for flag in ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
-    ]
+    features = ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
+    switches = [{}] + [{flag: False} for flag in features]
+    every = [dict(zip(features, on)) for on in itertools.product((True, False), repeat=4)]
+    replaced = 0
     for n, m, density in itertools.product((11, 12, 13, 14, 15, 16), (6, 8), (0.3, 0.45)):
         inst = generate_instance(n, m, seed=9100 + n, density=density)
         expect, _ = brute_force(inst)
-        # past 14 scenes only the unbounded cache, to keep the test's time
-        caps = (0, 1 << 4, 1 << 64) if n <= 14 else (1 << 64,)
-        for flags, cap in itertools.product(switches, caps):
+        # past 14 scenes only the unbounded cache, to keep the test's time;
+        # up to 13 every feature combination at 2^4, where almost every
+        # store collides and so drives the cache's replace path
+        runs = [(flags, 1 << 64) for flags in switches]
+        if n <= 14:
+            runs += [(flags, 0) for flags in switches]
+            runs += [(flags, 1 << 4) for flags in (every if n <= 13 else switches)]
+        for flags, cap in runs:
             result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
             assert result.status == "optimal"
             assert result.holding_cost == expect, (n, flags, cap)
             assert holding_cost(inst, result.schedule) == expect
             if cap == 1 << 64:
                 assert result.cache_stats.collisions == 0
+            if cap == 1 << 4:
+                replaced += result.cache_stats.replacements
+    assert replaced
 
 
 def test_time_limited_answers_never_undercut_the_optimum():
@@ -373,13 +381,10 @@ def test_cache_modes_only_change_node_counts():
     inst = generate_instance(12, 6, seed=8, density=0.35)
     results = {
         cap: solve(inst, SolveConfig(cache_capacity=cap))
-        for cap in (0, 1 << 6, 1 << 14, 1 << 64)
+        for cap in (0, 1 << 6, 1 << 8, 1 << 14, 1 << 64)
     }
     values = {r.holding_cost for r in results.values()}
     assert len(values) == 1
-    for strategy in ("latest", "greedy"):
-        r = solve(inst, SolveConfig(cache_capacity=1 << 8, cache_strategy=strategy))
-        assert r.holding_cost in values
 
 
 # (n, m, seed, density) -> config -> (optimum, nodes without a cache,
