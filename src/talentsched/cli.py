@@ -146,6 +146,7 @@ def result_to_json(
             "misses": result.cache_stats.misses,
             "collisions": result.cache_stats.collisions,
             "replacements": result.cache_stats.replacements,
+            "replays": result.cache_stats.replays,
         },
         "config": {
             "preprocess": cfg.enable_preprocess,

@@ -27,14 +27,26 @@ it.  The pair bound of a child is memoised per solve in
 ``_Search.lower_memo``, keyed by the child's state: its relevant actors at
 each block and its remaining scenes over original ids.  The double-ended
 search reaches one child state through many orders of the placed scenes,
-so on the larger benchmark workloads about 60% of all bound calls repeat
-an earlier one.  The memo keeps two generations of ``LOWER_MEMO_ENTRIES``
-values: when the one being filled is full it becomes the previous one,
-whose values are dropped, and a value found in the previous one is copied
-forward, so the states still in use survive.  On the benchmark's base
-instances it answers 55.5% of the calls on ``wide-cast`` and 50.3% on
-``sweep``, where one memo of 4,096 values cleared when full answered 43.6%
-and 40.1%; both generations full take about 0.8 MB.
+so many bound calls repeat an earlier one.  The memo keeps two
+generations of ``LOWER_MEMO_ENTRIES`` values: when the one being filled is
+full it becomes the previous one, whose values are dropped, and a value
+found in the previous one is copied forward, so the states still in use
+survive.  Both generations full take about 0.8 MB.
+
+The cache lets a state through again when it is reached at a lower past
+cost, and everything a node computes before it branches depends only on
+its state, its orientation and its active actors.  So a node that exits
+normally writes a record into its state's cache slot (``_pack_record``:
+one int listing the children that survived dominance, in branch order,
+with each child's increment and any pair bound computed for it), guarded
+by its orientation and active set.  A later visit whose guard matches
+replays the record: it skips the actor tables, the dominance table and
+checks and the increments, and computes only the pair bounds the record
+lacks.  Both paths feed the same child loop, so the search is unchanged.
+On the benchmark's base instances 46% (``wide-cast``), 44% (``sweep``)
+and 31% (``many-small``) of expanded nodes replay, and 40% fewer bound
+calls reach the memo on the first two; it answers 29.7% and 25.5% of
+them, where it answered 55.5% and 50.3% of all of them without replay.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .cache import CacheStats, StateCache
 from .cost import Schedule, holding_cost, work_cost
@@ -384,6 +397,56 @@ def _dominance_table(reps, member_actors, active, front_dom, back_dom, wage_tabl
     return table
 
 
+def _actor_tables(reps, dur_view, member_actors, num_actors):
+    """Per actor the remaining scenes that need them (a mask over ``reps``
+    ids) and those scenes' total duration, plus the whole middle block's
+    length; the type-2 increment term reduces to wage * (middle total -
+    actor's own total)."""
+    actor_q = [0] * num_actors
+    actor_qd = [0] * num_actors
+    dq_total = 0
+    for s in reps:
+        d = dur_view[s]
+        dq_total += d
+        sbit = 1 << s
+        for i in bits(member_actors[s]):
+            actor_q[i] |= sbit
+            actor_qd[i] += d
+    return actor_q, actor_qd, dq_total
+
+
+def _pack_record(children, bounds):
+    """One int holding a node's children in branch order: ``children``
+    lists ``(scene, increment)`` and ``bounds`` each child's pair bound
+    plus one, or 0 where none was computed.  The low 7 bits hold the field
+    width w; then each child takes, from the low end, 7 bits of scene + 1
+    (never 0, so the last child cannot vanish), w bits of increment and w
+    of bound + 1.  Returns 0, no record, when a value needs more than 127
+    bits."""
+    if not children:
+        return 0
+    width = max(max(bounds), max(children, key=itemgetter(1))[1]).bit_length()
+    if width > 127:
+        return 0
+    step = 7 + 2 * width
+    packed = 0
+    for (s, inc), b in zip(reversed(children), reversed(bounds)):
+        packed = packed << step | (b << width | inc) << 7 | s + 1
+    return packed << 7 | width
+
+
+def _unpack_record(packed):
+    """``(children, bounds)`` back from ``_pack_record``'s int."""
+    width = packed & 127
+    packed >>= 7
+    step = 7 + 2 * width
+    field = (1 << step) - 1
+    fields = [packed >> at & field for at in range(0, packed.bit_length(), step)]
+    low = (1 << width) - 1
+    top = 7 + width
+    return [((f & 127) - 1, f >> 7 & low) for f in fields], [f >> top for f in fields]
+
+
 class _Search:
     def __init__(self, inst: Instance, cfg: SolveConfig):
         self.inst = inst
@@ -394,6 +457,9 @@ class _Search:
         # before it, whose values are copied forward when they hit
         self.lower_memo: dict[int, int] = {}
         self.lower_prev: dict[int, int] = {}
+        # a record's low bits are its guard: the orientation bit, then the
+        # active actors
+        self.guard_bits = inst.num_actors + 1
         self.nodes = 0
         self.best_h = 0
         self.best_order: tuple[int, ...] = ()
@@ -515,79 +581,85 @@ class _Search:
         back_onloc = back_act & (aq_full | front_act)
 
         # -- cached-state prune --
-        if self.cache is not None and self.cache.check_and_update(
-            front_onloc,
-            back_onloc,
-            q_orig,
-            z,
-            [member_mask[s] for s in reps],
-        ):
-            return
-
-        # per-actor remaining-scene masks and duration totals; the type-2
-        # increment term reduces to wage * (middle total - actor's own total)
-        actor_q = [0] * self.inst.num_actors
-        actor_qd = [0] * self.inst.num_actors
-        dq_total = 0
-        for s in reps:
-            d = dur_view[s]
-            dq_total += d
-            sbit = 1 << s
-            for i in bits(member_actors[s]):
-                actor_q[i] |= sbit
-                actor_qd[i] += d
-
-        if cfg.enable_rule1 or cfg.enable_rule2:
-            dom_table = _dominance_table(
-                reps, member_actors, active, front_onloc & active,
-                back_onloc & active, self.wage_tables,
+        entry = None
+        record = 0
+        if self.cache is not None:
+            entry = self.cache.check_and_update(
+                front_onloc,
+                back_onloc,
+                q_orig,
+                z,
+                [member_mask[s] for s in reps],
             )
-        else:
-            dom_table = None
+            if entry is None:
+                return
+            record = entry[2]
 
-        # ``order`` lists positions in ``reps``; "cheapest" needs every
-        # increment up front to sort by, and ties keep ascending scene ids
-        if cfg.branch_order == "cheapest":
-            incs = [
-                self._increment(
-                    s, dur_view, member_actors, front_onloc, back_onloc,
-                    actor_qd, dq_total,
+        # both orientations of a state share its key but not its children,
+        # which pin a scene at this node's front.  With the orientation and
+        # the active set equal, simplification's groups are the classes of
+        # remaining scenes with equal active actors, so dominance, the
+        # increments and the pair bounds see the same inputs
+        guard = active << 1 | (front_onloc > back_onloc)
+        shift = self.guard_bits
+        if record and record & ((1 << shift) - 1) == guard:
+            children, bounds = _unpack_record(record >> shift)
+            self.cache.stats.replays += 1
+            actor_q = None
+            fresh = False
+        else:
+            actor_q, actor_qd, dq_total = _actor_tables(
+                reps, dur_view, member_actors, self.inst.num_actors
+            )
+            if cfg.enable_rule1 or cfg.enable_rule2:
+                dom_table = _dominance_table(
+                    reps, member_actors, active, front_onloc & active,
+                    back_onloc & active, self.wage_tables,
                 )
-                for s in reps
-            ]
-            order = sorted(range(len(reps)), key=incs.__getitem__)
-        else:
-            incs = None
-            order = range(len(reps))
-
-        for pos in order:
-            s = reps[pos]
-            if dom_table is not None and self._dominated(pos, dom_table):
-                continue
-            if incs is None:
+            else:
+                dom_table = None
+            children = []
+            for pos, s in enumerate(reps):
+                if dom_table is not None and self._dominated(pos, dom_table):
+                    continue
                 inc = self._increment(
                     s, dur_view, member_actors, front_onloc, back_onloc,
                     actor_qd, dq_total,
                 )
-            else:
-                inc = incs[pos]
+                children.append((s, inc))
+            # "cheapest" is a stable sort, so ties keep ascending scene ids
+            if cfg.branch_order == "cheapest":
+                children.sort(key=itemgetter(1))
+            bounds = [0] * len(children)
+            fresh = True
+
+        # ``bounds`` holds each child's pair bound plus one, 0 while unknown
+        for k, (s, inc) in enumerate(children):
             z2 = z + inc
             if z2 >= self.limit:
                 continue
             q2 = q_orig & ~member_mask[s]
             if cfg.enable_lower:
-                future = self._branch_lower(
-                    s,
-                    member_actors[s],
-                    aq_full & ~(member_actors[s] & ~multi),
-                    front_act,
-                    back_act,
-                    q2,
-                    actor_q,
-                    actor_qd,
-                    dur_view,
-                    dq_total,
-                )
+                future = bounds[k] - 1
+                if future < 0:
+                    if actor_q is None:
+                        actor_q, actor_qd, dq_total = _actor_tables(
+                            reps, dur_view, member_actors, self.inst.num_actors
+                        )
+                    future = self._branch_lower(
+                        s,
+                        member_actors[s],
+                        aq_full & ~(member_actors[s] & ~multi),
+                        front_act,
+                        back_act,
+                        q2,
+                        actor_q,
+                        actor_qd,
+                        dur_view,
+                        dq_total,
+                    )
+                    bounds[k] = future + 1
+                    fresh = True
                 if z2 + future >= self.limit:
                     continue
             self._search(
@@ -604,6 +676,12 @@ class _Search:
                 member_actors,
                 members,
             )
+
+        # written only on a normal exit: a time-limit unwind skips it
+        if fresh and entry is not None and self.cache.holds(entry):
+            packed = _pack_record(children, bounds)
+            if packed:
+                entry[2] = packed << shift | guard
 
     def _increment(
         self, s, dur_view, member_actors, front_onloc, back_onloc, actor_qd, dq_total

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import random
+import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from talentsched import (
     Instance,
     Schedule,
     SolveConfig,
+    StateCache,
     brute_force,
     generate_instance,
     greedy_upper_bound,
@@ -343,17 +347,19 @@ def test_matches_subset_dp_past_the_brute_force_ceiling():
     features = ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
     switches = [{}] + [{flag: False} for flag in features]
     every = [dict(zip(features, on)) for on in itertools.product((True, False), repeat=4)]
-    replaced = 0
+    replaced = replayed = 0
     for n, m, density in itertools.product((11, 12, 13, 14, 15, 16), (6, 8), (0.3, 0.45)):
         inst = generate_instance(n, m, seed=9100 + n, density=density)
         expect, _ = brute_force(inst)
         # past 14 scenes only the unbounded cache, to keep the test's time;
-        # up to 13 every feature combination at 2^4, where almost every
-        # store collides and so drives the cache's replace path
+        # up to 13 every feature combination with no cache (no records), at
+        # 2^4, where almost every store collides and so drives the cache's
+        # replace path and evicts records, and at 2^16, where they survive
         runs = [(flags, 1 << 64) for flags in switches]
-        if n <= 14:
-            runs += [(flags, 0) for flags in switches]
-            runs += [(flags, 1 << 4) for flags in (every if n <= 13 else switches)]
+        if n <= 13:
+            runs += [(flags, cap) for flags in every for cap in (0, 1 << 4, 1 << 16)]
+        elif n == 14:
+            runs += [(flags, cap) for flags in switches for cap in (0, 1 << 4)]
         for flags, cap in runs:
             result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
             assert result.status == "optimal"
@@ -363,7 +369,9 @@ def test_matches_subset_dp_past_the_brute_force_ceiling():
                 assert result.cache_stats.collisions == 0
             if cap == 1 << 4:
                 replaced += result.cache_stats.replacements
-    assert replaced
+            if cap:
+                replayed += result.cache_stats.replays
+    assert replaced and replayed
 
 
 def test_time_limited_answers_never_undercut_the_optimum():
@@ -489,3 +497,60 @@ def test_cheapest_order_computes_each_increment_once(monkeypatch):
     # one call per remaining scene per branching node; computing the sort
     # key and the branch's increment separately made 602 here
     assert calls < 602
+
+
+def test_replay_changes_no_answer_node_count_or_cache_counter(monkeypatch):
+    """With the record store a no-op every node builds its children from
+    the kernels; replaying them from records must give the same search."""
+    features = ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
+    grid = [
+        SolveConfig(cache_capacity=cap, branch_order=order, **dict(zip(features, on)))
+        for on in itertools.product((True, False), repeat=4)
+        for order in ("id", "cheapest")
+        for cap in (1 << 4, 1 << 16, 1 << 64)
+    ]
+    insts = [
+        generate_instance(n, m, seed=9600 + n, density=0.35, max_duration=3, max_wage=20)
+        for n, m in ((10, 6), (11, 8))
+    ]
+    calls = 0
+    branch_lower = solver_mod._Search._branch_lower
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return branch_lower(self, *args)
+
+    monkeypatch.setattr(solver_mod._Search, "_branch_lower", counted)
+    replayed = [(inst, cfg, solve(inst, cfg)) for inst in insts for cfg in grid]
+    replayed_calls, calls = calls, 0
+    monkeypatch.setattr(solver_mod, "_pack_record", lambda children, bounds: 0)
+    for inst, cfg, result in replayed:
+        built = solve(inst, cfg)
+        assert built.status == result.status == "optimal"
+        assert built.holding_cost == result.holding_cost
+        assert built.schedule == result.schedule
+        assert built.subproblems == result.subproblems
+        assert built.cache_stats.replays == 0
+        assert dataclasses.replace(result.cache_stats, replays=0) == built.cache_stats
+    assert all(result.cache_stats.replays for _, cfg, result in replayed
+               if cfg.cache_capacity != 1 << 4)
+    # a replay takes the pair bounds its record holds instead of recomputing
+    assert replayed_calls < calls
+
+
+def test_profiled_kernel_names_exist():
+    # perfbench/run.py charges self time to these names through a
+    # defaultdict, which reads 0 for a name that no longer exists
+    for owner, name in (
+        (solver_mod._Search, "_search"),
+        (solver_mod._Search, "_branch_lower"),
+        (solver_mod._Search, "_dominated"),
+        (solver_mod._Search, "_increment"),
+        (StateCache, "check_and_update"),
+    ):
+        assert callable(getattr(owner, name, None)), name
+    runner = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text(encoding="utf-8")
+    assert set(re.findall(r'cum\["(\w+)"\]', runner)) == {
+        "_search", "_branch_lower", "_dominated", "_increment", "check_and_update",
+    }
