@@ -118,7 +118,6 @@ def _config_from_args(args) -> SolveConfig:
         enable_rule1=not args.no_rule1,
         enable_rule2=not args.no_rule2,
         enable_lower=not args.no_lower,
-        branch_order=args.branch_order,
     )
 
 
@@ -153,7 +152,6 @@ def result_to_json(
             "rule1": cfg.enable_rule1,
             "rule2": cfg.enable_rule2,
             "lower": cfg.enable_lower,
-            "branch_order": cfg.branch_order,
             "time_limit": None if cfg.time_limit == math.inf else cfg.time_limit,
         },
         "elapsed": result.elapsed,
@@ -364,11 +362,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-rule2", action="store_true")
     p.add_argument("--no-lower", action="store_true")
     _add_time_limit(p)
-    p.add_argument(
-        "--branch-order",
-        default=_DEFAULTS.branch_order,
-        help="order in which a node tries its scenes (default %(default)s)",
-    )
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,8 +11,9 @@ per-node arguments of the solver's own kernels -- ``_simplify``,
 ``_Search._increment``, ``_Search._dominated`` over its
 ``_dominance_table``, ``_Search._branch_lower`` (on a plain node or, by
 ``lower_at``, on a simplified one) and its two halves
-``_pair_constants``/``_pair_bound`` -- so that tests check the code every
-solve runs.  ``pack_pairs``/``unpack_pairs`` translate between pair
+``_pair_constants``/``_pair_bound``, over the ``_actor_tables`` in the
+mask form a solve of the instance uses -- so that tests check the code
+every solve runs.  ``pack_pairs``/``unpack_pairs`` translate between pair
 constants keyed by actor pair and the packed keys of those two halves.
 """
 
@@ -25,6 +26,7 @@ from .cache import CacheStats
 from .instance import Instance, actors_of_scenes, bits, mask_of
 from .solver import (
     SolveConfig,
+    _actor_tables,
     _dominance_table,
     _order_dp,
     _pair_constants,
@@ -320,12 +322,13 @@ def _on_location(inst: Instance, node: SearchNode) -> tuple[int, int]:
     return front_act & (aq | back_act), back_act & (aq | front_act)
 
 
-def _actor_middle(inst: Instance, remaining: int):
-    """Per actor the remaining scenes needing them and their total
-    duration, plus the whole middle's duration."""
-    actor_q = [q & remaining for q in inst.actor_scenes]
-    actor_qd = [sum(inst.durations[s] for s in bits(q)) for q in actor_q]
-    return actor_q, actor_qd, sum(inst.durations[s] for s in bits(remaining))
+def _node_tables(search: _Search, kn: KernelNode):
+    """``_actor_tables`` at the kernel node ``kn``, in the mask form (day
+    or scene) that ``search`` uses."""
+    return _actor_tables(
+        bits(kn.q_reps), kn.dur_view, kn.member_actors, search.inst.num_actors,
+        search.by_day,
+    )
 
 
 def _require_remaining(node: SearchNode, scene: int) -> None:
@@ -338,8 +341,9 @@ def increment(inst: Instance, node: SearchNode, scene: int) -> int:
     ``scene`` right after the node's front block."""
     _require_remaining(node, scene)
     front_onloc, back_onloc = _on_location(inst, node)
-    _, actor_qd, dq_total = _actor_middle(inst, node.remaining)
-    return _kernels(inst)._increment(
+    search = _kernels(inst)
+    _, actor_qd, dq_total, _ = _node_tables(search, kernel_node(inst, node))
+    return search._increment(
         scene, inst.durations, inst.scene_actors, front_onloc, back_onloc,
         actor_qd, dq_total,
     )
@@ -410,14 +414,18 @@ def unpack_pairs(keys: list[int]) -> dict[tuple[int, int], int]:
 
 def pair_constants(inst: Instance, node: SearchNode) -> dict[tuple[int, int], int]:
     """``_pair_constants`` over the node's relevant actors, keyed by actor
-    pair; pairs whose constant is 0 are absent.  Checks that the returned
-    total is the constants' sum."""
-    actor_q, actor_qd, dq = _actor_middle(inst, node.remaining)
+    pair, on the masks a solve of ``inst`` uses: day masks, or scene masks
+    past ``DAY_MASK_MAX_DAYS``.  Pairs whose constant is 0 are absent.
+    Checks that the returned total is the constants' sum."""
+    search = _kernels(inst)
+    actor_q, actor_qd, dq, _ = _node_tables(search, kernel_node(inst, node))
     front, back = (
         [(i, actor_q[i], actor_qd[i], inst.wages[i]) for i in bits(rel)]
         for rel in relevant_actors(inst, node)
     )
-    keys, total = _pair_constants(front, back, dq, inst.durations)
+    keys, total = _pair_constants(
+        front, back, dq, None if search.by_day else inst.durations
+    )
     constants = unpack_pairs(keys)
     if len(constants) != len(keys) or total != sum(constants.values()):
         raise AssertionError("pair keys repeat a pair or miss the total")
@@ -442,32 +450,23 @@ def branch_lower(inst: Instance, node: SearchNode) -> int:
 def lower_at(inst: Instance, kn: KernelNode, scene: int) -> int:
     """``_Search._branch_lower``, with an empty memo, at the kernel node
     ``kn`` for the child that pins the remaining representative ``scene``
-    in front, given the per-actor tables ``_search`` builds."""
+    in front, given the ``_actor_tables`` that ``_search`` builds."""
     if not kn.q_reps >> scene & 1:
         raise ValueError(f"scene {scene} is not a remaining representative")
-    actor_q = [0] * inst.num_actors
-    actor_qd = [0] * inst.num_actors
-    dq_total = 0
+    search = _kernels(inst)
     aq2 = 0
     q_orig = 0
     for r in bits(kn.q_reps):
-        d = kn.dur_view[r]
-        dq_total += d
         q_orig |= kn.member_mask[r]
         if r != scene:
             aq2 |= kn.member_actors[r]
-        for i in bits(kn.member_actors[r]):
-            actor_q[i] |= 1 << r
-            actor_qd[i] += d
-    return _kernels(inst)._branch_lower(
+    return search._branch_lower(
         scene,
         kn.member_actors[scene],
         aq2,
         kn.front_act,
         kn.back_act,
         q_orig & ~kn.member_mask[scene],
-        actor_q,
-        actor_qd,
+        _node_tables(search, kn),
         kn.dur_view,
-        dq_total,
     )

@@ -3,7 +3,7 @@
 adapters."""
 
 import random
-from itertools import permutations, product
+from itertools import permutations
 
 from talentsched import Instance, SolveConfig, generate_instance, solve
 from talentsched import solver as solver_mod
@@ -387,6 +387,36 @@ def test_pair_bound_depends_only_on_child_state():
     assert routes > 1000 and merged > 50 and positive > 100
 
 
+def test_scene_masks_past_the_day_cap_scale_with_the_durations():
+    # scaling every duration by 720720 = lcm(1..16) puts an instance past
+    # DAY_MASK_MAX_DAYS, where the kernels take one bit per scene, and
+    # scales every pair constant and every bound, the averaging bound's
+    # rounding included, by that factor
+    rng = random.Random(67)
+    merged = positive = 0
+    for seed in range(100):
+        base = generate_instance(
+            7 + seed % 3, 3 + seed % 5, seed=1700 + seed, density=0.45, max_duration=9
+        )
+        inst = _with_duplicate_scenes(base, rng, 2)
+        big = Instance(
+            inst.num_scenes, inst.num_actors, inst.scene_actors,
+            tuple(720720 * d for d in inst.durations), inst.wages,
+        )
+        assert sum(inst.durations) <= solver_mod.DAY_MASK_MAX_DAYS < sum(big.durations)
+        node = random_node(inst, rng, max_remaining=6)
+        constants = pair_constants(inst, node)
+        assert pair_constants(big, node) == {p: 720720 * c for p, c in constants.items()}
+        assert branch_lower(big, node) == 720720 * branch_lower(inst, node)
+        kn, kn_big = (simplify(kernel_node(x, node)) for x in (inst, big))
+        for r in bits(kn.q_reps):
+            value = lower_at(inst, kn, r)
+            assert lower_at(big, kn_big, r) == 720720 * value
+            merged += len(kn.members[r]) > 1
+            positive += value > 0
+    assert merged > 40 and positive > 40
+
+
 class _CheckedMemo(dict):
     """A pair-bound memo generation that never answers: every value is
     recomputed and, when its state is still stored in this generation or
@@ -423,8 +453,8 @@ def test_memoised_pair_bound_equals_recomputed(monkeypatch):
     solves = []
     for n, m, seed in ((11, 7, 7102), (12, 8, 7103), (13, 7, 7105)):
         inst = generate_instance(n, m, seed=seed, density=0.35)
-        for pre, order in product((True, False), ("id", "cheapest")):
-            cfg = SolveConfig(cache_capacity=1 << 10, enable_preprocess=pre, branch_order=order)
+        for pre in (True, False):
+            cfg = SolveConfig(cache_capacity=1 << 10, enable_preprocess=pre)
             solves.append((inst, cfg, solve(inst, cfg)))
     monkeypatch.setattr(solver_mod._Search, "__init__", checked_init)
     for inst, cfg, memoised in solves:
@@ -443,8 +473,8 @@ def test_memo_rotation_keeps_the_search(monkeypatch):
     solves = []
     for n, m, seed in ((12, 7, 7111), (13, 8, 7112), (14, 7, 7113)):
         inst = generate_instance(n, m, seed=seed, density=0.35)
-        for pre, order in product((True, False), ("id", "cheapest")):
-            cfg = SolveConfig(cache_capacity=1 << 10, enable_preprocess=pre, branch_order=order)
+        for pre in (True, False):
+            cfg = SolveConfig(cache_capacity=1 << 10, enable_preprocess=pre)
             solves.append((inst, cfg, solve(inst, cfg)))
 
     original = solver_mod._Search._branch_lower

@@ -107,7 +107,6 @@ def test_solve_ablation_flags_agree(tmp_path, capsys):
         [],
         ["--no-rule1", "--no-rule2", "--cache-bits", "0"],
         ["--no-preprocess", "--no-lower"],
-        ["--branch-order", "cheapest"],
     ):
         code = main(["solve", str(path), "--json", "--time-limit", "30", *flags])
         out = json.loads(capsys.readouterr().out)
@@ -299,7 +298,6 @@ def test_bench_parallel_matches_serial(tmp_path):
     [
         ["solve", "--time-limit", "0"],
         ["solve", "--time-limit", "nan"],
-        ["solve", "--branch-order", "random"],
         ["bench", "--time-limit", "-1"],
         ["bench", "--cache-bits", "4,x"],
         ["bench", "--jobs", "0"],
@@ -308,7 +306,6 @@ def test_bench_parallel_matches_serial(tmp_path):
     ids=[
         "solve-time-limit",
         "solve-time-limit-nan",
-        "solve-branch-order",
         "bench-time-limit",
         "bench-cache-bits",
         "bench-jobs-zero",
@@ -338,6 +335,13 @@ def test_cache_policy_flags_are_unknown(tmp_path, capsys, argv):
     (path,) = _write_instances(tmp_path, count=1)
     assert _exit_code([argv[0], str(path), *argv[1:]]) == 1
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_branch_order_flag_is_unknown(tmp_path, capsys):
+    # the search has one branch order, so no flag names one
+    (path,) = _write_instances(tmp_path, count=1)
+    assert _exit_code(["solve", str(path), "--branch-order", "id"]) == 1
+    assert "unrecognized arguments: --branch-order id" in capsys.readouterr().err
 
 
 def test_bench_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):

@@ -67,16 +67,6 @@ def test_matches_brute_force_across_configs():
             assert holding_cost(inst, result.schedule) == expect
 
 
-def test_branch_orders_agree():
-    for seed in range(10):
-        inst = generate_instance(8, 5, seed=1300 + seed, density=0.4)
-        by_id = solve(inst, SolveConfig(cache_capacity=1 << 10, branch_order="id"))
-        cheap = solve(
-            inst, SolveConfig(cache_capacity=1 << 10, branch_order="cheapest")
-        )
-        assert by_id.holding_cost == cheap.holding_cost
-
-
 def test_brute_force_guard_and_tie_break():
     # past the cap it refuses before allocating anything of size 2^n
     for n in (BRUTE_FORCE_MAX_SCENES + 1, 64):
@@ -226,8 +216,8 @@ def test_config_validation():
     for bad in (0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             SolveConfig(time_limit=bad)
-    with pytest.raises(ValueError):
-        SolveConfig(branch_order="random")
+    with pytest.raises(TypeError):  # one branch order, not a setting
+        SolveConfig(branch_order="id")
     with pytest.raises(ValueError):
         SolveConfig(initial_ub=-1)
 
@@ -374,6 +364,99 @@ def test_matches_subset_dp_past_the_brute_force_ceiling():
     assert replaced and replayed
 
 
+def test_branch_order_matches_brute_force():
+    """1,008 solves with all 16 feature switch sets at caches 0, 2^4 and 2^16
+    on 21 draws of n = 4-10 with 5, 8 and 12 actors, and 144 with the pair
+    bound on at the same caches for n = 11-16; durations up to 3, 5 and 9.
+    Past 10 scenes the switch sets without the bound are left out (with 12
+    actors one such solve takes up to a million nodes), and past 11 the
+    draws have 5 or 8 actors (at n = 14 with 12, the 24 solves take 20 s)."""
+    features = ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
+    every = [dict(zip(features, on)) for on in itertools.product((True, False), repeat=4)]
+    draws = [(n, k) for n in range(4, 11) for k in range(3)]
+    draws += [(11, 2)] + [(n, n % 2) for n in range(12, 17)]
+    solves = 0
+    for n, k in draws:
+        m = (5, 8, 12)[k]
+        max_duration = (3, 5, 9)[(n + k) % 3]
+        inst = generate_instance(
+            n, m, seed=9700 + 3 * n + k, density=(0.3, 0.45)[n % 2],
+            max_duration=max_duration, max_wage=20,
+        )
+        expect, _ = brute_force(inst)
+        switch_sets = every if n <= 10 else [f for f in every if f["enable_lower"]]
+        for flags in switch_sets:
+            for cap in (0, 1 << 4, 1 << 16):
+                result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
+                assert result.status == "optimal"
+                assert result.holding_cost == expect, (n, m, flags, cap)
+                assert holding_cost(inst, result.schedule) == expect
+                solves += 1
+    assert solves == 1152
+
+
+def test_day_mask_cap_is_decided_per_solve():
+    at_cap = Instance(4, 2, (0b01, 0b10, 0b11, 0b01), (1024,) * 4, (3, 5))
+    past_cap = Instance(4, 2, at_cap.scene_actors, (1024, 1024, 1024, 1025), (3, 5))
+    assert sum(at_cap.durations) == solver_mod.DAY_MASK_MAX_DAYS
+    assert solver_mod._Search(at_cap, FAST).by_day
+    assert not solver_mod._Search(past_cap, FAST).by_day
+    for inst in (at_cap, past_cap):
+        expect, _ = brute_force(inst)
+        assert solve(inst, FAST).holding_cost == expect
+
+
+def test_huge_durations_take_scene_masks_and_match_brute_force():
+    # durations around 10^6 would make day masks of millions of bits, so
+    # these solves sum durations per scene
+    rng = random.Random(9800)
+    for n in (8, 10, 12):
+        base = generate_instance(n, 6, seed=9800 + n, density=0.4, max_duration=3)
+        inst = Instance(
+            n, base.num_actors, base.scene_actors,
+            tuple(rng.randint(500_000, 1_500_000) for _ in range(n)), base.wages,
+        )
+        assert not solver_mod._Search(inst, FAST).by_day
+        expect, _ = brute_force(inst)
+        for cap in (0, 1 << 4, 1 << 16):
+            for lower in (True, False):
+                cfg = SolveConfig(cache_capacity=cap, enable_lower=lower)
+                result = solve(inst, cfg)
+                assert result.holding_cost == expect
+                assert holding_cost(inst, result.schedule) == expect
+    # every cost scales with the durations, so the scaled search is the same
+    # one; 720720 = lcm(1..16) keeps the averaging bound's rounding exact
+    for n, m in ((11, 7), (12, 8), (13, 8)):
+        inst = generate_instance(n, m, seed=9810 + n, density=0.35, max_duration=9)
+        big = Instance(
+            n, m, inst.scene_actors, tuple(720720 * d for d in inst.durations), inst.wages
+        )
+        assert solver_mod._Search(inst, FAST).by_day
+        assert not solver_mod._Search(big, FAST).by_day
+        small, large = solve(inst, FAST), solve(big, FAST)
+        assert large.holding_cost == small.holding_cost * 720720
+        assert large.schedule == small.schedule
+        assert large.subproblems == small.subproblems
+
+
+def test_scene_masks_keep_the_search(monkeypatch):
+    """With the day-mask cap at 0 every solve sums durations per scene;
+    answers, node counts and cache counters are those of day masks."""
+    cases = [
+        (generate_instance(n, m, seed=9820 + n, density=0.35, max_duration=d), cap)
+        for n, m, d in ((12, 8, 3), (13, 12, 9), (14, 6, 5))
+        for cap in (0, 1 << 4, 1 << 16)
+    ]
+    by_day = [solve(inst, SolveConfig(cache_capacity=cap)) for inst, cap in cases]
+    monkeypatch.setattr(solver_mod, "DAY_MASK_MAX_DAYS", 0)
+    for (inst, cap), expected in zip(cases, by_day):
+        result = solve(inst, SolveConfig(cache_capacity=cap))
+        assert result.holding_cost == expected.holding_cost
+        assert result.schedule == expected.schedule
+        assert result.subproblems == expected.subproblems
+        assert result.cache_stats == expected.cache_stats
+
+
 def test_time_limited_answers_never_undercut_the_optimum():
     for n in range(17, 21):
         inst = generate_instance(n, 8, seed=9400 + n, density=0.35, max_duration=3, max_wage=20)
@@ -397,58 +480,51 @@ def test_cache_modes_only_change_node_counts():
 
 # (n, m, seed, density) -> config -> (optimum, nodes without a cache,
 # nodes with a 2^10 cache, cache hits with it, nodes with the default 2^25
-# cache, cache hits with it).  Recorded from the solver before its kernels
-# were lifted into module functions (the default-cache pair before the
-# cache moved its slots into a dict); any change to a pruning rule, to the
-# cache or to the order of the search shows up here.
+# cache, cache hits with it).  Recorded when the search took its one branch
+# order, ascending increment plus pair bound; any change to a pruning rule,
+# to the cache or to the order of the search shows up here.
 NODE_PINS = {
     (10, 6, 7101, 0.35): {
-        "all": (90, 29, 27, 3, 27, 3),
-        "no-preprocess": (90, 30, 28, 3, 28, 3),
-        "no-rule1": (90, 31, 29, 3, 29, 3),
-        "no-rule2": (90, 29, 27, 3, 27, 3),
-        "no-lower": (90, 191, 95, 33, 95, 33),
-        "cheapest": (90, 29, 27, 3, 27, 3),
+        "all": (90, 24, 22, 3, 22, 3),
+        "no-preprocess": (90, 26, 24, 3, 24, 3),
+        "no-rule1": (90, 24, 22, 3, 22, 3),
+        "no-rule2": (90, 24, 22, 3, 22, 3),
+        "no-lower": (90, 189, 93, 33, 93, 33),
     },
     (11, 7, 7102, 0.4): {
-        "all": (234, 125, 92, 15, 92, 15),
-        "no-preprocess": (234, 147, 114, 15, 114, 15),
-        "no-rule1": (234, 144, 100, 16, 100, 16),
-        "no-rule2": (234, 127, 94, 15, 94, 15),
-        "no-lower": (234, 625, 281, 55, 280, 56),
-        "cheapest": (234, 120, 87, 15, 87, 15),
+        "all": (234, 82, 45, 16, 45, 16),
+        "no-preprocess": (234, 84, 47, 16, 47, 16),
+        "no-rule1": (234, 98, 47, 16, 47, 16),
+        "no-rule2": (234, 82, 45, 16, 45, 16),
+        "no-lower": (234, 600, 256, 54, 255, 55),
     },
     (12, 8, 7103, 0.3): {
-        "all": (609, 1329, 822, 112, 816, 114),
-        "no-preprocess": (609, 1405, 888, 120, 882, 122),
-        "no-rule1": (609, 1605, 947, 159, 922, 159),
-        "no-rule2": (609, 1413, 865, 116, 859, 118),
-        "no-lower": (609, 13274, 4923, 1106, 4619, 1305),
-        "cheapest": (609, 1432, 865, 133, 859, 135),
+        "all": (609, 893, 378, 87, 376, 88),
+        "no-preprocess": (609, 903, 382, 88, 380, 89),
+        "no-rule1": (609, 1034, 406, 99, 404, 100),
+        "no-rule2": (609, 940, 390, 92, 388, 93),
+        "no-lower": (609, 13750, 4934, 1193, 4658, 1369),
     },
     (12, 6, 7104, 0.45): {
-        "all": (466, 252, 179, 19, 179, 19),
-        "no-preprocess": (466, 336, 231, 23, 231, 23),
-        "no-rule1": (466, 294, 211, 22, 211, 22),
-        "no-rule2": (466, 278, 193, 19, 193, 19),
-        "no-lower": (466, 875, 384, 67, 384, 67),
-        "cheapest": (466, 179, 107, 16, 107, 16),
+        "all": (466, 94, 40, 10, 40, 10),
+        "no-preprocess": (466, 114, 50, 11, 50, 11),
+        "no-rule1": (466, 101, 41, 10, 41, 10),
+        "no-rule2": (466, 103, 41, 10, 41, 10),
+        "no-lower": (466, 766, 293, 58, 293, 58),
     },
     (13, 7, 7105, 0.35): {
-        "all": (246, 349, 252, 35, 247, 35),
-        "no-preprocess": (246, 634, 431, 59, 429, 60),
-        "no-rule1": (246, 391, 280, 38, 275, 38),
-        "no-rule2": (246, 406, 292, 39, 286, 38),
-        "no-lower": (246, 4640, 1999, 503, 1903, 535),
-        "cheapest": (246, 362, 265, 33, 260, 33),
+        "all": (246, 283, 158, 38, 158, 38),
+        "no-preprocess": (246, 509, 261, 62, 260, 63),
+        "no-rule1": (246, 312, 171, 42, 171, 42),
+        "no-rule2": (246, 309, 166, 44, 166, 44),
+        "no-lower": (246, 4772, 2099, 506, 2014, 547),
     },
     (14, 8, 7106, 0.3): {
-        "all": (124, 174, 103, 22, 103, 22),
-        "no-preprocess": (124, 474, 170, 36, 170, 36),
-        "no-rule1": (124, 221, 139, 24, 139, 25),
-        "no-rule2": (124, 174, 103, 22, 103, 22),
-        "no-lower": (124, 2820, 626, 180, 605, 177),
-        "cheapest": (124, 157, 86, 22, 86, 22),
+        "all": (124, 143, 71, 21, 71, 21),
+        "no-preprocess": (124, 424, 123, 40, 123, 40),
+        "no-rule1": (124, 164, 81, 22, 81, 23),
+        "no-rule2": (124, 143, 71, 21, 71, 21),
+        "no-lower": (124, 2745, 548, 185, 527, 183),
     },
 }
 PIN_CONFIGS = {
@@ -457,7 +533,6 @@ PIN_CONFIGS = {
     "no-rule1": {"enable_rule1": False},
     "no-rule2": {"enable_rule2": False},
     "no-lower": {"enable_lower": False},
-    "cheapest": {"branch_order": "cheapest"},
 }
 
 
@@ -481,32 +556,13 @@ def test_node_counts_are_pinned(key):
         assert cached.holding_cost == default.holding_cost == pins[0], name
 
 
-def test_cheapest_order_computes_each_increment_once(monkeypatch):
-    inst = generate_instance(14, 8, seed=7106, density=0.3)
-    calls = 0
-    increment = solver_mod._Search._increment
-
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
-        return increment(self, *args)
-
-    monkeypatch.setattr(solver_mod._Search, "_increment", counted)
-    result = solve(inst, SolveConfig(cache_capacity=1 << 10, branch_order="cheapest"))
-    assert result.subproblems == NODE_PINS[(14, 8, 7106, 0.3)]["cheapest"][2]
-    # one call per remaining scene per branching node; computing the sort
-    # key and the branch's increment separately made 602 here
-    assert calls < 602
-
-
 def test_replay_changes_no_answer_node_count_or_cache_counter(monkeypatch):
     """With the record store a no-op every node builds its children from
     the kernels; replaying them from records must give the same search."""
     features = ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
     grid = [
-        SolveConfig(cache_capacity=cap, branch_order=order, **dict(zip(features, on)))
+        SolveConfig(cache_capacity=cap, **dict(zip(features, on)))
         for on in itertools.product((True, False), repeat=4)
-        for order in ("id", "cheapest")
         for cap in (1 << 4, 1 << 16, 1 << 64)
     ]
     insts = [
