@@ -18,12 +18,6 @@ also be pruned when the state reached by dropping any one remaining scene
 (a merged scene drops all its members at once) is cached with a value not
 above the node's past cost: finishing a subset of the work, in the same
 order, can only cost less.
-
-Each slot also keeps a record, an int the cache does not read: the solver
-writes one at the exit of a node whose state holds the slot and reads it
-back when a later visit of the same state is not pruned.  Lowering the
-value of a resident key keeps its record; a state that takes a slot starts
-with none (0).
 """
 
 from __future__ import annotations
@@ -46,8 +40,6 @@ class CacheStats:
       because its value was smaller.
     * ``stores`` -- fills of an empty slot; lowering the value of a resident
       equal key is not a store.
-    * ``replays`` -- nodes whose children came from their state's record
-      (counted by the solver, which reads the records).
     """
 
     probes: int = 0
@@ -56,7 +48,6 @@ class CacheStats:
     collisions: int = 0
     replacements: int = 0
     stores: int = 0
-    replays: int = 0
 
 
 class StateCache:
@@ -64,7 +55,7 @@ class StateCache:
     ``capacity`` entries.
 
     Slot ``hash(key) & (capacity - 1)`` holds one entry, the list ``[key,
-    value, record]``; a key is the plain tuple ``(front, back, remaining)``,
+    value]``; a key is the plain tuple ``(front, back, remaining)``,
     and tuples of ints hash through the interpreter's 64-bit mixer, which
     is deterministic across runs.  A colliding state takes the slot only if
     its value is smaller.  ``strategy`` accepts only ``"greedy"``, that
@@ -80,17 +71,14 @@ class StateCache:
         self._slots: dict[int, list] = {}
         self.stats = CacheStats()
 
-    def check_and_update(self, front, back, remaining, past_cost, removable_masks):
-        """Prune check for one search node; ``None`` means prune.
+    def check_and_update(self, front, back, remaining, past_cost, removable_masks) -> bool:
+        """Prune check for one search node; True means prune.
 
         Probes the node's own state, then the state left by dropping each
         of ``removable_masks`` (the scene-set mask each remaining candidate
         removes) from ``remaining``.  When no probe prunes, the node's state
         is stored, unless it collides with a resident state of a value not
-        above its own, and the node's entry ``[key, value, record]`` is
-        returned.  Its record is the one stored with the state, or 0, and
-        the caller may set a new one when the node exits, if ``holds``
-        finds the entry still in its slot.
+        above its own.
         """
         if bitset_lt(back, front):
             front, back = back, front
@@ -103,7 +91,7 @@ class StateCache:
         if own is not None and own[0] == key and own[1] <= past_cost:
             stats.probes += 1
             stats.hits += 1
-            return None
+            return True
         probes = 1
         for removed in removable_masks:
             probes += 1
@@ -113,27 +101,19 @@ class StateCache:
                 stats.probes += probes
                 stats.hits += 1
                 stats.misses += probes - 1
-                return None
+                return True
         stats.probes += probes
         stats.misses += probes
         # the own-state probe missed, so a resident equal key holds a
-        # larger value and is always improved, keeping its record
+        # larger value and is always improved
         if own is None:
-            own = slots[slot] = [key, past_cost, 0]
+            slots[slot] = [key, past_cost]
             stats.stores += 1
         elif own[0] == key:
             own[1] = past_cost
         else:
             stats.collisions += 1
-            resident = own[1]
-            own = [key, past_cost, 0]
-            if past_cost < resident:
-                slots[slot] = own
+            if past_cost < own[1]:
+                slots[slot] = [key, past_cost]
                 stats.replacements += 1
-        return own
-
-    def holds(self, entry) -> bool:
-        """Whether an entry that ``check_and_update`` returned is in its
-        slot: it may never have got it, or have lost it to a colliding
-        state since."""
-        return self._slots.get(hash(entry[0]) & (self.capacity - 1)) is entry
+        return False

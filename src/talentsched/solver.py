@@ -47,23 +47,6 @@ actors share are the popcount of their masks' intersection.  An instance
 longer than ``DAY_MASK_MAX_DAYS`` days would build ints that long, so its
 solve keeps one bit per scene and sums the shared scenes' durations; the
 choice is made once per solve and gives the same bounds either way.
-
-The cache lets a state through again when it is reached at a lower past
-cost, and everything a node computes before it branches depends only on
-its state, its orientation and its active actors.  So a node that exits
-normally writes a record into its state's cache slot (``_pack_record``:
-one int listing the children that survived dominance, in scene id order,
-with each child's increment and any pair bound computed for it), guarded
-by its orientation and active set.  A later visit whose guard matches
-replays the record: it skips the actor tables, the dominance table and
-checks and the increments, computes only the pair bounds of live children
-the record lacks, and sorts the live children by the same key.  The key
-depends on the state alone, so both paths branch in the same order and
-the search is unchanged.  On the benchmark's base instances 29%
-(``wide-cast``), 21% (``sweep``) and 9% (``many-small``) of expanded
-nodes replay, and 24% and 19% fewer bound calls reach the memo on the
-first two; it answers 28.6% and 19.0% of them, where it answered 45.2%
-and 33.5% of all of them without replay.
 """
 
 from __future__ import annotations
@@ -72,7 +55,6 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
 
 from .cache import CacheStats, StateCache
 from .cost import Schedule, holding_cost, work_cost
@@ -110,7 +92,8 @@ class SolveConfig:
 
     def __post_init__(self):
         cap = self.cache_capacity
-        if not isinstance(cap, int) or cap < 0 or cap & (cap - 1):
+        # a bool is an int, and True would give a one-slot cache
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0 or cap & (cap - 1):
             raise ValueError("cache_capacity must be 0 or a power of two")
         # written so that NaN, which compares false both ways, is refused
         if not self.time_limit > 0:
@@ -446,38 +429,6 @@ def _actor_tables(reps, dur_view, member_actors, num_actors, by_day):
     return actor_q, actor_qd, dq_total, scene_q
 
 
-def _pack_record(children, bounds):
-    """One int holding a node's children in branch order: ``children``
-    lists ``(scene, increment)`` and ``bounds`` each child's pair bound
-    plus one, or 0 where none was computed.  The low 7 bits hold the field
-    width w; then each child takes, from the low end, 7 bits of scene + 1
-    (never 0, so the last child cannot vanish), w bits of increment and w
-    of bound + 1.  Returns 0, no record, when a value needs more than 127
-    bits."""
-    if not children:
-        return 0
-    width = max(max(bounds), max(children, key=itemgetter(1))[1]).bit_length()
-    if width > 127:
-        return 0
-    step = 7 + 2 * width
-    packed = 0
-    for (s, inc), b in zip(reversed(children), reversed(bounds)):
-        packed = packed << step | (b << width | inc) << 7 | s + 1
-    return packed << 7 | width
-
-
-def _unpack_record(packed):
-    """``(children, bounds)`` back from ``_pack_record``'s int."""
-    width = packed & 127
-    packed >>= 7
-    step = 7 + 2 * width
-    field = (1 << step) - 1
-    fields = [packed >> at & field for at in range(0, packed.bit_length(), step)]
-    low = (1 << width) - 1
-    top = 7 + width
-    return [((f & 127) - 1, f >> 7 & low) for f in fields], [f >> top for f in fields]
-
-
 class _Search:
     def __init__(self, inst: Instance, cfg: SolveConfig):
         self.inst = inst
@@ -488,9 +439,6 @@ class _Search:
         # before it, whose values are copied forward when they hit
         self.lower_memo: dict[int, int] = {}
         self.lower_prev: dict[int, int] = {}
-        # a record's low bits are its guard: the orientation bit, then the
-        # active actors
-        self.guard_bits = inst.num_actors + 1
         # the pair bound's masks: one bit per day, or per scene past the cap
         self.by_day = sum(inst.durations) <= DAY_MASK_MAX_DAYS
         self.nodes = 0
@@ -614,90 +562,57 @@ class _Search:
         back_onloc = back_act & (aq_full | front_act)
 
         # -- cached-state prune --
-        entry = None
-        record = 0
-        if self.cache is not None:
-            entry = self.cache.check_and_update(
-                front_onloc,
-                back_onloc,
-                q_orig,
-                z,
-                [member_mask[s] for s in reps],
-            )
-            if entry is None:
-                return
-            record = entry[2]
+        if self.cache is not None and self.cache.check_and_update(
+            front_onloc,
+            back_onloc,
+            q_orig,
+            z,
+            [member_mask[s] for s in reps],
+        ):
+            return
 
-        # both orientations of a state share its key but not its children,
-        # which pin a scene at this node's front.  With the orientation and
-        # the active set equal, simplification's groups are the classes of
-        # remaining scenes with equal active actors, so dominance, the
-        # increments and the pair bounds see the same inputs
-        guard = active << 1 | (front_onloc > back_onloc)
-        shift = self.guard_bits
-        if record and record & ((1 << shift) - 1) == guard:
-            children, bounds = _unpack_record(record >> shift)
-            self.cache.stats.replays += 1
-            tables = None
-            fresh = False
+        tables = _actor_tables(
+            reps, dur_view, member_actors, self.inst.num_actors, self.by_day
+        )
+        _, actor_qd, dq_total, _ = tables
+        if cfg.enable_rule1 or cfg.enable_rule2:
+            dom_table = _dominance_table(
+                reps, member_actors, active, front_onloc & active,
+                back_onloc & active, self.wage_tables,
+            )
         else:
-            tables = _actor_tables(
-                reps, dur_view, member_actors, self.inst.num_actors, self.by_day
-            )
-            _, actor_qd, dq_total, _ = tables
-            if cfg.enable_rule1 or cfg.enable_rule2:
-                dom_table = _dominance_table(
-                    reps, member_actors, active, front_onloc & active,
-                    back_onloc & active, self.wage_tables,
-                )
-            else:
-                dom_table = None
-            # in ascending scene id, as ``reps``
-            children = []
-            for pos, s in enumerate(reps):
-                if dom_table is not None and self._dominated(pos, dom_table):
-                    continue
-                inc = self._increment(
-                    s, dur_view, member_actors, front_onloc, back_onloc,
-                    actor_qd, dq_total,
-                )
-                children.append((s, inc))
-            bounds = [0] * len(children)
-            fresh = True
+            dom_table = None
 
-        # The branch order: the children live on entry, ``z + inc < limit``,
-        # by ascending ``inc`` plus pair bound, ties to the smaller scene id
-        # (the smaller position), as keys ``(inc + bound) << 6 | position``.
-        # ``bounds`` holds each child's pair bound plus one, 0 while unknown.
-        # A key depends on the state alone, so a replay, which computes only
-        # the bounds its record lacks, branches as a fresh expansion would
+        # The branch order: the children that survive dominance and are live
+        # on entry, ``z + inc < limit``, by ascending ``inc`` plus pair bound,
+        # ties to the smaller scene id, as keys ``(inc + bound) << 6 | k``
+        # with ``k`` the child's place in ``children``, in scene id order
         slack = self.limit - z
+        children = []
         order = []
-        for k, (s, inc) in enumerate(children):
+        for pos, s in enumerate(reps):
+            if dom_table is not None and self._dominated(pos, dom_table):
+                continue
+            inc = self._increment(
+                s, dur_view, member_actors, front_onloc, back_onloc,
+                actor_qd, dq_total,
+            )
             if inc >= slack:
                 continue
+            key = inc
             if cfg.enable_lower:
-                future = bounds[k] - 1
-                if future < 0:
-                    if tables is None:
-                        tables = _actor_tables(
-                            reps, dur_view, member_actors, self.inst.num_actors,
-                            self.by_day,
-                        )
-                    future = self._branch_lower(
-                        s,
-                        member_actors[s],
-                        aq_full & ~(member_actors[s] & ~multi),
-                        front_act,
-                        back_act,
-                        q_orig & ~member_mask[s],
-                        tables,
-                        dur_view,
-                    )
-                    bounds[k] = future + 1
-                    fresh = True
-                inc += future
-            order.append(inc << 6 | k)
+                key += self._branch_lower(
+                    s,
+                    member_actors[s],
+                    aq_full & ~(member_actors[s] & ~multi),
+                    front_act,
+                    back_act,
+                    q_orig & ~member_mask[s],
+                    tables,
+                    dur_view,
+                )
+            order.append(key << 6 | len(children))
+            children.append((s, inc))
         order.sort()
         for key in order:
             # the limit only falls, so every later key is out of it too
@@ -718,12 +633,6 @@ class _Search:
                 member_actors,
                 members,
             )
-
-        # written only on a normal exit: a time-limit unwind skips it
-        if fresh and entry is not None and self.cache.holds(entry):
-            packed = _pack_record(children, bounds)
-            if packed:
-                entry[2] = packed << shift | guard
 
     def _increment(
         self, s, dur_view, member_actors, front_onloc, back_onloc, actor_qd, dq_total

@@ -203,11 +203,10 @@ def _set_order(mask: int) -> list[int]:
 
 class CacheModel:
     """The direct-mapped state cache, one probe and one store at a time:
-    the same slots, entries ``[key, value, record]``, replacement rule and
+    the same slots, entries ``[key, value]``, replacement rule and
     ``CacheStats`` counters as ``StateCache``, with ``check_and_update`` as
     a lookup of the node's own state, then of each subset state, then a
-    store that returns the node's entry (a fresh one, outside the slots,
-    when the resident state keeps the slot)."""
+    store."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -223,32 +222,31 @@ class CacheModel:
         self.stats.misses += 1
         return False
 
-    def store(self, key: tuple[int, int, int], value: int) -> list:
+    def store(self, key: tuple[int, int, int], value: int) -> None:
         slot = hash(key) % self.capacity
         entry = self.slots.get(slot)
         if entry is None:
             self.stats.stores += 1
         elif entry[0] == key:
-            if value < entry[1]:
-                entry[1] = value  # the record stays with its state
-            return entry
+            if value >= entry[1]:
+                return
         else:
             self.stats.collisions += 1
             if value >= entry[1]:
-                return [key, value, 0]
+                return
             self.stats.replacements += 1
-        self.slots[slot] = [key, value, 0]
-        return self.slots[slot]
+        self.slots[slot] = [key, value]
 
-    def check_and_update(self, front, back, remaining, past_cost, removable_masks):
+    def check_and_update(self, front, back, remaining, past_cost, removable_masks) -> bool:
         if _set_order(back) < _set_order(front):
             front, back = back, front
         key = (front, back, remaining)
         if self.lookup(key, past_cost) or any(
             self.lookup((front, back, remaining & ~r), past_cost) for r in removable_masks
         ):
-            return None
-        return self.store(key, past_cost)
+            return True
+        self.store(key, past_cost)
+        return False
 
 
 # --- kernel adapters ----------------------------------------------------------

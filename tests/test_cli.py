@@ -50,7 +50,7 @@ def test_solve_json_worked_example(tmp_path, capsys):
     assert out["n"] == 12 and out["m"] == 6
     assert sorted(out["schedule"]) == list(range(12))
     assert set(out["cache"]) == {
-        "bits", "probes", "hits", "misses", "collisions", "replacements", "replays",
+        "bits", "probes", "hits", "misses", "collisions", "replacements",
     }
 
 
