@@ -51,6 +51,7 @@ choice is made once per solve and gives the same bounds either way.
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -69,10 +70,7 @@ class SolveConfig:
     order: a node takes its children in ascending ``increment + pair
     bound`` (the increment alone with ``enable_lower`` off), ties to the
     smaller scene id.  ``time_limit`` is in seconds, positive;
-    ``float("inf")`` means no limit.  ``initial_ub`` is a holding cost some
-    schedule is known to reach: it tightens pruning without hiding
-    value-equal optima, and a search that finishes without reaching it
-    raises ``ValueError``.
+    ``float("inf")`` means no limit.
 
     The defaults below and the checks in ``__post_init__`` are the only
     statement of each setting: the CLI's flags take their defaults from
@@ -84,7 +82,6 @@ class SolveConfig:
     enable_rule2: bool = True
     enable_lower: bool = True
     time_limit: float = 600.0
-    initial_ub: int | None = None
 
     # not a field, so not settable: the cache's one collision policy, which
     # the benchmark runner still reads
@@ -95,11 +92,10 @@ class SolveConfig:
         # a bool is an int, and True would give a one-slot cache
         if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0 or cap & (cap - 1):
             raise ValueError("cache_capacity must be 0 or a power of two")
-        # written so that NaN, which compares false both ways, is refused
-        if not self.time_limit > 0:
+        # written so that NaN, which compares false both ways, is refused;
+        # True would read as one second
+        if isinstance(self.time_limit, bool) or not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.initial_ub is not None and self.initial_ub < 0:
-            raise ValueError("initial_ub must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,8 @@ def _masked_sum(tables: list[list[int]], mask: int) -> int:
 
 def greedy_upper_bound(inst: Instance) -> tuple[int, Schedule]:
     """Feasible schedule built by always appending the scene whose placement
-    forces the least new holding cost (ties to the smaller id)."""
+    forces the least new holding cost (ties to the smaller id).  ``solve``
+    does not call it: the search finds its own first schedule."""
     remaining = inst.all_scenes
     placed_actors = 0
     order: list[int] = []
@@ -442,9 +439,9 @@ class _Search:
         # the pair bound's masks: one bit per day, or per scene past the cap
         self.by_day = sum(inst.durations) <= DAY_MASK_MAX_DAYS
         self.nodes = 0
-        self.best_h = 0
+        # the incumbent, above every schedule's cost until the first leaf
+        self.best_h = math.inf
         self.best_order: tuple[int, ...] = ()
-        self.limit = 0
         self.trace: list[TraceEntry] = []
         self.t0 = 0.0
         self.deadline = 0.0
@@ -453,15 +450,6 @@ class _Search:
         inst, cfg = self.inst, self.cfg
         self.t0 = time.perf_counter()
         self.deadline = self.t0 + cfg.time_limit
-
-        greedy_h, greedy_sched = greedy_upper_bound(inst)
-        self.best_h = greedy_h
-        self.best_order = greedy_sched.order
-        self.limit = greedy_h
-        if cfg.initial_ub is not None:
-            # a valid externally-known bound keeps value-equal optima reachable
-            self.limit = min(self.limit, cfg.initial_ub + 1)
-        self.trace = [TraceEntry(0.0, 0, greedy_h, greedy_sched.order)]
 
         n = inst.num_scenes
         status = "optimal"
@@ -483,12 +471,6 @@ class _Search:
         except _TimeLimit:
             status = "time_limit"
         elapsed = time.perf_counter() - self.t0
-        hint = cfg.initial_ub
-        if status == "optimal" and hint is not None and self.best_h > hint:
-            raise ValueError(
-                f"initial_ub={hint} is below the optimum: "
-                "no schedule has a holding cost within it"
-            )
 
         stats = self.cache.stats if self.cache is not None else CacheStats()
         return SolveResult(
@@ -519,25 +501,27 @@ class _Search:
     ):
         self.nodes += 1
         # every node: at n = 64 one node can take milliseconds, so a check
-        # every few thousand nodes would overshoot the limit by seconds
-        if time.perf_counter() > self.deadline:
+        # every few thousand nodes would overshoot the limit by seconds.
+        # Only once a schedule exists: with no incumbent nothing prunes the
+        # first dive (the increment test cannot; the cache holds only
+        # ancestors, whose remaining sets are supersets; dominance leaves a
+        # child, since the scene-id tie-break keeps rules 1 and 2 acyclic),
+        # so it reaches a leaf within n + 1 nodes.
+        if self.best_order and time.perf_counter() > self.deadline:
             raise _TimeLimit
 
         if not q_reps:
-            if z < self.best_h:
-                self.best_h = z
-                order: list[int] = []
-                for s in front_vec:
-                    order.extend(members[s])
-                for s in reversed(back_vec):
-                    order.extend(members[s])
-                self.best_order = tuple(order)
-                self.limit = min(self.limit, z)
-                self.trace.append(
-                    TraceEntry(
-                        time.perf_counter() - self.t0, self.nodes, z, self.best_order
-                    )
-                )
+            # no guard: the parent entered this leaf only if z < best_h
+            self.best_h = z
+            order: list[int] = []
+            for s in front_vec:
+                order.extend(members[s])
+            for s in reversed(back_vec):
+                order.extend(members[s])
+            self.best_order = tuple(order)
+            self.trace.append(
+                TraceEntry(time.perf_counter() - self.t0, self.nodes, z, self.best_order)
+            )
             return
 
         cfg = self.cfg
@@ -584,10 +568,10 @@ class _Search:
             dom_table = None
 
         # The branch order: the children that survive dominance and are live
-        # on entry, ``z + inc < limit``, by ascending ``inc`` plus pair bound,
-        # ties to the smaller scene id, as keys ``(inc + bound) << 6 | k``
-        # with ``k`` the child's place in ``children``, in scene id order
-        slack = self.limit - z
+        # on entry, ``z + inc < best_h``, by ascending ``inc`` plus pair
+        # bound, ties to the smaller scene id, as keys ``(inc + bound) << 6 |
+        # k`` with ``k`` the child's place in ``children``, in scene id order
+        slack = self.best_h - z
         children = []
         order = []
         for pos, s in enumerate(reps):
@@ -615,8 +599,8 @@ class _Search:
             children.append((s, inc))
         order.sort()
         for key in order:
-            # the limit only falls, so every later key is out of it too
-            if z + (key >> 6) >= self.limit:
+            # the incumbent only falls, so every later key fails too
+            if z + (key >> 6) >= self.best_h:
                 break
             s, inc = children[key & 63]
             self._search(

@@ -112,6 +112,8 @@ def test_trace_entries_are_feasible_and_strictly_decreasing():
     for entry in result.ub_trace:
         assert holding_cost(inst, Schedule(entry.order)) == entry.holding_cost
     assert result.ub_trace[-1].holding_cost == result.holding_cost
+    # the first entry is the first dive's leaf
+    assert 0 < result.ub_trace[0].subproblems <= inst.num_scenes + 1
 
 
 def test_subproblems_count_search_invocations(monkeypatch):
@@ -167,6 +169,16 @@ def test_time_limit_is_checked_at_every_node():
     assert holding_cost(inst, result.schedule) == result.holding_cost
     assert wall < 2
 
+    # a limit that runs out before the first leaf: the first dive still
+    # finishes, and the search stops at the node after its leaf
+    for case in (inst, generate_instance(n, 16, seed=3, density=0.35)):
+        result = solve(case, SolveConfig(cache_capacity=1 << 16, time_limit=1e-9))
+        assert result.status == "time_limit"
+        assert sorted(result.schedule.order) == list(range(n))
+        assert holding_cost(case, result.schedule) == result.holding_cost
+        assert result.ub_trace[0].subproblems <= n + 1
+        assert result.subproblems <= n + 2
+
 
 def test_infinite_time_limit_means_no_limit():
     result = solve(
@@ -177,48 +189,19 @@ def test_infinite_time_limit_means_no_limit():
     assert result.holding_cost == WORKED_HOLDING_BEST
 
 
-def test_initial_ub_hint_keeps_optimum_reachable():
-    inst = generate_instance(8, 5, seed=55, density=0.4)
-    expect = brute_force(inst)[0]
-    exact_hint = solve(inst, SolveConfig(cache_capacity=0, initial_ub=expect))
-    loose_hint = solve(inst, SolveConfig(cache_capacity=0, initial_ub=expect + 5))
-    assert exact_hint.holding_cost == expect
-    assert loose_hint.holding_cost == expect
-
-
-def test_initial_ub_below_the_optimum_raises():
-    inst = fixture_worked_example()
-    with pytest.raises(ValueError, match="initial_ub=52"):
-        solve(inst, SolveConfig(cache_capacity=1 << 10, initial_ub=52))
-    result = solve(inst, SolveConfig(cache_capacity=1 << 10, initial_ub=53))
-    assert result.status == "optimal"
-    assert result.holding_cost == WORKED_HOLDING_BEST
-
-
-def test_initial_ub_keeps_time_limit_status():
-    # the search stops long before it could prove the hint unreachable, so
-    # the greedy incumbent above the hint comes back as a time-limited answer
-    inst = generate_instance(26, 8, seed=2, density=0.3, max_duration=3)
-    cfg = SolveConfig(cache_capacity=1 << 10, time_limit=0.01, initial_ub=800)
-    result = solve(inst, cfg)
-    assert result.status == "time_limit"
-    assert result.holding_cost > 800
-    assert holding_cost(inst, result.schedule) == result.holding_cost
-
-
 def test_config_validation():
     for bad in (3, -4, None, True):
         with pytest.raises(ValueError):
             SolveConfig(cache_capacity=bad)
     with pytest.raises(TypeError):  # one collision policy, not a setting
         SolveConfig(cache_strategy="latest")
-    for bad in (0, -1.0, float("nan")):
+    for bad in (0, -1.0, float("nan"), True):
         with pytest.raises(ValueError):
             SolveConfig(time_limit=bad)
     with pytest.raises(TypeError):  # one branch order, not a setting
         SolveConfig(branch_order="id")
-    with pytest.raises(ValueError):
-        SolveConfig(initial_ub=-1)
+    with pytest.raises(TypeError):  # the search finds its own incumbent
+        SolveConfig(initial_ub=5)
 
 
 def test_zero_wages_and_empty_scenes():
@@ -249,7 +232,8 @@ def test_inputs_at_the_format_limits():
     everyone = (1 << m) - 1
     identical = Instance(n, m, (everyone,) * n, (1,) * n, tuple(range(1, m + 1)))
     result = solve(identical, SolveConfig(cache_capacity=1 << 10))
-    assert (result.status, result.holding_cost, result.subproblems) == ("optimal", 0, 1)
+    # the root, then the one merged scene's leaf
+    assert (result.status, result.holding_cost, result.subproblems) == ("optimal", 0, 2)
 
     rng = random.Random(64)
     unpaid = Instance(
@@ -480,15 +464,16 @@ def test_cache_modes_only_change_node_counts():
 # (n, m, seed, density) -> config -> (optimum, nodes without a cache,
 # nodes with a 2^10 cache, cache hits with it, nodes with the default 2^25
 # cache, cache hits with it).  Recorded when the search took its one branch
-# order, ascending increment plus pair bound; any change to a pruning rule,
-# to the cache or to the order of the search shows up here.
+# order, ascending increment plus pair bound, and found its own first
+# schedule; any change to a pruning rule, to the cache, to the order of the
+# search or to its start shows up here.
 NODE_PINS = {
     (10, 6, 7101, 0.35): {
-        "all": (90, 24, 22, 3, 22, 3),
-        "no-preprocess": (90, 26, 24, 3, 24, 3),
-        "no-rule1": (90, 24, 22, 3, 22, 3),
-        "no-rule2": (90, 24, 22, 3, 22, 3),
-        "no-lower": (90, 189, 93, 33, 93, 33),
+        "all": (90, 34, 32, 3, 32, 3),
+        "no-preprocess": (90, 41, 39, 3, 39, 3),
+        "no-rule1": (90, 34, 32, 3, 32, 3),
+        "no-rule2": (90, 34, 32, 3, 32, 3),
+        "no-lower": (90, 272, 150, 41, 150, 41),
     },
     (11, 7, 7102, 0.4): {
         "all": (234, 82, 45, 16, 45, 16),
@@ -502,7 +487,7 @@ NODE_PINS = {
         "no-preprocess": (609, 903, 382, 88, 380, 89),
         "no-rule1": (609, 1034, 406, 99, 404, 100),
         "no-rule2": (609, 940, 390, 92, 388, 93),
-        "no-lower": (609, 13750, 4934, 1193, 4658, 1369),
+        "no-lower": (609, 13775, 4953, 1195, 4677, 1371),
     },
     (12, 6, 7104, 0.45): {
         "all": (466, 94, 40, 10, 40, 10),
@@ -516,14 +501,14 @@ NODE_PINS = {
         "no-preprocess": (246, 509, 261, 62, 260, 63),
         "no-rule1": (246, 312, 171, 42, 171, 42),
         "no-rule2": (246, 309, 166, 44, 166, 44),
-        "no-lower": (246, 4772, 2099, 506, 2014, 547),
+        "no-lower": (246, 5025, 2287, 541, 2202, 586),
     },
     (14, 8, 7106, 0.3): {
         "all": (124, 143, 71, 21, 71, 21),
         "no-preprocess": (124, 424, 123, 40, 123, 40),
         "no-rule1": (124, 164, 81, 22, 81, 23),
         "no-rule2": (124, 143, 71, 21, 71, 21),
-        "no-lower": (124, 2745, 548, 185, 527, 183),
+        "no-lower": (124, 2747, 550, 185, 529, 183),
     },
 }
 PIN_CONFIGS = {
