@@ -1,23 +1,39 @@
-"""Direct-mapped cache of search states.
+"""Direct-mapped cache of search states, each with a proven lower bound on
+its future cost (bounded dynamic programming: Garcia de la Banda, Stuckey
+& Chu, *Solving talent scheduling with dynamic programming*, INFORMS JoC
+2011).
 
 A state is the triple (actors on location at the front, actors on location
-at the back, remaining scene set over original scene ids); its value is the
-holding cost already forced by the two blocks (the "past cost" the solver
-carries as ``z``).  Front/back are interchangeable by the problem's
-reversal symmetry, so keys are canonicalized with the lower of the two
-masks first.  The cache has ``capacity`` slots, a power of two, one entry
-each; the slot index is the key's hash masked to the capacity.  Slots are
-held in a dict filled only on store, so memory grows with the states
-stored and the capacity only bounds it.  With ``capacity = 1 << 64`` the
-mask keeps the whole 64-bit hash, so distinct states share a slot only
-when their hashes are equal and nothing else is ever evicted.  A prune is
-only ever issued on an exact field-by-field key match.  On a collision the
-incoming state takes the slot only if its value is smaller (the ``greedy``
-policy, the only one), and equal keys keep the minimum value.  A node may
-also be pruned when the state reached by dropping any one remaining scene
-(a merged scene drops all its members at once) is cached with a value not
-above the node's past cost: finishing a subset of the work, in the same
-order, can only cost less.
+at the back, remaining scene set over original scene ids).  Its future
+cost is the least holding cost still to come once the two blocks are
+fixed, on top of the "past cost" ``z`` the solver carries; it depends on
+the state alone.  Front/back are interchangeable by the problem's reversal
+symmetry, so keys are canonicalized with the lower of the two masks first.
+
+An entry is the list ``[key, bound]``.  It is created with bound 0 when a
+node's probe finds nothing to prune, and the solver raises the bound in
+place when that node's search completes (a node cut short by the time
+limit writes nothing).  A node at past cost ``z`` is pruned when its own
+state, or the state reached by dropping any one remaining scene (a merged
+scene drops all its members at once), is resident with ``z + bound >=
+limit``, the incumbent's cost: finishing a subset of the work can only
+cost less, so a subset state's bound holds for the node too.  A prune is
+only ever issued on an exact field-by-field key match.  A cache of past
+costs, which prunes a revisit at no lower past cost, is the special case
+``bound = limit - z`` of this rule.
+
+The cache has ``capacity`` slots, a power of two, one entry each; the slot
+index is the key's hash masked to the capacity.  Slots are held in a dict
+filled only on store, so memory grows with the states stored and the
+capacity only bounds it.  With ``capacity = 1 << 64`` the mask keeps the
+whole 64-bit hash, so distinct states share a slot only when their hashes
+are equal and nothing else is ever evicted.  On a collision the incoming
+state takes the slot only from a resident with fewer remaining scenes (the
+``greedy`` policy, the only one): the larger state heads the larger
+subtree, so its bound prunes more, and a node still being searched is
+never pushed out by its own descendants.  Otherwise the incoming state
+gets a detached entry, and its bound is lost at exit.  An entry evicted
+while its node is still searching loses its bound the same way.
 """
 
 from __future__ import annotations
@@ -32,14 +48,14 @@ class CacheStats:
     """Counters of one cache, summed over its ``check_and_update`` calls.
 
     * ``probes`` -- states looked up: the node's own state and each subset state tried.
-    * ``hits`` -- probes that found their exact key resident at a value not above
-      the past cost, and so pruned the node.
+    * ``hits`` -- probes that found their exact key resident with a bound that
+      reaches the incumbent (``z + bound >= limit``), and so pruned the node.
     * ``misses`` -- probes that did not prune; ``hits + misses == probes``.
     * ``collisions`` -- stores that found a different key in the slot.
     * ``replacements`` -- collisions in which the incoming state took the slot,
-      because its value was smaller.
-    * ``stores`` -- fills of an empty slot; lowering the value of a resident
-      equal key is not a store.
+      because it had more remaining scenes than the resident.
+    * ``stores`` -- fills of an empty slot; finding a resident equal key is not
+      a store.
     """
 
     probes: int = 0
@@ -51,15 +67,15 @@ class CacheStats:
 
 
 class StateCache:
-    """Direct-mapped store of the best known past cost per state, at most
-    ``capacity`` entries.
+    """Direct-mapped store of a lower bound on each state's future cost, at
+    most ``capacity`` entries.
 
     Slot ``hash(key) & (capacity - 1)`` holds one entry, the list ``[key,
-    value]``; a key is the plain tuple ``(front, back, remaining)``,
-    and tuples of ints hash through the interpreter's 64-bit mixer, which
-    is deterministic across runs.  A colliding state takes the slot only if
-    its value is smaller.  ``strategy`` accepts only ``"greedy"``, that
-    policy's name; the benchmark runner still passes it.
+    bound]``; a key is the plain tuple ``(front, back, remaining)``, and
+    tuples of ints hash through the interpreter's 64-bit mixer, which is
+    deterministic across runs.  A colliding state takes the slot only from
+    a resident with fewer remaining scenes.  ``strategy`` accepts only
+    ``"greedy"``, that policy's name; the benchmark runner still passes it.
     """
 
     def __init__(self, capacity: int, strategy: str = "greedy"):
@@ -71,14 +87,19 @@ class StateCache:
         self._slots: dict[int, list] = {}
         self.stats = CacheStats()
 
-    def check_and_update(self, front, back, remaining, past_cost, removable_masks) -> bool:
-        """Prune check for one search node; True means prune.
+    def check_and_update(self, front, back, remaining, z, limit, removable_masks):
+        """Prune check for one search node at past cost ``z`` under the
+        incumbent cost ``limit``.
 
         Probes the node's own state, then the state left by dropping each
         of ``removable_masks`` (the scene-set mask each remaining candidate
-        removes) from ``remaining``.  When no probe prunes, the node's state
-        is stored, unless it collides with a resident state of a value not
-        above its own.
+        removes) from ``remaining``.  A probe whose resident bound ``v``
+        gives ``z + v >= limit`` prunes, and the call returns that ``v``,
+        an int.  Otherwise it returns the node's own entry, a list ``[key,
+        bound]``, for the node to raise the bound in at exit: the resident
+        entry of an equal key, a new one in an empty slot or in place of a
+        resident with fewer remaining scenes, or else a detached one that
+        no slot holds.
         """
         if bitset_lt(back, front):
             front, back = back, front
@@ -88,32 +109,30 @@ class StateCache:
         slot = hash(key) & mask
         own = slots.get(slot)
         stats = self.stats
-        if own is not None and own[0] == key and own[1] <= past_cost:
+        if own is not None and own[0] == key and z + own[1] >= limit:
             stats.probes += 1
             stats.hits += 1
-            return True
+            return own[1]
         probes = 1
         for removed in removable_masks:
             probes += 1
             sub = (front, back, remaining & ~removed)
             entry = slots.get(hash(sub) & mask)
-            if entry is not None and entry[0] == sub and entry[1] <= past_cost:
+            if entry is not None and entry[0] == sub and z + entry[1] >= limit:
                 stats.probes += probes
                 stats.hits += 1
                 stats.misses += probes - 1
-                return True
+                return entry[1]
         stats.probes += probes
         stats.misses += probes
-        # the own-state probe missed, so a resident equal key holds a
-        # larger value and is always improved
         if own is None:
-            slots[slot] = [key, past_cost]
             stats.stores += 1
         elif own[0] == key:
-            own[1] = past_cost
+            return own
         else:
             stats.collisions += 1
-            if past_cost < own[1]:
-                slots[slot] = [key, past_cost]
-                stats.replacements += 1
-        return False
+            if remaining.bit_count() <= own[0][2].bit_count():
+                return [key, 0]
+            stats.replacements += 1
+        own = slots[slot] = [key, 0]
+        return own

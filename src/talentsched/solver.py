@@ -16,6 +16,20 @@ off the key is the increment.  The first dives thus reach good schedules
 early, and the pruning bites sooner: on the benchmark's base instances
 this order expands 58-70% fewer nodes than scene-id order did.
 
+``_search`` returns a lower bound on its state's future cost, the holding
+cost still to come on top of ``past``: 0 at a leaf, and otherwise the
+larger of ``best - past`` at exit (no completion beats the incumbent) and
+the least ``increment + b`` over the children that survive dominance.
+``b`` is 0 for a child the increment test cut, its pair bound for one cut
+by the branch order's stop, and the bound the child returned when it was
+searched or cut by the cache.  A node writes its bound into its state's
+cache entry when it finishes, and the cache prunes a later node whose
+``past`` plus a stored bound reaches the incumbent (bounded dynamic
+programming, Garcia de la Banda, Stuckey & Chu 2011).  A time-limit
+unwind writes no bound, as the node's children were not all seen.  On the
+benchmark's base instances this saves 20% of nodes on ``sweep`` and 12%
+on ``wide-cast`` over storing the past cost.
+
 Merged scenes are tracked per node: a representative scene id carries the
 member list, the summed duration, and the union of the members' actor
 sets.  Cache keys use the remaining set over *original* scene ids (the
@@ -522,7 +536,7 @@ class _Search:
             self.trace.append(
                 TraceEntry(time.perf_counter() - self.t0, self.nodes, z, self.best_order)
             )
-            return
+            return 0
 
         cfg = self.cfg
         reps = bits(q_reps)
@@ -545,15 +559,20 @@ class _Search:
         front_onloc = front_act & (aq_full | back_act)
         back_onloc = back_act & (aq_full | front_act)
 
-        # -- cached-state prune --
-        if self.cache is not None and self.cache.check_and_update(
-            front_onloc,
-            back_onloc,
-            q_orig,
-            z,
-            [member_mask[s] for s in reps],
-        ):
-            return
+        # -- cached-state prune: an int is the stored bound that pruned, a
+        # list is the node's own entry, which takes its bound at exit --
+        entry = None
+        if self.cache is not None:
+            entry = self.cache.check_and_update(
+                front_onloc,
+                back_onloc,
+                q_orig,
+                z,
+                self.best_h,
+                [member_mask[s] for s in reps],
+            )
+            if isinstance(entry, int):
+                return entry
 
         tables = _actor_tables(
             reps, dur_view, member_actors, self.inst.num_actors, self.by_day
@@ -571,7 +590,15 @@ class _Search:
         # on entry, ``z + inc < best_h``, by ascending ``inc`` plus pair
         # bound, ties to the smaller scene id, as keys ``(inc + bound) << 6 |
         # k`` with ``k`` the child's place in ``children``, in scene id order
+        #
+        # ``least`` is the least ``inc + b`` over the children that survive
+        # dominance, with ``b`` a lower bound on the child's future cost: 0
+        # for a child the increment test cuts, the pair bound for one cut at
+        # the ``break``, and the returned bound for one searched (the cache
+        # may cut it).  A dominated child is left out, as its dominator
+        # does at least as well.
         slack = self.best_h - z
+        least = math.inf
         children = []
         order = []
         for pos, s in enumerate(reps):
@@ -582,6 +609,8 @@ class _Search:
                 actor_qd, dq_total,
             )
             if inc >= slack:
+                if inc < least:
+                    least = inc
                 continue
             key = inc
             if cfg.enable_lower:
@@ -601,9 +630,11 @@ class _Search:
         for key in order:
             # the incumbent only falls, so every later key fails too
             if z + (key >> 6) >= self.best_h:
+                if key >> 6 < least:
+                    least = key >> 6
                 break
             s, inc = children[key & 63]
-            self._search(
+            cost = inc + self._search(
                 back_vec,
                 front_vec + (s,),
                 back_act,
@@ -617,6 +648,15 @@ class _Search:
                 member_actors,
                 members,
             )
+            if cost < least:
+                least = cost
+        # no completion beats the incumbent now, and none beats ``least``
+        bound = self.best_h - z
+        if least > bound:
+            bound = least
+        if entry is not None and bound > entry[1]:
+            entry[1] = bound
+        return bound
 
     def _increment(
         self, s, dur_view, member_actors, front_onloc, back_onloc, actor_qd, dq_total

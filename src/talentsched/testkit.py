@@ -203,50 +203,51 @@ def _set_order(mask: int) -> list[int]:
 
 class CacheModel:
     """The direct-mapped state cache, one probe and one store at a time:
-    the same slots, entries ``[key, value]``, replacement rule and
-    ``CacheStats`` counters as ``StateCache``, with ``check_and_update`` as
-    a lookup of the node's own state, then of each subset state, then a
-    store."""
+    the same slots, entries ``[key, bound]``, prune test, replacement rule
+    and ``CacheStats`` counters as ``StateCache``, with ``check_and_update``
+    as a lookup of the node's own state, then of each subset state, then a
+    store that hands back the entry the node raises its bound in."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.slots: dict[int, list] = {}
         self.stats = CacheStats()
 
-    def lookup(self, key: tuple[int, int, int], past_cost: int) -> bool:
+    def lookup(self, key: tuple[int, int, int], z: int, limit) -> int | None:
+        """The resident bound of ``key`` if it prunes at past cost ``z``."""
         self.stats.probes += 1
         entry = self.slots.get(hash(key) % self.capacity)
-        if entry is not None and entry[0] == key and entry[1] <= past_cost:
+        if entry is not None and entry[0] == key and z + entry[1] >= limit:
             self.stats.hits += 1
-            return True
+            return entry[1]
         self.stats.misses += 1
-        return False
+        return None
 
-    def store(self, key: tuple[int, int, int], value: int) -> None:
+    def store(self, key: tuple[int, int, int]) -> list:
         slot = hash(key) % self.capacity
         entry = self.slots.get(slot)
         if entry is None:
             self.stats.stores += 1
         elif entry[0] == key:
-            if value >= entry[1]:
-                return
+            return entry
         else:
             self.stats.collisions += 1
-            if value >= entry[1]:
-                return
+            # the state with more scenes left takes the slot
+            if bin(key[2]).count("1") <= bin(entry[0][2]).count("1"):
+                return [key, 0]
             self.stats.replacements += 1
-        self.slots[slot] = [key, value]
+        self.slots[slot] = [key, 0]
+        return self.slots[slot]
 
-    def check_and_update(self, front, back, remaining, past_cost, removable_masks) -> bool:
+    def check_and_update(self, front, back, remaining, z, limit, removable_masks):
         if _set_order(back) < _set_order(front):
             front, back = back, front
         key = (front, back, remaining)
-        if self.lookup(key, past_cost) or any(
-            self.lookup((front, back, remaining & ~r), past_cost) for r in removable_masks
-        ):
-            return True
-        self.store(key, past_cost)
-        return False
+        for probe in [key] + [(front, back, remaining & ~r) for r in removable_masks]:
+            bound = self.lookup(probe, z, limit)
+            if bound is not None:
+                return bound
+        return self.store(key)
 
 
 # --- kernel adapters ----------------------------------------------------------

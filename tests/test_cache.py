@@ -8,6 +8,7 @@ from talentsched.instance import bits, mask_of
 from talentsched.testkit import CacheModel
 
 FULL_HASH = 1 << 64  # the slot is the whole 64-bit hash: only equal hashes collide
+NO_INCUMBENT = float("inf")  # the search's limit before its first schedule
 
 
 def _singles(remaining):
@@ -18,11 +19,28 @@ def _resident_keys(cache):
     return sorted(entry[0] for entry in cache._slots.values())
 
 
+def _colliding_keys(capacity):
+    """Three distinct keys that share one slot of a ``capacity``-slot cache:
+    two with the same number of remaining scenes, and one with more."""
+    by_slot = {}
+    for remaining in range(1, 1 << 12):
+        key = (1, 2, remaining)
+        by_slot.setdefault(hash(key) & (capacity - 1), []).append(key)
+    for keys in by_slot.values():
+        for one, other in zip(keys, keys[1:]):
+            size = one[2].bit_count()
+            if other[2].bit_count() == size:
+                for more in keys:
+                    if more[2].bit_count() > size:
+                        return one, other, more
+    raise AssertionError("no slot shared")
+
+
 def test_canonicalize_keeps_lower_front():
     front = mask_of([0, 1, 3, 4])
     back = mask_of([0, 2, 5, 6])
     cache = StateCache(1 << 8)
-    cache.check_and_update(front, back, 0b111, 0, [])
+    cache.check_and_update(front, back, 0b111, 0, NO_INCUMBENT, [])
     assert _resident_keys(cache) == [(front, back, 0b111)]  # index 1 beats index 2
 
 
@@ -30,13 +48,13 @@ def test_canonicalize_swaps_when_back_is_lower():
     front = mask_of([0, 2, 5, 6])
     back = mask_of([0, 1, 3, 4])
     cache = StateCache(1 << 8)
-    cache.check_and_update(front, back, 0b111, 0, [])
+    cache.check_and_update(front, back, 0b111, 0, NO_INCUMBENT, [])
     assert _resident_keys(cache) == [(back, front, 0b111)]
 
 
 def test_canonicalize_equal_masks_unswapped():
     cache = StateCache(1 << 8)
-    cache.check_and_update(0b101, 0b101, 0b11, 0, [])
+    cache.check_and_update(0b101, 0b101, 0b11, 0, NO_INCUMBENT, [])
     assert _resident_keys(cache) == [(0b101, 0b101, 0b11)]
 
 
@@ -45,8 +63,8 @@ def test_canonicalize_symmetric():
     for _ in range(200):
         a, b, q = rng.getrandbits(12), rng.getrandbits(12), rng.getrandbits(12)
         one, other = StateCache(FULL_HASH), StateCache(FULL_HASH)
-        one.check_and_update(a, b, q, 0, [])
-        other.check_and_update(b, a, q, 0, [])
+        one.check_and_update(a, b, q, 0, NO_INCUMBENT, [])
+        other.check_and_update(b, a, q, 0, NO_INCUMBENT, [])
         assert _resident_keys(one) == _resident_keys(other)
 
 
@@ -70,75 +88,132 @@ def test_capacity_only_bounds_memory():
     finally:
         tracemalloc.stop()
     assert allocated < 1e6
-    assert not cache.check_and_update(0b01, 0b10, 0b111, 5, _singles(0b111))
-    assert cache.check_and_update(0b01, 0b10, 0b111, 5, _singles(0b111))
+    entry = cache.check_and_update(0b01, 0b10, 0b111, 5, 20, _singles(0b111))
+    assert entry == [(0b01, 0b10, 0b111), 0]
+    entry[1] = 15
+    assert cache.check_and_update(0b01, 0b10, 0b111, 5, 20, _singles(0b111)) == 15
 
 
 def test_replace_policies():
+    # one slot: a newcomer takes it only from a resident with fewer
+    # remaining scenes, whatever either bound
     cache = StateCache(1)
-    assert not cache.check_and_update(1, 2, 7, 10, [])  # stored
-    assert not cache.check_and_update(4, 8, 7, 12, [])  # larger value loses the slot fight
-    assert not cache.check_and_update(4, 8, 7, 10, [])  # and so does an equal one
-    assert cache.check_and_update(1, 2, 7, 10, [])
-    assert not cache.check_and_update(4, 8, 7, 9, [])  # smaller value wins it
-    assert cache.check_and_update(4, 8, 7, 9, [])
-    assert (cache.stats.collisions, cache.stats.replacements) == (3, 1)
-    assert _resident_keys(cache) == [(4, 8, 7)]
+    first = cache.check_and_update(1, 2, 0b0111, 0, 100, [])  # stored
+    assert cache.check_and_update(4, 8, 0b0011, 0, 100, []) == [(4, 8, 0b0011), 0]  # detached
+    assert cache.check_and_update(4, 8, 0b0111, 0, 100, []) == [(4, 8, 0b0111), 0]  # detached
+    assert _resident_keys(cache) == [(1, 2, 0b0111)]
+    first[1] = 5  # first's node proves a bound at exit
+    assert cache.check_and_update(1, 2, 0b0111, 95, 100, []) == 5
+    larger = cache.check_and_update(4, 8, 0b1111, 0, 100, [])  # takes the slot
+    assert cache._slots[0] is larger
+    assert _resident_keys(cache) == [(4, 8, 0b1111)]
+    assert not isinstance(cache.check_and_update(1, 2, 0b0111, 95, 100, []), int)
+    assert (cache.stats.collisions, cache.stats.replacements) == (4, 1)
 
 
-def test_equal_keys_keep_minimum_value():
+def test_collision_rule_at_sixteen_slots():
+    one, other, more = _colliding_keys(16)
+    cache = StateCache(16)
+    cache.check_and_update(*one, 0, 100, [])[1] = 9
+    detached = cache.check_and_update(*other, 0, 100, [])  # as many scenes left
+    assert detached == [other, 0]
+    detached[1] = 50  # its node's exit write is lost
+    assert _resident_keys(cache) == [one]
+    assert cache.check_and_update(*one, 91, 100, []) == 9
+    assert not isinstance(cache.check_and_update(*other, 99, 100, []), int)
+    cache.check_and_update(*more, 0, 100, [])[1] = 3  # more scenes left: replaced
+    assert _resident_keys(cache) == [more]
+    assert cache.check_and_update(*more, 97, 100, []) == 3
+    assert not isinstance(cache.check_and_update(*one, 99, 100, []), int)
+    stats = cache.stats
+    assert (stats.collisions, stats.replacements, stats.stores) == (4, 1, 1)
+
+
+def test_equal_keys_keep_larger_bound():
     cache = StateCache(4)
-    assert not cache.check_and_update(3, 5, 1, 10, [])
-    assert not cache.check_and_update(3, 5, 1, 7, [])  # improves the value
-    assert cache.check_and_update(3, 5, 1, 7, [])
-    assert cache.check_and_update(3, 5, 1, 9, [])  # never regress to a larger value
-    assert cache.check_and_update(3, 5, 1, 8, [])
-    # improving a resident equal key is neither a store nor a collision
+    entry = cache.check_and_update(3, 5, 1, 0, 100, [])
+    entry[1] = 10
+    # a revisit that the bound does not prune gets the resident entry back,
+    # bound and all, so the node's exit write ``max(entry[1], v)`` keeps
+    # the larger bound
+    again = cache.check_and_update(3, 5, 1, 80, 100, [])
+    assert again is entry and again[1] == 10
+    again[1] = max(again[1], 7)
+    assert cache.check_and_update(3, 5, 1, 90, 100, []) == 10
+    assert not isinstance(cache.check_and_update(3, 5, 1, 89, 100, []), int)
+    # finding a resident equal key is neither a store nor a collision
     assert (cache.stats.stores, cache.stats.collisions) == (1, 0)
 
 
 def test_collision_never_prunes():
     cache = StateCache(1)  # everything lands in slot 0
-    cache.check_and_update(1, 2, 3, 0, [])
-    assert not cache.check_and_update(4, 8, 6, 10**9, [])
+    cache.check_and_update(1, 2, 3, 0, 10, [])[1] = 10**6
+    assert not isinstance(cache.check_and_update(4, 8, 6, 10**9, 10, []), int)
     assert cache.stats.hits == 0
     assert cache.stats.collisions == 1
+
+
+def test_writing_into_an_evicted_entry_changes_no_slot():
+    cache = StateCache(1)
+    evicted = cache.check_and_update(1, 2, 0b011, 0, 100, [])
+    resident = cache.check_and_update(4, 8, 0b111, 0, 100, [])  # takes the slot
+    before = {slot: list(entry) for slot, entry in cache._slots.items()}
+    evicted[1] = 60  # the evicted node's exit write
+    assert cache._slots == before == {0: [(4, 8, 0b111), 0]}
+    assert cache._slots[0] is resident
+    assert not isinstance(cache.check_and_update(1, 2, 0b011, 99, 100, []), int)
 
 
 def test_check_and_update_stores_then_prunes_revisits():
     cache = StateCache(1 << 8)
     masks = _singles(0b111)
-    assert not cache.check_and_update(0b01, 0b10, 0b111, 5, masks)
-    assert cache.check_and_update(0b01, 0b10, 0b111, 5, masks)
-    assert cache.check_and_update(0b01, 0b10, 0b111, 9, masks)
-    assert not cache.check_and_update(0b01, 0b10, 0b111, 3, masks)  # better value
-    assert cache.check_and_update(0b01, 0b10, 0b111, 3, masks)
+    entry = cache.check_and_update(0b01, 0b10, 0b111, 5, 20, masks)
+    entry[1] = 15
+    assert cache.check_and_update(0b01, 0b10, 0b111, 5, 20, masks) == 15
+    assert cache.check_and_update(0b01, 0b10, 0b111, 9, 20, masks) == 15
+    assert cache.check_and_update(0b01, 0b10, 0b111, 4, 20, masks) is entry  # 19 < 20
+    # a lower incumbent lets the same bound prune more
+    assert cache.check_and_update(0b01, 0b10, 0b111, 4, 19, masks) == 15
+
+
+def test_prune_threshold_is_z_plus_bound_at_limit():
+    cache = StateCache(1 << 8)
+    cache.check_and_update(0b01, 0b10, 0b011, 0, 100, _singles(0b011))[1] = 7
+    # own probe: 13 + 7 reaches 20, 12 + 7 does not
+    assert cache.check_and_update(0b01, 0b10, 0b011, 13, 20, _singles(0b011)) == 7
+    assert not isinstance(cache.check_and_update(0b01, 0b10, 0b011, 12, 20, _singles(0b011)), int)
+    # subset probe from remaining 0b111 (drop scene 2): the same threshold
+    assert cache.check_and_update(0b01, 0b10, 0b111, 13, 20, _singles(0b111)) == 7
+    assert not isinstance(cache.check_and_update(0b01, 0b10, 0b111, 12, 20, _singles(0b111)), int)
+    assert cache.stats.hits == 2
 
 
 def test_check_and_update_canonicalizes_sides():
     cache = StateCache(1 << 8)
-    assert not cache.check_and_update(0b10, 0b01, 0b11, 4, _singles(0b11))
-    assert cache.check_and_update(0b01, 0b10, 0b11, 4, _singles(0b11))  # swapped sides match
+    cache.check_and_update(0b10, 0b01, 0b11, 4, 10, _singles(0b11))[1] = 6
+    assert cache.check_and_update(0b01, 0b10, 0b11, 4, 10, _singles(0b11)) == 6  # swapped sides match
 
 
 def test_subset_state_prunes():
     cache = StateCache(1 << 8)
     # seed the state reached after finishing scene 2 (remaining 0b011)
-    assert not cache.check_and_update(0b01, 0b10, 0b011, 5, _singles(0b011))
-    # the superset node (remaining 0b111) with equal past cost is dominated
-    assert cache.check_and_update(0b01, 0b10, 0b111, 5, _singles(0b111))
+    cache.check_and_update(0b01, 0b10, 0b011, 5, 100, _singles(0b011))[1] = 5
+    # the superset node costs at least as much to finish, so at 5 + 5 it
+    # reaches the limit and is pruned with the subset's bound
+    assert cache.check_and_update(0b01, 0b10, 0b111, 5, 10, _singles(0b111)) == 5
     # a cheaper superset node survives and is stored
-    assert not cache.check_and_update(0b01, 0b10, 0b111, 4, _singles(0b111))
+    entry = cache.check_and_update(0b01, 0b10, 0b111, 4, 10, _singles(0b111))
+    assert entry == [(0b01, 0b10, 0b111), 0]
 
 
 def test_subset_probe_respects_removable_masks():
     cache = StateCache(1 << 8)
     # state after removing the merged pair {0,1}
-    cache.check_and_update(0b01, 0b10, 0b100, 5, _singles(0b100))
+    cache.check_and_update(0b01, 0b10, 0b100, 5, 100, _singles(0b100))[1] = 4
     # single-scene probes never reach it
-    assert not cache.check_and_update(0b01, 0b10, 0b111, 5, _singles(0b111))
+    assert not isinstance(cache.check_and_update(0b01, 0b10, 0b111, 6, 10, _singles(0b111)), int)
     # the merged probe drops both bits at once and finds it
-    assert cache.check_and_update(0b01, 0b10, 0b111, 6, [0b011, 0b100])
+    assert cache.check_and_update(0b01, 0b10, 0b111, 6, 10, [0b011, 0b100]) == 4
 
 
 def test_probe_accounting_balances():
@@ -147,9 +222,11 @@ def test_probe_accounting_balances():
     for _ in range(300):
         remaining = rng.getrandbits(4)
         masks = _singles(remaining) if rng.random() < 0.5 else []
-        cache.check_and_update(
-            rng.getrandbits(3), rng.getrandbits(3), remaining, rng.randint(0, 20), masks
+        got = cache.check_and_update(
+            rng.getrandbits(3), rng.getrandbits(3), remaining, rng.randint(0, 20), 25, masks
         )
+        if not isinstance(got, int) and rng.random() < 0.7:
+            got[1] = max(got[1], rng.randint(0, 20))
     assert cache.stats.hits + cache.stats.misses == cache.stats.probes
     assert cache.stats.hits and cache.stats.collisions
 
@@ -157,16 +234,22 @@ def test_probe_accounting_balances():
 def test_exact_store_always_prunes_revisits():
     cache = StateCache(FULL_HASH)
     rng = random.Random(71)
+    limit = 60
     seen = {}
     for _ in range(500):
-        front, back, remaining = rng.getrandbits(8), rng.getrandbits(8), rng.getrandbits(8)
-        value = rng.randint(0, 50)
+        front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(3)
+        z = rng.randint(0, 50)
         key = (frozenset((front, back)), remaining)
-        best = seen.get(key)
-        expect_prune = best is not None and best <= value
-        assert cache.check_and_update(front, back, remaining, value, []) == expect_prune
-        seen[key] = value if best is None else min(best, value)
+        bound = seen.get(key)
+        got = cache.check_and_update(front, back, remaining, z, limit, [])
+        if bound is not None and z + bound >= limit:
+            assert got == bound
+        else:
+            assert got[1] == (bound or 0)
+            got[1] = max(got[1], rng.randint(0, 40))
+            seen[key] = got[1]
     assert cache.stats.hits + cache.stats.misses == cache.stats.probes
+    assert cache.stats.hits
     assert cache.stats.collisions == 0
     assert cache.stats.stores == len(seen)
 
@@ -176,12 +259,17 @@ def test_exact_store_always_prunes_revisits():
 def test_check_and_update_matches_lookups_then_store(capacity):
     # the one-pass probe against the testkit model, which looks up the own
     # state, then each subset, then stores, on a key space small enough for
-    # hits, equal keys and slot collisions
+    # hits, equal keys and slot collisions; one call in four revisits a
+    # resident state, as the search does.  Each returned entry then takes
+    # the same bound, 0 in one call of three, as a node's exit would write
     fast, ref = StateCache(capacity), CacheModel(capacity)
     rng = random.Random(73)
     for _ in range(3000):
         front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(5)
-        past = rng.randint(0, 12)
+        if fast._slots and rng.random() < 0.25:
+            front, back, remaining = rng.choice(list(fast._slots.values()))[0]
+        z = rng.randint(0, 12)
+        limit = rng.randint(8, 20)
         masks = _singles(remaining)
         if rng.random() < 0.3:
             masks = []
@@ -190,15 +278,18 @@ def test_check_and_update_matches_lookups_then_store(capacity):
                     masks[-1] |= 1 << s  # a merged scene drops all its members
                 else:
                     masks.append(1 << s)
-        got = fast.check_and_update(front, back, remaining, past, masks)
-        want = ref.check_and_update(front, back, remaining, past, masks)
+        got = fast.check_and_update(front, back, remaining, z, limit, masks)
+        want = ref.check_and_update(front, back, remaining, z, limit, masks)
         assert got == want
         assert fast.stats == ref.stats
         assert fast._slots == ref.slots
+        if isinstance(got, list):
+            bound = rng.choice([0, rng.randint(1, 12), rng.randint(1, 12)])
+            got[1] = max(got[1], bound)
+            want[1] = max(want[1], bound)
     assert fast.stats.hits and fast.stats.stores
     if capacity == FULL_HASH:
         assert fast.stats.collisions == 0
         assert fast.stats.stores == len(fast._slots)
     else:
         assert fast.stats.collisions and fast.stats.replacements
-

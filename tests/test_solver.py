@@ -20,6 +20,7 @@ from talentsched import (
     total_cost,
 )
 from talentsched import solver as solver_mod
+from talentsched.instance import bits
 from talentsched.solver import BRUTE_FORCE_MAX_SCENES
 from talentsched.testkit import (
     WORKED_HOLDING_BEST,
@@ -451,6 +452,65 @@ def test_time_limited_answers_never_undercut_the_optimum():
             assert result.holding_cost == optimum
 
 
+def _overstated_bounds(inst, search):
+    """The resident cache entries of a finished ``_Search`` whose bound
+    exceeds the state's exact future cost, and how many entries there are.
+    That cost is the oracle's DP over the remaining scenes with the front's
+    actors on location from the first day and the back's to the last;
+    actors at both blocks are left out, as the past cost charged them."""
+    over = []
+    slots = search.cache._slots
+    for (front, back, remaining), bound in slots.values():
+        charged = front & back
+        scenes = bits(remaining)
+        exact, _ = solver_mod._order_dp(
+            [inst.scene_actors[s] & ~charged for s in scenes],
+            [inst.durations[s] for s in scenes],
+            inst.wages,
+            front & ~charged,
+            back & ~charged,
+        )
+        if bound > exact:
+            over.append(((front, back, remaining), bound, exact))
+    return over, len(slots)
+
+
+def test_cached_bounds_never_exceed_the_future_cost():
+    proved = 0
+    for k in range(40):
+        inst = generate_instance(
+            6 + k % 8, 5 + k % 4, seed=9300 + k, density=(0.3, 0.45)[k % 2],
+            max_duration=3, max_wage=20,
+        )
+        for pre in (True, False):
+            search = solver_mod._Search(
+                inst, SolveConfig(cache_capacity=1 << 64, enable_preprocess=pre)
+            )
+            assert search.run().holding_cost == brute_force(inst)[0]
+            over, _ = _overstated_bounds(inst, search)
+            assert not over, (k, pre, over[:3])
+            proved += sum(entry[1] > 0 for entry in search.cache._slots.values())
+    assert proved > 1000
+    # a time-limit unwind writes no bound: this draw's first dive is far
+    # from the optimum, so a bound written on the way out would overstate
+    inst = generate_instance(13, 8, seed=13, density=0.35, max_duration=3, max_wage=20)
+    search = solver_mod._Search(inst, SolveConfig(cache_capacity=1 << 64, time_limit=1e-9))
+    result = search.run()
+    assert result.status == "time_limit"
+    assert result.holding_cost > brute_force(inst)[0]
+    over, entries = _overstated_bounds(inst, search)
+    assert not over and entries > 5
+
+
+def test_matches_brute_force_on_a_wide_cast_at_eighteen_scenes():
+    # the hardest class the oracle still checks in about a second
+    inst = generate_instance(18, 14, seed=1, density=0.30, max_duration=3, max_wage=20)
+    assert brute_force(inst)[0] == 674
+    result = solve(inst)
+    assert (result.status, result.holding_cost) == ("optimal", 674)
+    assert holding_cost(inst, result.schedule) == 674
+
+
 def test_cache_modes_only_change_node_counts():
     inst = generate_instance(12, 6, seed=8, density=0.35)
     results = {
@@ -463,9 +523,10 @@ def test_cache_modes_only_change_node_counts():
 
 # (n, m, seed, density) -> config -> (optimum, nodes without a cache,
 # nodes with a 2^10 cache, cache hits with it, nodes with the default 2^25
-# cache, cache hits with it).  Recorded when the search took its one branch
-# order, ascending increment plus pair bound, and found its own first
-# schedule; any change to a pruning rule, to the cache, to the order of the
+# cache, cache hits with it).  Recorded when the cache came to store a
+# proven lower bound on each state's future cost, pruning at ``z + bound >=
+# incumbent``, and to give a colliding slot to the state with more scenes
+# left; any change to a pruning rule, to the cache, to the order of the
 # search or to its start shows up here.
 NODE_PINS = {
     (10, 6, 7101, 0.35): {
@@ -473,42 +534,42 @@ NODE_PINS = {
         "no-preprocess": (90, 41, 39, 3, 39, 3),
         "no-rule1": (90, 34, 32, 3, 32, 3),
         "no-rule2": (90, 34, 32, 3, 32, 3),
-        "no-lower": (90, 272, 150, 41, 150, 41),
+        "no-lower": (90, 272, 149, 46, 149, 46),
     },
     (11, 7, 7102, 0.4): {
         "all": (234, 82, 45, 16, 45, 16),
         "no-preprocess": (234, 84, 47, 16, 47, 16),
         "no-rule1": (234, 98, 47, 16, 47, 16),
         "no-rule2": (234, 82, 45, 16, 45, 16),
-        "no-lower": (234, 600, 256, 54, 255, 55),
+        "no-lower": (234, 600, 230, 71, 227, 72),
     },
     (12, 8, 7103, 0.3): {
-        "all": (609, 893, 378, 87, 376, 88),
-        "no-preprocess": (609, 903, 382, 88, 380, 89),
-        "no-rule1": (609, 1034, 406, 99, 404, 100),
-        "no-rule2": (609, 940, 390, 92, 388, 93),
-        "no-lower": (609, 13775, 4953, 1195, 4677, 1371),
+        "all": (609, 893, 357, 104, 348, 103),
+        "no-preprocess": (609, 903, 361, 105, 352, 104),
+        "no-rule1": (609, 1034, 386, 117, 373, 115),
+        "no-rule2": (609, 940, 367, 111, 358, 111),
+        "no-lower": (609, 13775, 4148, 1250, 3127, 1325),
     },
     (12, 6, 7104, 0.45): {
-        "all": (466, 94, 40, 10, 40, 10),
-        "no-preprocess": (466, 114, 50, 11, 50, 11),
-        "no-rule1": (466, 101, 41, 10, 41, 10),
-        "no-rule2": (466, 103, 41, 10, 41, 10),
-        "no-lower": (466, 766, 293, 58, 293, 58),
+        "all": (466, 94, 40, 11, 40, 11),
+        "no-preprocess": (466, 114, 48, 12, 48, 12),
+        "no-rule1": (466, 101, 41, 11, 41, 11),
+        "no-rule2": (466, 103, 41, 11, 41, 11),
+        "no-lower": (466, 766, 258, 86, 258, 86),
     },
     (13, 7, 7105, 0.35): {
-        "all": (246, 283, 158, 38, 158, 38),
-        "no-preprocess": (246, 509, 261, 62, 260, 63),
-        "no-rule1": (246, 312, 171, 42, 171, 42),
-        "no-rule2": (246, 309, 166, 44, 166, 44),
-        "no-lower": (246, 5025, 2287, 541, 2202, 586),
+        "all": (246, 283, 156, 44, 156, 44),
+        "no-preprocess": (246, 509, 243, 69, 242, 70),
+        "no-rule1": (246, 312, 169, 48, 169, 48),
+        "no-rule2": (246, 309, 164, 50, 164, 50),
+        "no-lower": (246, 5025, 1861, 681, 1669, 683),
     },
     (14, 8, 7106, 0.3): {
         "all": (124, 143, 71, 21, 71, 21),
-        "no-preprocess": (124, 424, 123, 40, 123, 40),
-        "no-rule1": (124, 164, 81, 22, 81, 23),
+        "no-preprocess": (124, 424, 122, 41, 122, 41),
+        "no-rule1": (124, 164, 81, 23, 81, 24),
         "no-rule2": (124, 143, 71, 21, 71, 21),
-        "no-lower": (124, 2747, 550, 185, 529, 183),
+        "no-lower": (124, 2747, 536, 211, 483, 192),
     },
 }
 PIN_CONFIGS = {
