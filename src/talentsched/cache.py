@@ -50,7 +50,7 @@ class CacheStats:
     * ``probes`` -- states looked up: the node's own state and each subset state tried.
     * ``hits`` -- probes that found their exact key resident with a bound that
       reaches the incumbent (``z + bound >= limit``), and so pruned the node.
-    * ``misses`` -- probes that did not prune; ``hits + misses == probes``.
+    * ``misses`` -- probes that did not prune, ``probes - hits``; read-only.
     * ``collisions`` -- stores that found a different key in the slot.
     * ``replacements`` -- collisions in which the incoming state took the slot,
       because it had more remaining scenes than the resident.
@@ -60,10 +60,13 @@ class CacheStats:
 
     probes: int = 0
     hits: int = 0
-    misses: int = 0
     collisions: int = 0
     replacements: int = 0
     stores: int = 0
+
+    @property
+    def misses(self) -> int:
+        return self.probes - self.hits
 
 
 class StateCache:
@@ -121,10 +124,8 @@ class StateCache:
             if entry is not None and entry[0] == sub and z + entry[1] >= limit:
                 stats.probes += probes
                 stats.hits += 1
-                stats.misses += probes - 1
                 return entry[1]
         stats.probes += probes
-        stats.misses += probes
         if own is None:
             stats.stores += 1
         elif own[0] == key:

@@ -206,11 +206,10 @@ def _bench_configs(args) -> list[SolveConfig]:
 
 
 def _bench_one(task):
-    text, name, cfg = task
-    inst = parse_instance(text, name=name)
+    inst, cfg = task
     result = solve(inst, cfg)
     return {
-        "instance": name,
+        "instance": inst.name,
         "n": inst.num_scenes,
         "m": inst.num_actors,
         **_param_columns(cfg),
@@ -242,17 +241,14 @@ def cmd_bench(args) -> int:
     configs = _bench_configs(args)
     files = _collect_instance_files(args.paths)
     tasks = []
-    skipped = 0
     for path in files:
         try:
-            text = path.read_text(encoding="utf-8")
-            parse_instance(text, name=path.stem)  # fail early, once per file
+            inst = parse_instance(path.read_text(encoding="utf-8"), name=path.stem)
         except (OSError, InstanceFormatError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-            skipped += 1
             continue
         for cfg in configs:
-            tasks.append((text, path.stem, cfg))
+            tasks.append((inst, cfg))
     if not tasks:
         _fail("no solvable instances")
 

@@ -18,17 +18,17 @@ this order expands 58-70% fewer nodes than scene-id order did.
 
 ``_search`` returns a lower bound on its state's future cost, the holding
 cost still to come on top of ``past``: 0 at a leaf, and otherwise the
-larger of ``best - past`` at exit (no completion beats the incumbent) and
-the least ``increment + b`` over the children that survive dominance.
-``b`` is 0 for a child the increment test cut, its pair bound for one cut
-by the branch order's stop, and the bound the child returned when it was
-searched or cut by the cache.  A node writes its bound into its state's
-cache entry when it finishes, and the cache prunes a later node whose
-``past`` plus a stored bound reaches the incumbent (bounded dynamic
-programming, Garcia de la Banda, Stuckey & Chu 2011).  A time-limit
-unwind writes no bound, as the node's children were not all seen.  On the
-benchmark's base instances this saves 20% of nodes on ``sweep`` and 12%
-on ``wide-cast`` over storing the past cost.
+least ``increment + b`` over the children that survive dominance.  ``b``
+is 0 for a child the increment test cut, its pair bound for one cut by
+the branch order's stop, and the bound the child returned when it was
+searched or cut by the cache.  Each of these terms is at least ``best -
+past`` at exit, so the bound never falls below the incumbent's slack.  A
+node writes its bound into its state's cache entry when it finishes, and
+the cache prunes a later node whose ``past`` plus a stored bound reaches
+the incumbent (bounded dynamic programming, Garcia de la Banda, Stuckey &
+Chu 2011).  A time-limit unwind writes no bound, as the node's children
+were not all seen.  On the benchmark's base instances this saves 20% of
+nodes on ``sweep`` and 12% on ``wide-cast`` over storing the past cost.
 
 Merged scenes are tracked per node: a representative scene id carries the
 member list, the summed duration, and the union of the members' actor
@@ -261,32 +261,27 @@ def _order_dp(
     return togo[0], order
 
 
-def _simplify(
-    front_act,
-    back_act,
-    reps,
-    q_reps,
-    active,
-    dur_view,
-    member_mask,
-    member_actors,
-    members,
-):
+def _simplify(front, back, reps, q_reps, dur_view, member_mask, member_actors, members):
     """Drop actors that can no longer wait and merge middle scenes that have
     become indistinguishable, iterated to a fixed point.
 
-    An actor is dropped when both blocks anchor them (their pay is decided)
-    or when fewer than two things still do, counting each block and each
-    remaining scene as one (they can never be held waiting again).
-    Remaining scenes whose active-actor sets coincide merge into their
-    smallest id, which carries the summed duration, the union of the
+    ``front`` and ``back`` are the actors at each block.  An actor is
+    dropped when both blocks anchor them (their pay is decided) or when
+    fewer than two things still do, counting each block and each remaining
+    scene as one (they can never be held waiting again).  The
+    survivors are the node's active actors; they are derived afresh at
+    every node, as an actor that drops out never comes back along a search
+    path.  Remaining scenes whose active-actor sets coincide merge into
+    their smallest id, which carries the summed duration, the union of the
     members' original-id masks and actor sets, and the concatenated member
-    list.  ``reps`` lists the representatives of ``q_reps`` ascending.
-    Returns the updated ``(reps, q_reps, active, dur_view, member_mask,
-    member_actors, members)``; the node's optimal holding cost is unchanged.
+    list; a merge can drop more actors, so the derivation repeats until
+    the signatures are distinct.  ``reps`` lists the representatives of
+    ``q_reps`` ascending.  Returns the updated ``(reps, q_reps, active,
+    dur_view, member_mask, member_actors, members)``; the node's optimal
+    holding cost is unchanged.
     """
-    anchored = front_act | back_act
-    fixed = front_act & back_act
+    anchored = front | back
+    fixed = front & back
     while True:
         seen_once = 0
         seen_twice = 0
@@ -294,36 +289,33 @@ def _simplify(
             a = member_actors[s]
             seen_twice |= seen_once & a
             seen_once |= a
-        new_active = (seen_twice | (seen_once & anchored)) & ~fixed & active
-        # the fixed point: no actor drops and no two signatures coincide
-        if new_active == active:
-            if len({member_actors[s] & active for s in reps}) == len(reps):
-                return reps, q_reps, active, dur_view, member_mask, member_actors, members
+        active = (seen_twice | (seen_once & anchored)) & ~fixed
+        # the fixed point: no two signatures coincide
+        if len({member_actors[s] & active for s in reps}) == len(reps):
+            return reps, q_reps, active, dur_view, member_mask, member_actors, members
         groups: dict[int, list[int]] = {}
         for s in reps:
-            groups.setdefault(member_actors[s] & new_active, []).append(s)
-        active = new_active
-        if len(groups) < len(reps):
-            dur_view = list(dur_view)
-            member_mask = list(member_mask)
-            member_actors = list(member_actors)
-            members = list(members)
-            for group in groups.values():
-                keep = group[0]
-                for other in group[1:]:
-                    dur_view[keep] += dur_view[other]
-                    member_mask[keep] |= member_mask[other]
-                    member_actors[keep] |= member_actors[other]
-                    # concatenate, never re-sort: actors wholly inside an
-                    # earlier merge rely on its members staying adjacent in
-                    # the stored order
-                    members[keep] = members[keep] + members[other]
-                    q_reps &= ~(1 << other)
-            dur_view = tuple(dur_view)
-            member_mask = tuple(member_mask)
-            member_actors = tuple(member_actors)
-            members = tuple(members)
-            reps = bits(q_reps)
+            groups.setdefault(member_actors[s] & active, []).append(s)
+        dur_view = list(dur_view)
+        member_mask = list(member_mask)
+        member_actors = list(member_actors)
+        members = list(members)
+        for group in groups.values():
+            keep = group[0]
+            for other in group[1:]:
+                dur_view[keep] += dur_view[other]
+                member_mask[keep] |= member_mask[other]
+                member_actors[keep] |= member_actors[other]
+                # concatenate, never re-sort: actors wholly inside an
+                # earlier merge rely on its members staying adjacent in
+                # the stored order
+                members[keep] = members[keep] + members[other]
+                q_reps &= ~(1 << other)
+        dur_view = tuple(dur_view)
+        member_mask = tuple(member_mask)
+        member_actors = tuple(member_actors)
+        members = tuple(members)
+        reps = bits(q_reps)
 
 
 def _pair_constants(front, back, dq, dur_view):
@@ -456,6 +448,10 @@ class _Search:
         # the incumbent, above every schedule's cost until the first leaf
         self.best_h = math.inf
         self.best_order: tuple[int, ...] = ()
+        # the members of each pinned scene, in pinning order: even places
+        # are the schedule's front block from its start, odd ones its back
+        # block from its end
+        self.pinned: list[tuple[int, ...]] = []
         self.trace: list[TraceEntry] = []
         self.t0 = 0.0
         self.deadline = 0.0
@@ -469,14 +465,10 @@ class _Search:
         status = "optimal"
         try:
             self._search(
-                (),
-                (),
                 0,
                 0,
                 inst.all_scenes,
-                inst.all_scenes,
                 0,
-                inst.all_actors,
                 inst.durations,
                 tuple(1 << j for j in range(n)),
                 inst.scene_actors,
@@ -498,21 +490,14 @@ class _Search:
             ub_trace=tuple(self.trace),
         )
 
-    def _search(
-        self,
-        front_vec,
-        back_vec,
-        front_act,
-        back_act,
-        q_reps,
-        q_orig,
-        z,
-        active,
-        dur_view,
-        member_mask,
-        member_actors,
-        members,
-    ):
+    def _search(self, front, back, q_reps, z, dur_view, member_mask, member_actors, members):
+        """Search the node whose blocks hold the actors ``front`` and
+        ``back`` (trimmed here to those on location), with the
+        representative scenes ``q_reps`` left at past cost ``z``; per scene
+        id, ``dur_view``, ``member_mask``, ``member_actors`` and ``members``
+        give its duration, original-id mask, actor set and member list.  The
+        blocks' scenes are in ``self.pinned``.  Returns a lower bound on the
+        node's future cost."""
         self.nodes += 1
         # every node: at n = 64 one node can take milliseconds, so a check
         # every few thousand nodes would overshoot the limit by seconds.
@@ -527,11 +512,16 @@ class _Search:
         if not q_reps:
             # no guard: the parent entered this leaf only if z < best_h
             self.best_h = z
+            # read from this node's front block, which holds the places of
+            # the depth's parity (the blocks swap roles at every level); at
+            # an odd depth the schedule comes out reversed, at equal cost
+            pinned = self.pinned
+            first = len(pinned) & 1
             order: list[int] = []
-            for s in front_vec:
-                order.extend(members[s])
-            for s in reversed(back_vec):
-                order.extend(members[s])
+            for group in pinned[first::2]:
+                order.extend(group)
+            for group in reversed(pinned[1 - first :: 2]):
+                order.extend(group)
             self.best_order = tuple(order)
             self.trace.append(
                 TraceEntry(time.perf_counter() - self.t0, self.nodes, z, self.best_order)
@@ -543,10 +533,11 @@ class _Search:
         if cfg.enable_preprocess:
             reps, q_reps, active, dur_view, member_mask, member_actors, members = (
                 _simplify(
-                    front_act, back_act, reps, q_reps, active,
-                    dur_view, member_mask, member_actors, members,
+                    front, back, reps, q_reps, dur_view, member_mask, member_actors, members
                 )
             )
+        else:
+            active = self.inst.all_actors
 
         # ``multi``: actors of two or more remaining scenes, who stay in the
         # middle whichever scene is pinned next
@@ -556,20 +547,25 @@ class _Search:
             a = member_actors[s]
             multi |= aq_full & a
             aq_full |= a
-        front_onloc = front_act & (aq_full | back_act)
-        back_onloc = back_act & (aq_full | front_act)
+        # the remaining scenes over original ids: the members' masks are
+        # disjoint, so their sum is their union
+        masks = [member_mask[s] for s in reps]
+        q_orig = sum(masks)
+        # exact: an actor held by neither the middle nor the other block can
+        # never enter either again
+        front, back = front & (aq_full | back), back & (aq_full | front)
 
         # -- cached-state prune: an int is the stored bound that pruned, a
         # list is the node's own entry, which takes its bound at exit --
         entry = None
         if self.cache is not None:
             entry = self.cache.check_and_update(
-                front_onloc,
-                back_onloc,
+                front,
+                back,
                 q_orig,
                 z,
                 self.best_h,
-                [member_mask[s] for s in reps],
+                masks,
             )
             if isinstance(entry, int):
                 return entry
@@ -580,8 +576,8 @@ class _Search:
         _, actor_qd, dq_total, _ = tables
         if cfg.enable_rule1 or cfg.enable_rule2:
             dom_table = _dominance_table(
-                reps, member_actors, active, front_onloc & active,
-                back_onloc & active, self.wage_tables,
+                reps, member_actors, active, front & active, back & active,
+                self.wage_tables,
             )
         else:
             dom_table = None
@@ -596,7 +592,9 @@ class _Search:
         # for a child the increment test cuts, the pair bound for one cut at
         # the ``break``, and the returned bound for one searched (the cache
         # may cut it).  A dominated child is left out, as its dominator
-        # does at least as well.
+        # does at least as well.  Dominance leaves at least one child, and
+        # each one adds at least ``best_h - z`` at exit, the incumbent's
+        # slack, to ``least``.
         slack = self.best_h - z
         least = math.inf
         children = []
@@ -605,8 +603,7 @@ class _Search:
             if dom_table is not None and self._dominated(pos, dom_table):
                 continue
             inc = self._increment(
-                s, dur_view, member_actors, front_onloc, back_onloc,
-                actor_qd, dq_total,
+                s, dur_view, member_actors, front, back, actor_qd, dq_total
             )
             if inc >= slack:
                 if inc < least:
@@ -618,8 +615,8 @@ class _Search:
                     s,
                     member_actors[s],
                     aq_full & ~(member_actors[s] & ~multi),
-                    front_act,
-                    back_act,
+                    front,
+                    back,
                     q_orig & ~member_mask[s],
                     tables,
                     dur_view,
@@ -627,6 +624,7 @@ class _Search:
             order.append(key << 6 | len(children))
             children.append((s, inc))
         order.sort()
+        pinned = self.pinned
         for key in order:
             # the incumbent only falls, so every later key fails too
             if z + (key >> 6) >= self.best_h:
@@ -634,41 +632,33 @@ class _Search:
                     least = key >> 6
                 break
             s, inc = children[key & 63]
+            pinned.append(members[s])
             cost = inc + self._search(
-                back_vec,
-                front_vec + (s,),
-                back_act,
-                front_act | member_actors[s],
+                back,
+                front | member_actors[s],
                 q_reps & ~(1 << s),
-                q_orig & ~member_mask[s],
                 z + inc,
-                active,
                 dur_view,
                 member_mask,
                 member_actors,
                 members,
             )
+            pinned.pop()
             if cost < least:
                 least = cost
-        # no completion beats the incumbent now, and none beats ``least``
-        bound = self.best_h - z
-        if least > bound:
-            bound = least
-        if entry is not None and bound > entry[1]:
-            entry[1] = bound
-        return bound
+        if entry is not None and least > entry[1]:
+            entry[1] = least
+        return least
 
-    def _increment(
-        self, s, dur_view, member_actors, front_onloc, back_onloc, actor_qd, dq_total
-    ):
+    def _increment(self, s, dur_view, member_actors, front, back, actor_qd, dq_total):
         """Holding cost newly forced by pinning scene s after the front block:
         the front's idle on-location actors wait through s, and s's arrivals
         anchored at the back wait through every later middle scene that does
         not use them."""
         a_s = member_actors[s]
-        waiting = front_onloc & ~back_onloc & ~a_s
+        waiting = front & ~back & ~a_s
         inc = dur_view[s] * _masked_sum(self.wage_tables, waiting) if waiting else 0
-        arriving = a_s & ~front_onloc & back_onloc
+        arriving = a_s & ~front & back
         if arriving:
             wages = self.inst.wages
             while arriving:
@@ -706,7 +696,7 @@ class _Search:
                 return True
         return False
 
-    def _branch_lower(self, s, a_s, aq2, front_act, back_act, q2, tables, dur_view):
+    def _branch_lower(self, s, a_s, aq2, front, back, q2, tables, dur_view):
         """Pair-constraint bound for the child that pins scene s in front,
         whose remaining scenes use the actors ``aq2`` and are ``q2`` over
         original scene ids; ``tables`` are the node's ``_actor_tables``.
@@ -717,9 +707,9 @@ class _Search:
         front.  Values are memoised under that state in two generations
         of ``LOWER_MEMO_ENTRIES``: when the current one is full it becomes
         the previous one, and the previous one's values are dropped."""
-        fa2 = front_act | a_s
-        front_rel = fa2 & aq2 & ~back_act
-        back_rel = back_act & aq2 & ~fa2
+        fa2 = front | a_s
+        front_rel = fa2 & aq2 & ~back
+        back_rel = back & aq2 & ~fa2
         count = (front_rel | back_rel).bit_count()
         if count < 2:
             return 0

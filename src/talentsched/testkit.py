@@ -38,14 +38,11 @@ from .solver import (
 @dataclass(frozen=True)
 class SearchNode:
     """A partial schedule: ordered front and back blocks plus the remaining
-    scene set.  ``active_actors`` is the mask of actors still relevant to
-    the middle (None means every actor)."""
+    scene set."""
 
     front: tuple[int, ...]
     back: tuple[int, ...]
     remaining: int
-    past_cost: int = 0
-    active_actors: int | None = None
 
 # 12-scene, 6-actor worked example (matrix rows are actors, X = required)
 _WORKED_ROWS = [
@@ -103,8 +100,7 @@ def enumerate_future_cost(inst: Instance, node: SearchNode) -> int:
     a_front = actors_of_scenes(inst, mask_of(node.front))
     a_back = actors_of_scenes(inst, mask_of(node.back))
     a_mid = actors_of_scenes(inst, node.remaining)
-    active = node.active_actors if node.active_actors is not None else inst.all_actors
-    relevant = (a_front | a_back | a_mid) & ~(a_front & a_back) & active
+    relevant = (a_front | a_back | a_mid) & ~(a_front & a_back)
     return _order_dp(
         [inst.scene_actors[s] & relevant for s in q],
         [inst.durations[s] for s in q],
@@ -220,7 +216,6 @@ class CacheModel:
         if entry is not None and entry[0] == key and z + entry[1] >= limit:
             self.stats.hits += 1
             return entry[1]
-        self.stats.misses += 1
         return None
 
     def store(self, key: tuple[int, int, int]) -> list:
@@ -254,12 +249,14 @@ class CacheModel:
 
 @dataclass(frozen=True)
 class KernelNode:
-    """The state ``_Search._search`` carries into a node: the actors of
-    each block, the remaining representative scenes, the active actors, and
-    per scene id its duration, original-id mask, actor set and members."""
+    """The state ``_Search._search`` carries into a node: the actors on
+    location at each block, the remaining representative scenes, and per
+    scene id its duration, original-id mask, actor set and members; with
+    the node's active actors, which ``simplify`` derives (every actor
+    before)."""
 
-    front_act: int
-    back_act: int
+    front: int
+    back: int
     q_reps: int
     active: int
     dur_view: tuple[int, ...]
@@ -275,13 +272,18 @@ class KernelNode:
 
 
 def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
-    """The node as the search enters it, before any merge."""
+    """The node as the search enters it, before any merge, with each
+    block's actors trimmed to those on location as ``_search`` trims
+    them."""
     n = inst.num_scenes
+    front = actors_of_scenes(inst, mask_of(node.front))
+    back = actors_of_scenes(inst, mask_of(node.back))
+    aq = actors_of_scenes(inst, node.remaining)
     return KernelNode(
-        front_act=actors_of_scenes(inst, mask_of(node.front)),
-        back_act=actors_of_scenes(inst, mask_of(node.back)),
+        front=front & (aq | back),
+        back=back & (aq | front),
         q_reps=node.remaining,
-        active=inst.all_actors if node.active_actors is None else node.active_actors,
+        active=inst.all_actors,
         dur_view=inst.durations,
         member_mask=tuple(1 << j for j in range(n)),
         member_actors=inst.scene_actors,
@@ -292,33 +294,22 @@ def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
 def simplify(kn: KernelNode) -> KernelNode:
     """The node after the solver's ``_simplify``."""
     _, q_reps, active, dur_view, member_mask, member_actors, members = _simplify(
-        kn.front_act,
-        kn.back_act,
-        list(bits(kn.q_reps)),
+        kn.front,
+        kn.back,
+        bits(kn.q_reps),
         kn.q_reps,
-        kn.active,
         kn.dur_view,
         kn.member_mask,
         kn.member_actors,
         kn.members,
     )
     return KernelNode(
-        kn.front_act, kn.back_act, q_reps, active,
-        dur_view, member_mask, member_actors, members,
+        kn.front, kn.back, q_reps, active, dur_view, member_mask, member_actors, members
     )
 
 
 def _kernels(inst: Instance, **switches) -> _Search:
     return _Search(inst, SolveConfig(cache_capacity=0, **switches))
-
-
-def _on_location(inst: Instance, node: SearchNode) -> tuple[int, int]:
-    """Actors on location at the front and at the back, as ``_search``
-    derives them from the blocks and the middle."""
-    front_act = actors_of_scenes(inst, mask_of(node.front))
-    back_act = actors_of_scenes(inst, mask_of(node.back))
-    aq = actors_of_scenes(inst, node.remaining)
-    return front_act & (aq | back_act), back_act & (aq | front_act)
 
 
 def _node_tables(search: _Search, kn: KernelNode):
@@ -339,12 +330,11 @@ def increment(inst: Instance, node: SearchNode, scene: int) -> int:
     """``_Search._increment``: holding cost newly forced by pinning
     ``scene`` right after the node's front block."""
     _require_remaining(node, scene)
-    front_onloc, back_onloc = _on_location(inst, node)
+    kn = kernel_node(inst, node)
     search = _kernels(inst)
-    _, actor_qd, dq_total, _ = _node_tables(search, kernel_node(inst, node))
+    _, actor_qd, dq_total, _ = _node_tables(search, kn)
     return search._increment(
-        scene, inst.durations, inst.scene_actors, front_onloc, back_onloc,
-        actor_qd, dq_total,
+        scene, inst.durations, inst.scene_actors, kn.front, kn.back, actor_qd, dq_total
     )
 
 
@@ -359,12 +349,10 @@ def is_dominated(
     favour of another remaining scene."""
     _require_remaining(node, scene)
     search = _kernels(inst, enable_rule1=use_rule1, enable_rule2=use_rule2)
-    active = inst.all_actors if node.active_actors is None else node.active_actors
-    front_onloc, back_onloc = _on_location(inst, node)
-    reps = list(bits(node.remaining))
+    kn = kernel_node(inst, node)
+    reps = bits(node.remaining)
     table = _dominance_table(
-        reps, inst.scene_actors, active, front_onloc & active,
-        back_onloc & active, search.wage_tables,
+        reps, inst.scene_actors, kn.active, kn.front, kn.back, search.wage_tables
     )
     return search._dominated(reps.index(scene), table)
 
@@ -387,11 +375,8 @@ def rule_fires(
 def relevant_actors(inst: Instance, node: SearchNode) -> tuple[int, int]:
     """Oracle: the actors whose middle-block wait the pair bound covers --
     on location at the front only, and at the back only."""
-    front_onloc, back_onloc = _on_location(inst, node)
-    fixed = actors_of_scenes(inst, mask_of(node.front)) & actors_of_scenes(
-        inst, mask_of(node.back)
-    )
-    return front_onloc & ~fixed, back_onloc & ~fixed
+    kn = kernel_node(inst, node)
+    return kn.front & ~kn.back, kn.back & ~kn.front
 
 
 def pack_pairs(constants: dict[tuple[int, int], int]) -> tuple[list[int], int]:
@@ -463,8 +448,8 @@ def lower_at(inst: Instance, kn: KernelNode, scene: int) -> int:
         scene,
         kn.member_actors[scene],
         aq2,
-        kn.front_act,
-        kn.back_act,
+        kn.front,
+        kn.back,
         q_orig & ~kn.member_mask[scene],
         _node_tables(search, kn),
         kn.dur_view,

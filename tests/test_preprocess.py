@@ -14,7 +14,7 @@ from talentsched import (
     SolveConfig,
 )
 from talentsched.instance import bits, mask_of
-from talentsched.testkit import SearchNode, kernel_node, random_node, simplify
+from talentsched.testkit import KernelNode, SearchNode, kernel_node, random_node, simplify
 
 # scene 0 anchors the front, scene 5 the back, scenes 1..4 are the middle.
 # a3 is anchored on both sides, a4 only needs the back block.
@@ -48,8 +48,8 @@ def test_worked_preprocess_example():
     assert simplified.dur_view[2] == 3 + 4
     assert simplified.member_mask[2] == mask_of([2, 3])
     assert simplified.member_actors[2] == inst.scene_actors[2] | inst.scene_actors[3]
-    assert simplified.front_act == start.front_act
-    assert simplified.back_act == start.back_act
+    assert simplified.front == start.front
+    assert simplified.back == start.back
 
 
 def test_no_rule_fires():
@@ -74,15 +74,47 @@ def test_idempotent():
         assert twice == once
 
 
+def _pin(kn, s):
+    """The child the search enters after pinning the representative ``s``
+    of the simplified node ``kn`` in front: the blocks swap roles, and each
+    keeps the actors still on location."""
+    aq = 0
+    for r in bits(kn.q_reps & ~(1 << s)):
+        aq |= kn.member_actors[r]
+    front, back = kn.back, kn.front | kn.member_actors[s]
+    return KernelNode(
+        front & (aq | back), back & (aq | front), kn.q_reps & ~(1 << s), kn.active,
+        kn.dur_view, kn.member_mask, kn.member_actors, kn.members,
+    )
+
+
 def test_active_actors_only_shrink():
+    # ``_simplify`` derives the active actors afresh at every node: those of
+    # two or more remaining scenes, or of one and anchored at a block, less
+    # those anchored at both.  Along a search path, pinning one scene at a
+    # time from the root, that set never gains an actor
     rng = random.Random(37)
-    for seed in range(20):
+    steps = shrinks = merges = 0
+    for seed in range(40):
         inst = generate_instance(9, 6, seed=400 + seed, density=0.4)
-        node = random_node(inst, rng, max_remaining=7)
-        start = rng.getrandbits(inst.num_actors)
-        node = SearchNode(node.front, node.back, node.remaining, 0, start)
-        simplified = simplify(kernel_node(inst, node))
-        assert simplified.active & ~start == 0
+        kn = simplify(kernel_node(inst, SearchNode((), (), inst.all_scenes)))
+        while True:
+            aq = multi = 0
+            for s in bits(kn.q_reps):
+                multi |= aq & kn.member_actors[s]
+                aq |= kn.member_actors[s]
+            anchored, fixed = kn.front | kn.back, kn.front & kn.back
+            assert kn.active == (multi | (aq & anchored)) & ~fixed
+            child = _pin(kn, rng.choice(bits(kn.q_reps)))
+            if not child.q_reps:
+                break
+            simplified = simplify(child)
+            assert simplified.active & ~kn.active == 0
+            shrinks += simplified.active != kn.active
+            merges += simplified.q_reps != child.q_reps
+            steps += 1
+            kn = simplified
+    assert steps > 150 and shrinks > 50 and merges > 10
 
 
 def test_expand_identity():
