@@ -39,13 +39,14 @@ the merge history that produced it.
 Simplification, the increment, dominance and the pair bound each have one
 implementation, here: ``_simplify``, ``_Search._increment``,
 ``_Search._dominated`` and ``_Search._branch_lower`` with its halves
-``_pair_constants`` and ``_pair_bound``.  Tests reach them on single nodes
-through the adapters in ``testkit``.
+``_pair_constants`` and ``_pair_bound``.  Each is called on the node's own
+state, and reads or builds its own tables: ``_dominated`` runs once per
+node and returns the mask of the remaining scenes it skips, and
+``_increment`` and ``_branch_lower`` read the node's ``_actor_tables``
+whole.  Tests reach them on single nodes through the adapters in
+``testkit``.
 
-Two tables keep those kernels cheap.  Each node builds a dominance table
-(``_dominance_table``: per remaining scene its actors joined with each
-block's, and the wage of the front join) once, and every candidate scans
-it.  The pair bound of a child is memoised per solve in
+The pair bound of a child is memoised per solve in
 ``_Search.lower_memo``, keyed by the child's state: its relevant actors at
 each block and its remaining scenes over original ids.  The double-ended
 search reaches one child state through many orders of the placed scenes,
@@ -59,8 +60,10 @@ The pair bound works on day masks (``_actor_tables``): each remaining
 scene takes as many consecutive bits as it has days, so the days two
 actors share are the popcount of their masks' intersection.  An instance
 longer than ``DAY_MASK_MAX_DAYS`` days would build ints that long, so its
-solve keeps one bit per scene and sums the shared scenes' durations; the
-choice is made once per solve and gives the same bounds either way.
+solve keeps one bit per scene and sums the shared scenes' durations.  The
+choice is made once per solve and gives the same bounds either way; the
+tables carry the function that counts a mask's days, so only
+``_actor_tables`` knows which form it built.
 """
 
 from __future__ import annotations
@@ -318,7 +321,7 @@ def _simplify(front, back, reps, q_reps, dur_view, member_mask, member_actors, m
         reps = bits(q_reps)
 
 
-def _pair_constants(front, back, dq, dur_view):
+def _pair_constants(front, back, dq, days):
     """Positive pair-constraint constants as packed keys, with their total:
     ``c`` bounds the combined middle-block wait of actors i < j and is
     stored as ``c << 12 | (63 - i) << 6 | (63 - j)``, so sorting the keys
@@ -326,16 +329,13 @@ def _pair_constants(front, back, dq, dur_view):
 
     ``front`` and ``back`` list the relevant actors anchored at each block
     (on location at exactly one), ascending, as ``(i, q, d, w)``: the
-    actor, its remaining scenes, their total duration and its wage.  ``dq``
-    is the whole middle block's length.  The masks ``q`` are day masks
-    (``_actor_tables``) when ``dur_view`` is None, so the days two actors
-    share are a popcount; otherwise they hold one bit per scene, and those
-    scenes' durations are summed.  Two actors on the same side: one of them sits
-    through the other's private scenes.  Opposite sides: only when some
-    scene needs both must their spans meet, and then one of them covers
-    every scene needing neither.
+    actor, its remaining scenes as a mask of ``_actor_tables``, their total
+    duration and its wage.  ``dq`` is the whole middle block's length, and
+    ``days`` the tables' counter of a mask's days.  Two actors on the same
+    side: one of them sits through the other's private scenes.  Opposite
+    sides: only when some scene needs both must their spans meet, and then
+    one of them covers every scene needing neither.
     """
-    days = int.bit_count if dur_view is None else partial(_scene_days, dur_view)
     keys = []
     total = 0
     for side in (front, back):
@@ -396,27 +396,16 @@ def _pair_bound(keys, total, count):
     return lb1 if lb1 > lb2 else lb2
 
 
-def _dominance_table(reps, member_actors, active, front_dom, back_dom, wage_tables):
-    """Per remaining scene, in ``reps`` order, what the dominance rules
-    compare: ``(s, sig | front_dom, sig | back_dom, wage(sig | front_dom))``
-    with ``sig`` the scene's active actors and ``front_dom``/``back_dom``
-    the active actors on location at each block."""
-    table = []
-    for s in reps:
-        sig = member_actors[s] & active
-        sf = sig | front_dom
-        table.append((s, sf, sig | back_dom, _masked_sum(wage_tables, sf)))
-    return table
-
-
 def _actor_tables(reps, dur_view, member_actors, num_actors, by_day):
-    """Per actor a mask of the remaining scenes that need them and those
-    scenes' total duration, the whole middle block's length, and per
-    remaining scene id its own mask; the type-2 increment term reduces to
-    wage * (middle total - actor's own total).  With ``by_day`` the masks
-    are day masks: the scenes of ``reps`` take consecutive runs of
-    ``dur_view[s]`` bits, so a mask's popcount is its days.  Otherwise
-    scene s is bit s."""
+    """The node's tables ``(actor_q, actor_qd, dq_total, scene_q, days)``:
+    per actor a mask of the remaining scenes that need them and those
+    scenes' total duration, the whole middle block's length, per remaining
+    scene id its own mask, and the function that counts a mask's days.  The
+    type-2 increment term reduces to wage * (middle total - actor's own
+    total).  With ``by_day`` the masks are day masks: the scenes of
+    ``reps`` take consecutive runs of ``dur_view[s]`` bits, so ``days`` is
+    the popcount.  Otherwise scene s is bit s, and ``days`` sums the
+    durations of a mask's scenes."""
     actor_q = [0] * num_actors
     actor_qd = [0] * num_actors
     scene_q = [0] * len(dur_view)
@@ -429,7 +418,8 @@ def _actor_tables(reps, dur_view, member_actors, num_actors, by_day):
         for i in bits(member_actors[s]):
             actor_q[i] |= sq
             actor_qd[i] += d
-    return actor_q, actor_qd, dq_total, scene_q
+    days = int.bit_count if by_day else partial(_scene_days, dur_view)
+    return actor_q, actor_qd, dq_total, scene_q, days
 
 
 class _Search:
@@ -573,14 +563,7 @@ class _Search:
         tables = _actor_tables(
             reps, dur_view, member_actors, self.inst.num_actors, self.by_day
         )
-        _, actor_qd, dq_total, _ = tables
-        if cfg.enable_rule1 or cfg.enable_rule2:
-            dom_table = _dominance_table(
-                reps, member_actors, active, front & active, back & active,
-                self.wage_tables,
-            )
-        else:
-            dom_table = None
+        dominated = self._dominated(reps, member_actors, active, front, back)
 
         # The branch order: the children that survive dominance and are live
         # on entry, ``z + inc < best_h``, by ascending ``inc`` plus pair
@@ -599,12 +582,10 @@ class _Search:
         least = math.inf
         children = []
         order = []
-        for pos, s in enumerate(reps):
-            if dom_table is not None and self._dominated(pos, dom_table):
+        for s in reps:
+            if dominated >> s & 1:
                 continue
-            inc = self._increment(
-                s, dur_view, member_actors, front, back, actor_qd, dq_total
-            )
+            inc = self._increment(s, dur_view, member_actors, front, back, tables)
             if inc >= slack:
                 if inc < least:
                     least = inc
@@ -650,16 +631,17 @@ class _Search:
             entry[1] = least
         return least
 
-    def _increment(self, s, dur_view, member_actors, front, back, actor_qd, dq_total):
+    def _increment(self, s, dur_view, member_actors, front, back, tables):
         """Holding cost newly forced by pinning scene s after the front block:
         the front's idle on-location actors wait through s, and s's arrivals
         anchored at the back wait through every later middle scene that does
-        not use them."""
+        not use them.  ``tables`` are the node's ``_actor_tables``."""
         a_s = member_actors[s]
         waiting = front & ~back & ~a_s
         inc = dur_view[s] * _masked_sum(self.wage_tables, waiting) if waiting else 0
         arriving = a_s & ~front & back
         if arriving:
+            _, actor_qd, dq_total, _, _ = tables
             wages = self.inst.wages
             while arriving:
                 low = arriving & -arriving
@@ -668,33 +650,45 @@ class _Search:
                 arriving ^= low
         return inc
 
-    def _dominated(self, pos, table):
-        """Whether some other remaining scene does at least as well in the
-        next front slot as the scene of row ``pos`` of the node's
-        ``_dominance_table``.  With rows ``(s, s1f, s1b, _)`` for that scene
-        and ``(other, s2f, s2b, loss)`` for a competitor, both rules need
-        s1f to cover s2f, and then
+    def _dominated(self, reps, member_actors, active, front, back):
+        """Mask of the remaining scenes ``reps`` that some other remaining
+        scene does at least as well as in the next front slot; 0 with both
+        rules off.  Over the active actors, a scene's ``s1f``/``s1b`` are
+        its actors joined with those on location at the front/back, and a
+        competitor's are ``s2f``/``s2b``.  Both rules need s1f to cover
+        s2f, and then
         rule 1 -- s1b inside s2b (swapping never costs more);
-        rule 2 -- the wage of s1f & s2b strictly above ``loss``, the wage
-                  of s2f (moving the other scene ahead saves more than it
-                  costs).
-        Rule 1 can hold both ways (identical rows); the smaller id then
-        survives.  Competitors are scanned in table order."""
+        rule 2 -- the wage of s1f & s2b strictly above the wage of s2f
+                  (moving the other scene ahead saves more than it costs).
+        Rule 1 can hold both ways (identical joins); the smaller id then
+        survives, and so some remaining scene always does."""
         cfg = self.cfg
         rule1 = cfg.enable_rule1
         rule2 = cfg.enable_rule2
+        if not (rule1 or rule2):
+            return 0
         wage_tables = self.wage_tables
-        s, s1f, s1b, _ = table[pos]
-        for other, s2f, s2b, loss in table:
-            if s2f & ~s1f or other == s:
-                continue
-            if rule1 and not s1b & ~s2b:
-                # mutual domination resolves to the smaller scene id
-                if other < s or s1f != s2f or s1b != s2b:
-                    return True
-            if rule2 and _masked_sum(wage_tables, s1f & s2b) > loss:
-                return True
-        return False
+        front &= active
+        back &= active
+        rows = []
+        for s in reps:
+            sig = member_actors[s] & active
+            sf = sig | front
+            rows.append((s, sf, sig | back, _masked_sum(wage_tables, sf)))
+        dominated = 0
+        for s, s1f, s1b, _ in rows:
+            for other, s2f, s2b, loss in rows:
+                if s2f & ~s1f or other == s:
+                    continue
+                # mutual domination under rule 1 resolves to the smaller id
+                if (
+                    rule1
+                    and not s1b & ~s2b
+                    and (other < s or s1f != s2f or s1b != s2b)
+                ) or (rule2 and _masked_sum(wage_tables, s1f & s2b) > loss):
+                    dominated |= 1 << s
+                    break
+        return dominated
 
     def _branch_lower(self, s, a_s, aq2, front, back, q2, tables, dur_view):
         """Pair-constraint bound for the child that pins scene s in front,
@@ -726,7 +720,7 @@ class _Search:
         if value is None:
             # only the actors of s lose a remaining scene, and none of them
             # is relevant at the back
-            actor_q, actor_qd, dq_total, scene_q = tables
+            actor_q, actor_qd, dq_total, scene_q, days = tables
             not_s = ~scene_q[s]
             ds = dur_view[s]
             wages = self.inst.wages
@@ -747,9 +741,7 @@ class _Search:
                 i = low.bit_length() - 1
                 back.append((i, actor_q[i], actor_qd[i], wages[i]))
                 rel ^= low
-            keys, total = _pair_constants(
-                front, back, dq_total - ds, None if self.by_day else dur_view
-            )
+            keys, total = _pair_constants(front, back, dq_total - ds, days)
             value = _pair_bound(keys, total, count)
         if len(memo) >= LOWER_MEMO_ENTRIES:
             prev = self.lower_prev

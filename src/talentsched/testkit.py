@@ -6,15 +6,17 @@ Everything here is test support.  The oracles (``SearchNode``,
 state cache) are small, slow, and written independently of the solver's
 fast paths so they can serve as ground truth; the optimum of a whole
 instance is ``solver.brute_force``, whose subset DP also gives
-``enumerate_future_cost``.  The adapters turn a ``SearchNode`` into the
-per-node arguments of the solver's own kernels -- ``_simplify``,
-``_Search._increment``, ``_Search._dominated`` over its
-``_dominance_table``, ``_Search._branch_lower`` (on a plain node or, by
+``enumerate_future_cost``.  The adapters turn a ``SearchNode`` (or the
+``KernelNode`` the search carries) into the per-node arguments of the
+solver's own kernels -- ``_simplify``, ``_Search._increment``,
+``_Search._dominated``, ``_Search._branch_lower`` (on a plain node or, by
 ``lower_at``, on a simplified one) and its two halves
-``_pair_constants``/``_pair_bound``, over the ``_actor_tables`` in the
-mask form a solve of the instance uses -- so that tests check the code
-every solve runs.  ``pack_pairs``/``unpack_pairs`` translate between pair
-constants keyed by actor pair and the packed keys of those two halves.
+``_pair_constants``/``_pair_bound`` -- so that tests check the code every
+solve runs.  The kernels build or read their own tables: an adapter passes
+``_actor_tables`` on whole, in the mask form a solve of the instance
+uses, and never the dominance rows.  ``pack_pairs``/``unpack_pairs``
+translate between pair constants keyed by actor pair and the packed keys
+of the pair bound's two halves.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .instance import Instance, actors_of_scenes, bits, mask_of
 from .solver import (
     SolveConfig,
     _actor_tables,
-    _dominance_table,
     _order_dp,
     _pair_constants,
     _Search,
@@ -332,29 +333,22 @@ def increment(inst: Instance, node: SearchNode, scene: int) -> int:
     _require_remaining(node, scene)
     kn = kernel_node(inst, node)
     search = _kernels(inst)
-    _, actor_qd, dq_total, _ = _node_tables(search, kn)
     return search._increment(
-        scene, inst.durations, inst.scene_actors, kn.front, kn.back, actor_qd, dq_total
+        scene, inst.durations, inst.scene_actors, kn.front, kn.back,
+        _node_tables(search, kn),
     )
 
 
-def is_dominated(
-    inst: Instance,
-    node: SearchNode,
-    scene: int,
-    use_rule1: bool = True,
-    use_rule2: bool = True,
-) -> bool:
-    """``_Search._dominated``: whether branching on ``scene`` is skipped in
-    favour of another remaining scene."""
-    _require_remaining(node, scene)
+def dominated(
+    inst: Instance, kn: KernelNode, use_rule1: bool = True, use_rule2: bool = True
+) -> int:
+    """``_Search._dominated`` at the kernel node ``kn``: the mask of its
+    remaining representatives whose branch is skipped in favour of
+    another's."""
     search = _kernels(inst, enable_rule1=use_rule1, enable_rule2=use_rule2)
-    kn = kernel_node(inst, node)
-    reps = bits(node.remaining)
-    table = _dominance_table(
-        reps, inst.scene_actors, kn.active, kn.front, kn.back, search.wage_tables
+    return search._dominated(
+        bits(kn.q_reps), kn.member_actors, kn.active, kn.front, kn.back
     )
-    return search._dominated(reps.index(scene), table)
 
 
 def rule_fires(
@@ -365,11 +359,10 @@ def rule_fires(
     given the active actors on location at each block.  The competitor gets
     the smaller id, so rule 1's tie-break never spares the first scene."""
     search = _kernels(inst, enable_rule1=rule == 1, enable_rule2=rule == 2)
-    table = _dominance_table(
-        [0, 1], (s2_actors, s1_actors), inst.all_actors, front, back,
-        search.wage_tables,
+    mask = search._dominated(
+        [0, 1], (s2_actors, s1_actors), inst.all_actors, front, back
     )
-    return search._dominated(1, table)
+    return bool(mask & 0b10)
 
 
 def relevant_actors(inst: Instance, node: SearchNode) -> tuple[int, int]:
@@ -402,14 +395,12 @@ def pair_constants(inst: Instance, node: SearchNode) -> dict[tuple[int, int], in
     past ``DAY_MASK_MAX_DAYS``.  Pairs whose constant is 0 are absent.
     Checks that the returned total is the constants' sum."""
     search = _kernels(inst)
-    actor_q, actor_qd, dq, _ = _node_tables(search, kernel_node(inst, node))
+    actor_q, actor_qd, dq, _, days = _node_tables(search, kernel_node(inst, node))
     front, back = (
         [(i, actor_q[i], actor_qd[i], inst.wages[i]) for i in bits(rel)]
         for rel in relevant_actors(inst, node)
     )
-    keys, total = _pair_constants(
-        front, back, dq, None if search.by_day else inst.durations
-    )
+    keys, total = _pair_constants(front, back, dq, days)
     constants = unpack_pairs(keys)
     if len(constants) != len(keys) or total != sum(constants.values()):
         raise AssertionError("pair keys repeat a pair or miss the total")

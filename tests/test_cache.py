@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from talentsched import StateCache
-from talentsched.instance import bits, mask_of
+from talentsched.instance import bits, bitset_lt, mask_of
 from talentsched.testkit import CacheModel
 
 FULL_HASH = 1 << 64  # the slot is the whole 64-bit hash: only equal hashes collide
@@ -216,18 +216,32 @@ def test_subset_probe_respects_removable_masks():
     assert cache.check_and_update(0b01, 0b10, 0b111, 6, 10, [0b011, 0b100]) == 4
 
 
+def _probes_to_prune(cache, front, back, remaining, z, limit, masks):
+    """The probes one ``check_and_update`` call makes: 1 for the node's own
+    state, plus one per subset mask tried, up to the one that prunes."""
+    if bitset_lt(back, front):
+        front, back = back, front
+    keys = [(front, back, remaining)] + [(front, back, remaining & ~r) for r in masks]
+    for count, key in enumerate(keys, 1):
+        entry = cache._slots.get(hash(key) & (cache.capacity - 1))
+        if entry is not None and entry[0] == key and z + entry[1] >= limit:
+            return count
+    return len(keys)
+
+
 def test_probe_accounting_balances():
     cache = StateCache(1 << 4)
     rng = random.Random(67)
+    probes = 0
     for _ in range(300):
         remaining = rng.getrandbits(4)
         masks = _singles(remaining) if rng.random() < 0.5 else []
-        got = cache.check_and_update(
-            rng.getrandbits(3), rng.getrandbits(3), remaining, rng.randint(0, 20), 25, masks
-        )
+        args = (rng.getrandbits(3), rng.getrandbits(3), remaining, rng.randint(0, 20), 25, masks)
+        probes += _probes_to_prune(cache, *args)
+        got = cache.check_and_update(*args)
         if not isinstance(got, int) and rng.random() < 0.7:
             got[1] = max(got[1], rng.randint(0, 20))
-    assert cache.stats.hits + cache.stats.misses == cache.stats.probes
+    assert cache.stats.probes == probes
     assert cache.stats.hits and cache.stats.collisions
 
 
@@ -248,7 +262,8 @@ def test_exact_store_always_prunes_revisits():
             assert got[1] == (bound or 0)
             got[1] = max(got[1], rng.randint(0, 40))
             seen[key] = got[1]
-    assert cache.stats.hits + cache.stats.misses == cache.stats.probes
+    # no subset masks: one probe per call
+    assert cache.stats.probes == 500
     assert cache.stats.hits
     assert cache.stats.collisions == 0
     assert cache.stats.stores == len(seen)

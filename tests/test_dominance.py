@@ -1,6 +1,8 @@
 """Dominance rules 1 and 2 as the solver runs them, in
 ``_Search._dominated``, through the testkit adapters."""
 
+import random
+
 from talentsched import (
     Instance,
     brute_force,
@@ -9,7 +11,14 @@ from talentsched import (
     SolveConfig,
 )
 from talentsched.instance import mask_of
-from talentsched.testkit import SearchNode, is_dominated, rule_fires
+from talentsched.testkit import (
+    SearchNode,
+    dominated,
+    kernel_node,
+    random_node,
+    rule_fires,
+    simplify,
+)
 
 # rule 1 reads no wages; any instance with enough actors will do
 FOUR_ACTORS = Instance(1, 4, (0b1111,), (1,), (1, 1, 1, 1))
@@ -56,7 +65,7 @@ def test_rule2_positive_margin():
 def test_is_dominated_single_scene_has_no_competitor():
     inst = generate_instance(4, 3, seed=1, density=0.6)
     node = SearchNode(front=(0, 1, 2), back=(), remaining=0b1000)
-    assert not is_dominated(inst, node, 3)
+    assert dominated(inst, kernel_node(inst, node)) == 0
 
 
 def test_identical_scenes_tie_break_keeps_smaller_id():
@@ -65,10 +74,7 @@ def test_identical_scenes_tie_break_keeps_smaller_id():
     rows = ["XX.X", "X..X", ".X.."]
     inst = Instance.from_rows(rows, (1, 2, 1, 2), (3, 4, 5))
     node = SearchNode(front=(), back=(), remaining=0b1111)
-    assert is_dominated(inst, node, 3)
-    assert not is_dominated(inst, node, 0)
-    survivors = [s for s in range(4) if not is_dominated(inst, node, s)]
-    assert 0 in survivors and 3 not in survivors
+    assert dominated(inst, kernel_node(inst, node)) == 1 << 3
 
 
 def test_rule1_spares_the_smaller_id_only_on_a_true_tie():
@@ -78,14 +84,33 @@ def test_rule1_spares_the_smaller_id_only_on_a_true_tie():
     # although its id is smaller
     inst = Instance.from_rows([".XX.", "XX.X"], (1, 1, 1, 1), (3, 5))
     node = SearchNode(front=(2,), back=(3,), remaining=0b0011)
-    assert is_dominated(inst, node, 0, use_rule2=False)
-    assert not is_dominated(inst, node, 1, use_rule2=False)
+    assert dominated(inst, kernel_node(inst, node), use_rule2=False) == 1 << 0
     # the other way round: scene 1 = {a1} matches scene 0 = {a0} at the
     # back (a0 and a1 are both there already) and adds less at the front
     inst = Instance.from_rows(["X..X", ".XXX"], (1, 1, 1, 1), (3, 5))
     node = SearchNode(front=(2,), back=(3,), remaining=0b0011)
-    assert is_dominated(inst, node, 0, use_rule2=False)
-    assert not is_dominated(inst, node, 1, use_rule2=False)
+    assert dominated(inst, kernel_node(inst, node), use_rule2=False) == 1 << 0
+
+
+def test_some_remaining_scene_always_survives():
+    # the search relies on it: a node's least child bound is finite when it
+    # enters the cache, and the first dive reaches a leaf unchecked
+    rng = random.Random(97)
+    for seed in range(150):
+        inst = generate_instance(
+            3 + seed % 8, 1 + seed % 6, seed=2100 + seed, density=0.3 + seed % 5 / 10,
+            max_duration=3, max_wage=1 + seed % 4,
+        )
+        node = random_node(inst, rng, max_remaining=8)
+        if not node.remaining:
+            continue
+        plain = kernel_node(inst, node)
+        for kn in (plain, simplify(plain)):
+            for rule1 in (True, False):
+                for rule2 in (True, False):
+                    mask = dominated(inst, kn, rule1, rule2)
+                    assert mask & ~kn.q_reps == 0
+                    assert mask != kn.q_reps, (seed, rule1, rule2)
 
 
 def test_rules_never_change_the_optimum():

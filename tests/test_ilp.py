@@ -5,11 +5,13 @@ import pytest
 from talentsched import (
     Instance,
     Schedule,
+    brute_force,
     build_model,
     export_milp,
     generate_instance,
     total_cost,
     validate_assignment,
+    work_cost,
 )
 from talentsched.ilp import build_assignment, check_assignment
 from talentsched.testkit import WORKED_BEST_ORDER, fixture_worked_example
@@ -135,3 +137,48 @@ def test_export_runs_on_worked_example():
     # every variable family appears
     for fragment in ("x_0_1", "t_0", "e_0", "l_0", "z_1_0"):
         assert fragment in text
+
+
+def _milp_optimum(model) -> int:
+    """The model's optimum by scipy's MILP solver (HiGHS): ``x`` binary,
+    ``t``/``e``/``l`` integer, ``z`` continuous, all non-negative."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    index = {name: k for k, name in enumerate(model.var_order)}
+    cost = np.zeros(len(index))
+    for name, coef in model.objective.items():
+        cost[index[name]] = coef
+    rows = np.zeros((len(model.constraints), len(index)))
+    lower = np.full(len(model.constraints), -np.inf)
+    upper = np.full(len(model.constraints), np.inf)
+    for r, con in enumerate(model.constraints):
+        for name, coef in con.coeffs.items():
+            rows[r, index[name]] = coef
+        if con.sense != "<=":
+            lower[r] = con.rhs
+        if con.sense != ">=":
+            upper[r] = con.rhs
+    integrality = np.zeros(len(index))
+    var_upper = np.full(len(index), np.inf)
+    for name in model.binaries + model.generals:
+        integrality[index[name]] = 1
+    for name in model.binaries:
+        var_upper[index[name]] = 1
+    res = optimize.milp(
+        cost,
+        constraints=optimize.LinearConstraint(rows, lower, upper),
+        integrality=integrality,
+        bounds=optimize.Bounds(0, var_upper),
+    )
+    assert res.success, res.message
+    return round(res.fun) + model.objective_constant
+
+
+def test_milp_optimum_matches_the_oracle():
+    # no assignment of the model undercuts the best schedule: a broken
+    # chain, a subtour or a late start would.  n = 5 takes about 0.4 s
+    # and n = 7 can take minutes, so the draws stay small
+    for n, m, seed in ((2, 2, 1), (3, 2, 2), (4, 3, 3), (4, 4, 7), (5, 3, 4), (5, 4, 5)):
+        inst = generate_instance(n, m, seed=seed, density=0.45, max_duration=3, max_wage=20)
+        expect = brute_force(inst)[0] + work_cost(inst)
+        assert _milp_optimum(build_model(inst)) == expect
