@@ -40,11 +40,10 @@ Simplification, the increment, dominance and the pair bound each have one
 implementation, here: ``_simplify``, ``_Search._increment``,
 ``_Search._dominated`` and ``_Search._branch_lower`` with its halves
 ``_pair_constants`` and ``_pair_bound``.  Each is called on the node's own
-state, and reads or builds its own tables: ``_dominated`` runs once per
-node and returns the mask of the remaining scenes it skips, and
-``_increment`` and ``_branch_lower`` read the node's ``_actor_tables``
-whole.  Tests reach them on single nodes through the adapters in
-``testkit``.
+state: ``_dominated`` runs once per node and returns the mask of the
+remaining scenes it skips, and ``_increment`` and ``_branch_lower`` read
+the solve's fixed masks.  Tests reach them on single nodes through the
+adapters in ``testkit``.
 
 The pair bound of a child is memoised per solve in
 ``_Search.lower_memo``, keyed by the child's state: its relevant actors at
@@ -56,14 +55,21 @@ full it becomes the previous one, whose values are dropped, and a value
 found in the previous one is copied forward, so the states still in use
 survive.  Both generations full take about 0.8 MB.
 
-The pair bound works on day masks (``_actor_tables``): each remaining
-scene takes as many consecutive bits as it has days, so the days two
-actors share are the popcount of their masks' intersection.  An instance
-longer than ``DAY_MASK_MAX_DAYS`` days would build ints that long, so its
-solve keeps one bit per scene and sums the shared scenes' durations.  The
-choice is made once per solve and gives the same bounds either way; the
-tables carry the function that counts a mask's days, so only
-``_actor_tables`` knows which form it built.
+The increment and the pair bound count days on masks that are fixed per
+solve: each original scene j holds its ``d_j`` days as a run of bits at its
+day offset, so the days two actors share are the popcount of their masks'
+intersection.  An instance longer than ``DAY_MASK_MAX_DAYS`` days would
+build ints that long, so its solve gives scene j bit j and sums the
+durations of a mask's scenes by partial-sum tables.  ``_Search.__init__``
+builds each actor's mask over all scenes (``actor_q``), partial-sum tables
+of the scene masks (``q_tables``) and the counter of a mask's days
+(``days``); only it knows which form it built.  A node's remaining scenes
+over original ids map to one mask ``dq`` through ``q_tables``: the scenes'
+masks are disjoint, so their sum is their union.  An actor's remaining
+scenes are then ``actor_q[i] & dq``.  That is exact for every actor the
+kernels read, as each is active, and no merge splits an active actor's
+scenes: a merge joins scenes whose active actors coincide, and an actor
+once inactive never comes back along a search path.
 """
 
 from __future__ import annotations
@@ -141,9 +147,9 @@ class SolveResult:
 # benchmark; one value more doubles the table.
 LOWER_MEMO_ENTRIES = 5461
 
-# the longest instance, in days, whose pair bound works on day masks (one
-# bit per day, so the days two actors share are a popcount); a longer one
-# keeps one bit per scene and sums the shared scenes' durations
+# the longest instance, in days, whose increment and pair bound work on day
+# masks (one bit per day, so the days two actors share are a popcount); a
+# longer one keeps one bit per scene and sums the shared scenes' durations
 DAY_MASK_MAX_DAYS = 4096
 
 # the most scenes ``brute_force`` takes.  Its 2^20 values take 3-4 s and
@@ -280,8 +286,10 @@ def _simplify(front, back, reps, q_reps, dur_view, member_mask, member_actors, m
     list; a merge can drop more actors, so the derivation repeats until
     the signatures are distinct.  ``reps`` lists the representatives of
     ``q_reps`` ascending.  Returns the updated ``(reps, q_reps, active,
-    dur_view, member_mask, member_actors, members)``; the node's optimal
-    holding cost is unchanged.
+    aq, multi, dur_view, member_mask, member_actors, members)``, with
+    ``aq`` and ``multi`` the actors of one or more and of two or more
+    remaining scenes, from the last pass; the node's optimal holding cost
+    is unchanged.
     """
     anchored = front | back
     fixed = front & back
@@ -295,7 +303,10 @@ def _simplify(front, back, reps, q_reps, dur_view, member_mask, member_actors, m
         active = (seen_twice | (seen_once & anchored)) & ~fixed
         # the fixed point: no two signatures coincide
         if len({member_actors[s] & active for s in reps}) == len(reps):
-            return reps, q_reps, active, dur_view, member_mask, member_actors, members
+            return (
+                reps, q_reps, active, seen_once, seen_twice,
+                dur_view, member_mask, member_actors, members,
+            )
         groups: dict[int, list[int]] = {}
         for s in reps:
             groups.setdefault(member_actors[s] & active, []).append(s)
@@ -329,12 +340,12 @@ def _pair_constants(front, back, dq, days):
 
     ``front`` and ``back`` list the relevant actors anchored at each block
     (on location at exactly one), ascending, as ``(i, q, d, w)``: the
-    actor, its remaining scenes as a mask of ``_actor_tables``, their total
-    duration and its wage.  ``dq`` is the whole middle block's length, and
-    ``days`` the tables' counter of a mask's days.  Two actors on the same
-    side: one of them sits through the other's private scenes.  Opposite
-    sides: only when some scene needs both must their spans meet, and then
-    one of them covers every scene needing neither.
+    actor, its remaining scenes as a mask in the solve's fixed form, their
+    total duration and its wage.  ``dq`` is the whole middle block's
+    length, and ``days`` the solve's counter of a mask's days.  Two actors
+    on the same side: one of them sits through the other's private scenes.
+    Opposite sides: only when some scene needs both must their spans meet,
+    and then one of them covers every scene needing neither.
     """
     keys = []
     total = 0
@@ -364,62 +375,32 @@ def _pair_constants(front, back, dq, days):
     return keys, total
 
 
-def _scene_days(dur_view, scenes):
-    """Total duration of the scenes in the mask ``scenes``."""
-    days = 0
-    while scenes:
-        low = scenes & -scenes
-        days += dur_view[low.bit_length() - 1]
-        scenes ^= low
-    return days
-
-
 def _pair_bound(keys, total, count):
     """Lower bound on the total wait of ``count`` relevant actors from the
     packed keys of their pair constants and the constants' ``total``: the
     larger of the averaging bound (every actor is in count-1 pairs, so the
     total over count-1, rounded up) and the greedy matching (constants
     largest first, ties by actor pair, each kept when both its actors are
-    still unmarked).  Sorts ``keys`` in place."""
+    still unmarked).  ``count`` is at least the number of actors the keys
+    name, so the matching is complete after ``count // 2`` pairs and stops
+    there.  Sorts ``keys`` in place."""
     if not keys:
         return 0
     keys.sort(reverse=True)
     marked = 0
     lb2 = 0
+    left = count >> 1
     for key in keys:
         # actor i is marked at bit 63 - i, the form the key stores it in
         pair = 1 << (key >> 6 & 63) | 1 << (key & 63)
         if not marked & pair:
             lb2 += key >> 12
+            left -= 1
+            if not left:
+                break
             marked |= pair
     lb1 = -(-total // (count - 1))
     return lb1 if lb1 > lb2 else lb2
-
-
-def _actor_tables(reps, dur_view, member_actors, num_actors, by_day):
-    """The node's tables ``(actor_q, actor_qd, dq_total, scene_q, days)``:
-    per actor a mask of the remaining scenes that need them and those
-    scenes' total duration, the whole middle block's length, per remaining
-    scene id its own mask, and the function that counts a mask's days.  The
-    type-2 increment term reduces to wage * (middle total - actor's own
-    total).  With ``by_day`` the masks are day masks: the scenes of
-    ``reps`` take consecutive runs of ``dur_view[s]`` bits, so ``days`` is
-    the popcount.  Otherwise scene s is bit s, and ``days`` sums the
-    durations of a mask's scenes."""
-    actor_q = [0] * num_actors
-    actor_qd = [0] * num_actors
-    scene_q = [0] * len(dur_view)
-    dq_total = 0
-    for s in reps:
-        d = dur_view[s]
-        sq = ((1 << d) - 1) << dq_total if by_day else 1 << s
-        scene_q[s] = sq
-        dq_total += d
-        for i in bits(member_actors[s]):
-            actor_q[i] |= sq
-            actor_qd[i] += d
-    days = int.bit_count if by_day else partial(_scene_days, dur_view)
-    return actor_q, actor_qd, dq_total, scene_q, days
 
 
 class _Search:
@@ -432,8 +413,21 @@ class _Search:
         # before it, whose values are copied forward when they hit
         self.lower_memo: dict[int, int] = {}
         self.lower_prev: dict[int, int] = {}
-        # the pair bound's masks: one bit per day, or per scene past the cap
+        # the fixed masks: scene j's days as a run of bits at its day
+        # offset, or bit j past the day cap
         self.by_day = sum(inst.durations) <= DAY_MASK_MAX_DAYS
+        if self.by_day:
+            scene_q = []
+            offset = 0
+            for d in inst.durations:
+                scene_q.append(((1 << d) - 1) << offset)
+                offset += d
+            self.days = int.bit_count
+        else:
+            scene_q = [1 << j for j in range(inst.num_scenes)]
+            self.days = partial(_masked_sum, _sum_tables(inst.durations))
+        self.q_tables = _sum_tables(scene_q)
+        self.actor_q = [_masked_sum(self.q_tables, q) for q in inst.actor_scenes]
         self.nodes = 0
         # the incumbent, above every schedule's cost until the first leaf
         self.best_h = math.inf
@@ -520,23 +514,24 @@ class _Search:
 
         cfg = self.cfg
         reps = bits(q_reps)
+        # ``aq_full`` and ``multi``: actors of one or more and of two or more
+        # remaining scenes; the latter stay in the middle whichever scene is
+        # pinned next
         if cfg.enable_preprocess:
-            reps, q_reps, active, dur_view, member_mask, member_actors, members = (
-                _simplify(
-                    front, back, reps, q_reps, dur_view, member_mask, member_actors, members
-                )
+            (
+                reps, q_reps, active, aq_full, multi,
+                dur_view, member_mask, member_actors, members,
+            ) = _simplify(
+                front, back, reps, q_reps, dur_view, member_mask, member_actors, members
             )
         else:
             active = self.inst.all_actors
-
-        # ``multi``: actors of two or more remaining scenes, who stay in the
-        # middle whichever scene is pinned next
-        aq_full = 0
-        multi = 0
-        for s in reps:
-            a = member_actors[s]
-            multi |= aq_full & a
-            aq_full |= a
+            aq_full = 0
+            multi = 0
+            for s in reps:
+                a = member_actors[s]
+                multi |= aq_full & a
+                aq_full |= a
         # the remaining scenes over original ids: the members' masks are
         # disjoint, so their sum is their union
         masks = [member_mask[s] for s in reps]
@@ -560,9 +555,7 @@ class _Search:
             if isinstance(entry, int):
                 return entry
 
-        tables = _actor_tables(
-            reps, dur_view, member_actors, self.inst.num_actors, self.by_day
-        )
+        dq = _masked_sum(self.q_tables, q_orig)
         dominated = self._dominated(reps, member_actors, active, front, back)
 
         # The branch order: the children that survive dominance and are live
@@ -585,7 +578,7 @@ class _Search:
         for s in reps:
             if dominated >> s & 1:
                 continue
-            inc = self._increment(s, dur_view, member_actors, front, back, tables)
+            inc = self._increment(s, dur_view, member_actors, front, back, dq)
             if inc >= slack:
                 if inc < least:
                     least = inc
@@ -593,14 +586,11 @@ class _Search:
             key = inc
             if cfg.enable_lower:
                 key += self._branch_lower(
-                    s,
                     member_actors[s],
                     aq_full & ~(member_actors[s] & ~multi),
                     front,
                     back,
                     q_orig & ~member_mask[s],
-                    tables,
-                    dur_view,
                 )
             order.append(key << 6 | len(children))
             children.append((s, inc))
@@ -631,22 +621,24 @@ class _Search:
             entry[1] = least
         return least
 
-    def _increment(self, s, dur_view, member_actors, front, back, tables):
+    def _increment(self, s, dur_view, member_actors, front, back, dq):
         """Holding cost newly forced by pinning scene s after the front block:
         the front's idle on-location actors wait through s, and s's arrivals
         anchored at the back wait through every later middle scene that does
-        not use them.  ``tables`` are the node's ``_actor_tables``."""
+        not use them.  ``dq`` is the node's remaining scenes as a fixed
+        mask."""
         a_s = member_actors[s]
         waiting = front & ~back & ~a_s
         inc = dur_view[s] * _masked_sum(self.wage_tables, waiting) if waiting else 0
         arriving = a_s & ~front & back
         if arriving:
-            _, actor_qd, dq_total, _, _ = tables
+            actor_q = self.actor_q
+            days = self.days
             wages = self.inst.wages
             while arriving:
                 low = arriving & -arriving
                 i = low.bit_length() - 1
-                inc += wages[i] * (dq_total - actor_qd[i])
+                inc += wages[i] * days(dq & ~actor_q[i])
                 arriving ^= low
         return inc
 
@@ -690,10 +682,11 @@ class _Search:
                     break
         return dominated
 
-    def _branch_lower(self, s, a_s, aq2, front, back, q2, tables, dur_view):
-        """Pair-constraint bound for the child that pins scene s in front,
-        whose remaining scenes use the actors ``aq2`` and are ``q2`` over
-        original scene ids; ``tables`` are the node's ``_actor_tables``.
+    def _branch_lower(self, a_s, aq2, front, back, q2):
+        """Pair-constraint bound for the child that pins the scene with
+        actors ``a_s`` in front, whose remaining scenes use the actors
+        ``aq2`` and are ``q2`` over original scene ids.  Each relevant
+        actor's remaining scenes are its fixed mask within ``q2``'s.
 
         The bound depends only on the child's relevant actors at each block
         and on ``q2``: relevant actors are active, so no merge splits their
@@ -718,30 +711,21 @@ class _Search:
             return value
         value = self.lower_prev.get(key)
         if value is None:
-            # only the actors of s lose a remaining scene, and none of them
-            # is relevant at the back
-            actor_q, actor_qd, dq_total, scene_q, days = tables
-            not_s = ~scene_q[s]
-            ds = dur_view[s]
+            actor_q = self.actor_q
+            days = self.days
             wages = self.inst.wages
-            front = []
-            rel = front_rel
-            while rel:
-                low = rel & -rel
-                i = low.bit_length() - 1
-                if a_s & low:
-                    front.append((i, actor_q[i] & not_s, actor_qd[i] - ds, wages[i]))
-                else:
-                    front.append((i, actor_q[i], actor_qd[i], wages[i]))
-                rel ^= low
-            back = []
-            rel = back_rel
-            while rel:
-                low = rel & -rel
-                i = low.bit_length() - 1
-                back.append((i, actor_q[i], actor_qd[i], wages[i]))
-                rel ^= low
-            keys, total = _pair_constants(front, back, dq_total - ds, days)
+            dq2 = _masked_sum(self.q_tables, q2)
+            sides = []
+            for rel in (front_rel, back_rel):
+                side = []
+                while rel:
+                    low = rel & -rel
+                    i = low.bit_length() - 1
+                    q = actor_q[i] & dq2
+                    side.append((i, q, days(q), wages[i]))
+                    rel ^= low
+                sides.append(side)
+            keys, total = _pair_constants(*sides, days(dq2), days)
             value = _pair_bound(keys, total, count)
         if len(memo) >= LOWER_MEMO_ENTRIES:
             prev = self.lower_prev

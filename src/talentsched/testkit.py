@@ -12,11 +12,11 @@ solver's own kernels -- ``_simplify``, ``_Search._increment``,
 ``_Search._dominated``, ``_Search._branch_lower`` (on a plain node or, by
 ``lower_at``, on a simplified one) and its two halves
 ``_pair_constants``/``_pair_bound`` -- so that tests check the code every
-solve runs.  The kernels build or read their own tables: an adapter passes
-``_actor_tables`` on whole, in the mask form a solve of the instance
-uses, and never the dominance rows.  ``pack_pairs``/``unpack_pairs``
-translate between pair constants keyed by actor pair and the packed keys
-of the pair bound's two halves.
+solve runs.  The kernels read the fixed masks of a ``_Search`` of the
+instance, in the mask form its solve uses; an adapter passes at most the
+node's remaining mask, and never the dominance rows.
+``pack_pairs``/``unpack_pairs`` translate between pair constants keyed by
+actor pair and the packed keys of the pair bound's two halves.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .cache import CacheStats
 from .instance import Instance, actors_of_scenes, bits, mask_of
 from .solver import (
     SolveConfig,
-    _actor_tables,
+    _masked_sum,
     _order_dp,
     _pair_constants,
     _Search,
@@ -294,7 +294,7 @@ def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
 
 def simplify(kn: KernelNode) -> KernelNode:
     """The node after the solver's ``_simplify``."""
-    _, q_reps, active, dur_view, member_mask, member_actors, members = _simplify(
+    _, q_reps, active, _, _, dur_view, member_mask, member_actors, members = _simplify(
         kn.front,
         kn.back,
         bits(kn.q_reps),
@@ -313,12 +313,11 @@ def _kernels(inst: Instance, **switches) -> _Search:
     return _Search(inst, SolveConfig(cache_capacity=0, **switches))
 
 
-def _node_tables(search: _Search, kn: KernelNode):
-    """``_actor_tables`` at the kernel node ``kn``, in the mask form (day
-    or scene) that ``search`` uses."""
-    return _actor_tables(
-        bits(kn.q_reps), kn.dur_view, kn.member_actors, search.inst.num_actors,
-        search.by_day,
+def _node_mask(search: _Search, kn: KernelNode) -> int:
+    """The remaining scenes of the kernel node ``kn`` as one mask in the
+    fixed form (day or scene) that ``search`` uses: ``_search``'s ``dq``."""
+    return _masked_sum(
+        search.q_tables, sum(kn.member_mask[s] for s in bits(kn.q_reps))
     )
 
 
@@ -335,7 +334,7 @@ def increment(inst: Instance, node: SearchNode, scene: int) -> int:
     search = _kernels(inst)
     return search._increment(
         scene, inst.durations, inst.scene_actors, kn.front, kn.back,
-        _node_tables(search, kn),
+        _node_mask(search, kn),
     )
 
 
@@ -395,12 +394,13 @@ def pair_constants(inst: Instance, node: SearchNode) -> dict[tuple[int, int], in
     past ``DAY_MASK_MAX_DAYS``.  Pairs whose constant is 0 are absent.
     Checks that the returned total is the constants' sum."""
     search = _kernels(inst)
-    actor_q, actor_qd, dq, _, days = _node_tables(search, kernel_node(inst, node))
+    dq = _node_mask(search, kernel_node(inst, node))
+    actor_q, days = search.actor_q, search.days
     front, back = (
-        [(i, actor_q[i], actor_qd[i], inst.wages[i]) for i in bits(rel)]
+        [(i, actor_q[i] & dq, days(actor_q[i] & dq), inst.wages[i]) for i in bits(rel)]
         for rel in relevant_actors(inst, node)
     )
-    keys, total = _pair_constants(front, back, dq, days)
+    keys, total = _pair_constants(front, back, days(dq), days)
     constants = unpack_pairs(keys)
     if len(constants) != len(keys) or total != sum(constants.values()):
         raise AssertionError("pair keys repeat a pair or miss the total")
@@ -425,7 +425,7 @@ def branch_lower(inst: Instance, node: SearchNode) -> int:
 def lower_at(inst: Instance, kn: KernelNode, scene: int) -> int:
     """``_Search._branch_lower``, with an empty memo, at the kernel node
     ``kn`` for the child that pins the remaining representative ``scene``
-    in front, given the ``_actor_tables`` that ``_search`` builds."""
+    in front, on the fixed masks of a solve of ``inst``."""
     if not kn.q_reps >> scene & 1:
         raise ValueError(f"scene {scene} is not a remaining representative")
     search = _kernels(inst)
@@ -436,12 +436,9 @@ def lower_at(inst: Instance, kn: KernelNode, scene: int) -> int:
         if r != scene:
             aq2 |= kn.member_actors[r]
     return search._branch_lower(
-        scene,
         kn.member_actors[scene],
         aq2,
         kn.front,
         kn.back,
         q_orig & ~kn.member_mask[scene],
-        _node_tables(search, kn),
-        kn.dur_view,
     )

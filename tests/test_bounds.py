@@ -91,6 +91,32 @@ def _reference_bound(constants, count):
     return max(matched, -(-sum(-p[0] for p in pairs) // (count - 1)))
 
 
+def test_matching_stops_once_complete():
+    # ``_pair_bound`` stops after ``count // 2`` pairs: with ``count`` the
+    # number of actors the keys name, no later key can add one.  Sparse and
+    # dense constants, ties included, of both parities of ``count``
+    rng = random.Random(61)
+    parities = set()
+    checked = 0
+    for _ in range(600):
+        actors = sorted(rng.sample(range(64), rng.randint(2, 9)))
+        density = rng.choice((0.3, 0.6, 1.0))
+        constants = {
+            (i, j): rng.randint(1, 6)
+            for a, i in enumerate(actors)
+            for j in actors[a + 1 :]
+            if rng.random() < density
+        }
+        count = len({i for pair in constants for i in pair})
+        if count < 2:
+            continue
+        keys, total = pack_pairs(constants)
+        assert _pair_bound(keys, total, count) == _reference_bound(constants, count)
+        parities.add(count % 2)
+        checked += 1
+    assert parities == {0, 1} and checked > 400
+
+
 def test_pack_pairs_round_trip():
     constants = {(0, 1): 7, (0, 63): 1, (5, 9): 1 << 40, (62, 63): 3}
     keys, total = pack_pairs(constants)

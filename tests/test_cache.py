@@ -217,32 +217,43 @@ def test_subset_probe_respects_removable_masks():
 
 
 def _probes_to_prune(cache, front, back, remaining, z, limit, masks):
-    """The probes one ``check_and_update`` call makes: 1 for the node's own
-    state, plus one per subset mask tried, up to the one that prunes."""
+    """The probes one ``check_and_update`` call makes -- 1 for the node's
+    own state, plus one per subset mask tried, up to the one that prunes --
+    and the state that prunes: ``"own"``, ``"subset"`` or None."""
     if bitset_lt(back, front):
         front, back = back, front
     keys = [(front, back, remaining)] + [(front, back, remaining & ~r) for r in masks]
     for count, key in enumerate(keys, 1):
         entry = cache._slots.get(hash(key) & (cache.capacity - 1))
         if entry is not None and entry[0] == key and z + entry[1] >= limit:
-            return count
-    return len(keys)
+            return count, "own" if count == 1 else "subset"
+    return len(keys), None
 
 
 def test_probe_accounting_balances():
     cache = StateCache(1 << 4)
     rng = random.Random(67)
     probes = 0
+    prunes = {"own": 0, "subset": 0, None: 0}
     for _ in range(300):
-        remaining = rng.getrandbits(4)
+        # one call in four revisits a resident state, as the search does
+        if cache._slots and rng.random() < 0.25:
+            front, back, remaining = rng.choice(list(cache._slots.values()))[0]
+        else:
+            front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(4)
         masks = _singles(remaining) if rng.random() < 0.5 else []
-        args = (rng.getrandbits(3), rng.getrandbits(3), remaining, rng.randint(0, 20), 25, masks)
-        probes += _probes_to_prune(cache, *args)
+        args = (front, back, remaining, rng.randint(0, 20), 25, masks)
+        count, pruned_by = _probes_to_prune(cache, *args)
+        probes += count
+        prunes[pruned_by] += 1
         got = cache.check_and_update(*args)
+        assert isinstance(got, int) == (pruned_by is not None)
         if not isinstance(got, int) and rng.random() < 0.7:
             got[1] = max(got[1], rng.randint(0, 20))
     assert cache.stats.probes == probes
     assert cache.stats.hits and cache.stats.collisions
+    assert cache.stats.hits == prunes["own"] + prunes["subset"]
+    assert prunes["own"] and prunes["subset"]
 
 
 def test_exact_store_always_prunes_revisits():

@@ -13,6 +13,7 @@ from talentsched import (
     solve,
     SolveConfig,
 )
+from talentsched import solver as solver_mod
 from talentsched.instance import bits, mask_of
 from talentsched.testkit import KernelNode, SearchNode, kernel_node, random_node, simplify
 
@@ -115,6 +116,34 @@ def test_active_actors_only_shrink():
             steps += 1
             kn = simplified
     assert steps > 150 and shrinks > 50 and merges > 10
+
+
+def test_fixed_masks_count_every_active_actors_remaining_days(monkeypatch):
+    # the increment and the pair bound read an active actor's remaining
+    # days as their fixed mask within the node's remaining mask, which
+    # counts whole original scenes.  That is exact only if no merge joins
+    # a scene that needs the actor with one that does not.  Along random
+    # search paths, in both mask forms
+    rng = random.Random(43)
+    checked = merged = 0
+    for day_cap in (solver_mod.DAY_MASK_MAX_DAYS, 0):
+        monkeypatch.setattr(solver_mod, "DAY_MASK_MAX_DAYS", day_cap)
+        for seed in range(30):
+            inst = generate_instance(10, 6, seed=800 + seed, density=0.4, max_duration=4)
+            search = solver_mod._Search(inst, SolveConfig(cache_capacity=0))
+            assert search.by_day == (day_cap > 0)
+            kn = simplify(kernel_node(inst, SearchNode((), (), inst.all_scenes)))
+            while kn.q_reps:
+                reps = bits(kn.q_reps)
+                q_orig = sum(kn.member_mask[s] for s in reps)
+                dq = solver_mod._masked_sum(search.q_tables, q_orig)
+                for i in bits(kn.active):
+                    need = sum(kn.dur_view[s] for s in reps if kn.member_actors[s] >> i & 1)
+                    assert search.days(search.actor_q[i] & dq) == need
+                    checked += 1
+                merged += any(len(kn.members[s]) > 1 for s in reps)
+                kn = simplify(_pin(kn, rng.choice(reps)))
+    assert checked > 1000 and merged > 50
 
 
 def test_expand_identity():
