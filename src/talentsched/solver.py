@@ -30,19 +30,23 @@ Chu 2011).  A time-limit unwind writes no bound, as the node's children
 were not all seen.  On the benchmark's base instances this saves 20% of
 nodes on ``sweep`` and 12% on ``wide-cast`` over storing the past cost.
 
-Merged scenes are tracked per node: a representative scene id carries the
-member list, the summed duration, and the union of the members' actor
-sets.  Cache keys use the remaining set over *original* scene ids (the
-union of all live members), which keeps a state's identity independent of
-the merge history that produced it.
+A node is ``(front, back, z, scenes)``: the actors at each block, the past
+cost, and one record ``(duration, mask, actors, members)`` per remaining
+scene, in ascending order of its representative id, the lowest member.  A
+merge replaces its group by one record: the summed duration, the union of
+the members' original-id masks and actor sets, and the concatenated member
+list.  A record's position stands in for its id in both tie-breaks, the
+branch order's and dominance rule 1's.  Cache keys use the remaining set
+over *original* scene ids (the union of the masks), which keeps a state's
+identity independent of the merge history that produced it.
 
 Simplification, the increment, dominance and the pair bound each have one
 implementation, here: ``_simplify``, ``_Search._increment``,
 ``_Search._dominated`` and ``_Search._branch_lower`` with its halves
 ``_pair_constants`` and ``_pair_bound``.  Each is called on the node's own
 state: ``_dominated`` runs once per node and returns the mask of the
-remaining scenes it skips, and ``_increment`` and ``_branch_lower`` read
-the solve's fixed masks.  Tests reach them on single nodes through the
+positions it skips, and ``_increment`` and ``_branch_lower`` read the
+solve's fixed masks.  Tests reach them on single nodes through the
 adapters in ``testkit``.
 
 The pair bound of a child is memoised per solve in
@@ -234,9 +238,10 @@ def _order_dp(
     ``done``.  Shooting ``s`` right after ``done`` holds, for ``d_s`` days,
     every actor on location and needed later but not by ``s``:
     ``(a(done) | before) & (a(rest) | after) & ~a(s)``, with ``rest`` the
-    scenes outside ``done``.  Supersets are larger ints, so a backward sweep finds every
-    value it reads final.  It also keeps the smallest scene that attains
-    each value, and following those from the empty set gives the order."""
+    scenes outside ``done``.  Supersets are larger ints, so a backward
+    sweep finds every value it reads final.  It also keeps the smallest
+    scene that attains each value, and following those from the empty set
+    gives the order."""
     n = len(durations)
     if n > BRUTE_FORCE_MAX_SCENES:
         raise ValueError(f"brute_force is capped at {BRUTE_FORCE_MAX_SCENES} scenes")
@@ -270,66 +275,58 @@ def _order_dp(
     return togo[0], order
 
 
-def _simplify(front, back, reps, q_reps, dur_view, member_mask, member_actors, members):
+def _simplify(front, back, scenes):
     """Drop actors that can no longer wait and merge middle scenes that have
     become indistinguishable, iterated to a fixed point.
 
-    ``front`` and ``back`` are the actors at each block.  An actor is
-    dropped when both blocks anchor them (their pay is decided) or when
-    fewer than two things still do, counting each block and each remaining
-    scene as one (they can never be held waiting again).  The
-    survivors are the node's active actors; they are derived afresh at
-    every node, as an actor that drops out never comes back along a search
-    path.  Remaining scenes whose active-actor sets coincide merge into
-    their smallest id, which carries the summed duration, the union of the
-    members' original-id masks and actor sets, and the concatenated member
-    list; a merge can drop more actors, so the derivation repeats until
-    the signatures are distinct.  ``reps`` lists the representatives of
-    ``q_reps`` ascending.  Returns the updated ``(reps, q_reps, active,
-    aq, multi, dur_view, member_mask, member_actors, members)``, with
-    ``aq`` and ``multi`` the actors of one or more and of two or more
-    remaining scenes, from the last pass; the node's optimal holding cost
-    is unchanged.
+    ``front`` and ``back`` are the actors at each block, and ``scenes`` the
+    node's records ``(duration, mask, actors, members)`` by ascending
+    representative id.  An actor is dropped when both blocks anchor them
+    (their pay is decided) or when fewer than two things still do,
+    counting each block and each remaining scene as one (they can never be
+    held waiting again).  The survivors are the node's active actors; they
+    are derived afresh at every node, as an actor that drops out never
+    comes back along a search path.  Records whose active-actor sets
+    coincide merge into one at the place of the group's head, the one with
+    the smallest id: the summed duration, the union of the masks and actor
+    sets, and the members of the head followed by the others'.  A merge
+    can drop more actors, so the derivation repeats until the signatures
+    are distinct.  Returns ``(scenes, active, aq, multi)``, with ``aq`` and
+    ``multi`` the actors of one or more and of two or more remaining
+    scenes, from the last pass; the node's optimal holding cost is
+    unchanged.
     """
     anchored = front | back
     fixed = front & back
     while True:
         seen_once = 0
         seen_twice = 0
-        for s in reps:
-            a = member_actors[s]
+        for rec in scenes:
+            a = rec[2]
             seen_twice |= seen_once & a
             seen_once |= a
         active = (seen_twice | (seen_once & anchored)) & ~fixed
         # the fixed point: no two signatures coincide
-        if len({member_actors[s] & active for s in reps}) == len(reps):
-            return (
-                reps, q_reps, active, seen_once, seen_twice,
-                dur_view, member_mask, member_actors, members,
-            )
-        groups: dict[int, list[int]] = {}
-        for s in reps:
-            groups.setdefault(member_actors[s] & active, []).append(s)
-        dur_view = list(dur_view)
-        member_mask = list(member_mask)
-        member_actors = list(member_actors)
-        members = list(members)
+        if len({rec[2] & active for rec in scenes}) == len(scenes):
+            return scenes, active, seen_once, seen_twice
+        # a dict keeps its groups in the order of their heads, so the
+        # merged records stay in ascending order of representative id
+        groups: dict[int, list[tuple]] = {}
+        for rec in scenes:
+            groups.setdefault(rec[2] & active, []).append(rec)
+        merged = []
         for group in groups.values():
-            keep = group[0]
-            for other in group[1:]:
-                dur_view[keep] += dur_view[other]
-                member_mask[keep] |= member_mask[other]
-                member_actors[keep] |= member_actors[other]
+            d, q, a, members = group[0]
+            for od, oq, oa, om in group[1:]:
+                d += od
+                q |= oq
+                a |= oa
                 # concatenate, never re-sort: actors wholly inside an
                 # earlier merge rely on its members staying adjacent in
                 # the stored order
-                members[keep] = members[keep] + members[other]
-                q_reps &= ~(1 << other)
-        dur_view = tuple(dur_view)
-        member_mask = tuple(member_mask)
-        member_actors = tuple(member_actors)
-        members = tuple(members)
-        reps = bits(q_reps)
+                members += om
+            merged.append((d, q, a, members))
+        scenes = tuple(merged)
 
 
 def _pair_constants(front, back, dq, days):
@@ -415,8 +412,7 @@ class _Search:
         self.lower_prev: dict[int, int] = {}
         # the fixed masks: scene j's days as a run of bits at its day
         # offset, or bit j past the day cap
-        self.by_day = sum(inst.durations) <= DAY_MASK_MAX_DAYS
-        if self.by_day:
+        if sum(inst.durations) <= DAY_MASK_MAX_DAYS:
             scene_q = []
             offset = 0
             for d in inst.durations:
@@ -445,19 +441,13 @@ class _Search:
         self.t0 = time.perf_counter()
         self.deadline = self.t0 + cfg.time_limit
 
-        n = inst.num_scenes
+        scenes = tuple(
+            (d, 1 << j, a, (j,))
+            for j, (d, a) in enumerate(zip(inst.durations, inst.scene_actors))
+        )
         status = "optimal"
         try:
-            self._search(
-                0,
-                0,
-                inst.all_scenes,
-                0,
-                inst.durations,
-                tuple(1 << j for j in range(n)),
-                inst.scene_actors,
-                tuple((j,) for j in range(n)),
-            )
+            self._search(0, 0, 0, scenes)
         except _TimeLimit:
             status = "time_limit"
         elapsed = time.perf_counter() - self.t0
@@ -474,14 +464,12 @@ class _Search:
             ub_trace=tuple(self.trace),
         )
 
-    def _search(self, front, back, q_reps, z, dur_view, member_mask, member_actors, members):
+    def _search(self, front, back, z, scenes):
         """Search the node whose blocks hold the actors ``front`` and
-        ``back`` (trimmed here to those on location), with the
-        representative scenes ``q_reps`` left at past cost ``z``; per scene
-        id, ``dur_view``, ``member_mask``, ``member_actors`` and ``members``
-        give its duration, original-id mask, actor set and member list.  The
-        blocks' scenes are in ``self.pinned``.  Returns a lower bound on the
-        node's future cost."""
+        ``back`` (trimmed here to those on location), at past cost ``z``,
+        with the records ``scenes`` left, by ascending representative id.
+        The blocks' scenes are in ``self.pinned``.  Returns a lower bound on
+        the node's future cost."""
         self.nodes += 1
         # every node: at n = 64 one node can take milliseconds, so a check
         # every few thousand nodes would overshoot the limit by seconds.
@@ -493,7 +481,7 @@ class _Search:
         if self.best_order and time.perf_counter() > self.deadline:
             raise _TimeLimit
 
-        if not q_reps:
+        if not scenes:
             # no guard: the parent entered this leaf only if z < best_h
             self.best_h = z
             # read from this node's front block, which holds the places of
@@ -513,28 +501,22 @@ class _Search:
             return 0
 
         cfg = self.cfg
-        reps = bits(q_reps)
         # ``aq_full`` and ``multi``: actors of one or more and of two or more
         # remaining scenes; the latter stay in the middle whichever scene is
         # pinned next
         if cfg.enable_preprocess:
-            (
-                reps, q_reps, active, aq_full, multi,
-                dur_view, member_mask, member_actors, members,
-            ) = _simplify(
-                front, back, reps, q_reps, dur_view, member_mask, member_actors, members
-            )
+            scenes, active, aq_full, multi = _simplify(front, back, scenes)
         else:
             active = self.inst.all_actors
             aq_full = 0
             multi = 0
-            for s in reps:
-                a = member_actors[s]
+            for rec in scenes:
+                a = rec[2]
                 multi |= aq_full & a
                 aq_full |= a
-        # the remaining scenes over original ids: the members' masks are
+        # the remaining scenes over original ids: the records' masks are
         # disjoint, so their sum is their union
-        masks = [member_mask[s] for s in reps]
+        masks = [rec[1] for rec in scenes]
         q_orig = sum(masks)
         # exact: an actor held by neither the middle nor the other block can
         # never enter either again
@@ -556,12 +538,13 @@ class _Search:
                 return entry
 
         dq = _masked_sum(self.q_tables, q_orig)
-        dominated = self._dominated(reps, member_actors, active, front, back)
+        dominated = self._dominated(scenes, active, front, back)
 
         # The branch order: the children that survive dominance and are live
         # on entry, ``z + inc < best_h``, by ascending ``inc`` plus pair
         # bound, ties to the smaller scene id, as keys ``(inc + bound) << 6 |
-        # k`` with ``k`` the child's place in ``children``, in scene id order
+        # c`` with ``c`` the child's place in ``children``, which follows
+        # the records' order
         #
         # ``least`` is the least ``inc + b`` over the children that survive
         # dominance, with ``b`` a lower bound on the child's future cost: 0
@@ -575,10 +558,10 @@ class _Search:
         least = math.inf
         children = []
         order = []
-        for s in reps:
-            if dominated >> s & 1:
+        for k, (d, q, a_s, _) in enumerate(scenes):
+            if dominated >> k & 1:
                 continue
-            inc = self._increment(s, dur_view, member_actors, front, back, dq)
+            inc = self._increment(d, a_s, front, back, dq)
             if inc >= slack:
                 if inc < least:
                     least = inc
@@ -586,14 +569,10 @@ class _Search:
             key = inc
             if cfg.enable_lower:
                 key += self._branch_lower(
-                    member_actors[s],
-                    aq_full & ~(member_actors[s] & ~multi),
-                    front,
-                    back,
-                    q_orig & ~member_mask[s],
+                    a_s, aq_full & ~(a_s & ~multi), front, back, q_orig & ~q
                 )
             order.append(key << 6 | len(children))
-            children.append((s, inc))
+            children.append((k, inc))
         order.sort()
         pinned = self.pinned
         for key in order:
@@ -602,17 +581,11 @@ class _Search:
                 if key >> 6 < least:
                     least = key >> 6
                 break
-            s, inc = children[key & 63]
-            pinned.append(members[s])
+            k, inc = children[key & 63]
+            _, _, a_s, members = scenes[k]
+            pinned.append(members)
             cost = inc + self._search(
-                back,
-                front | member_actors[s],
-                q_reps & ~(1 << s),
-                z + inc,
-                dur_view,
-                member_mask,
-                member_actors,
-                members,
+                back, front | a_s, z + inc, scenes[:k] + scenes[k + 1 :]
             )
             pinned.pop()
             if cost < least:
@@ -621,15 +594,14 @@ class _Search:
             entry[1] = least
         return least
 
-    def _increment(self, s, dur_view, member_actors, front, back, dq):
-        """Holding cost newly forced by pinning scene s after the front block:
-        the front's idle on-location actors wait through s, and s's arrivals
-        anchored at the back wait through every later middle scene that does
-        not use them.  ``dq`` is the node's remaining scenes as a fixed
-        mask."""
-        a_s = member_actors[s]
+    def _increment(self, d, a_s, front, back, dq):
+        """Holding cost newly forced by pinning the scene of ``d`` days and
+        actors ``a_s`` after the front block: the front's idle on-location
+        actors wait through it, and its arrivals anchored at the back wait
+        through every later middle scene that does not use them.  ``dq`` is
+        the node's remaining scenes as a fixed mask."""
         waiting = front & ~back & ~a_s
-        inc = dur_view[s] * _masked_sum(self.wage_tables, waiting) if waiting else 0
+        inc = d * _masked_sum(self.wage_tables, waiting) if waiting else 0
         arriving = a_s & ~front & back
         if arriving:
             actor_q = self.actor_q
@@ -642,18 +614,19 @@ class _Search:
                 arriving ^= low
         return inc
 
-    def _dominated(self, reps, member_actors, active, front, back):
-        """Mask of the remaining scenes ``reps`` that some other remaining
-        scene does at least as well as in the next front slot; 0 with both
-        rules off.  Over the active actors, a scene's ``s1f``/``s1b`` are
-        its actors joined with those on location at the front/back, and a
-        competitor's are ``s2f``/``s2b``.  Both rules need s1f to cover
-        s2f, and then
+    def _dominated(self, scenes, active, front, back):
+        """Mask of the positions in ``scenes`` whose record some other
+        remaining one does at least as well as in the next front slot; 0
+        with both rules off.  Over the active actors, a scene's
+        ``s1f``/``s1b`` are its actors joined with those on location at the
+        front/back, and a competitor's are ``s2f``/``s2b``.  Both rules need
+        s1f to cover s2f, and then
         rule 1 -- s1b inside s2b (swapping never costs more);
         rule 2 -- the wage of s1f & s2b strictly above the wage of s2f
                   (moving the other scene ahead saves more than it costs).
-        Rule 1 can hold both ways (identical joins); the smaller id then
-        survives, and so some remaining scene always does."""
+        Rule 1 can hold both ways (identical joins); the earlier position,
+        the smaller id, then survives, and so some remaining scene always
+        does."""
         cfg = self.cfg
         rule1 = cfg.enable_rule1
         rule2 = cfg.enable_rule2
@@ -663,16 +636,17 @@ class _Search:
         front &= active
         back &= active
         rows = []
-        for s in reps:
-            sig = member_actors[s] & active
+        for k, rec in enumerate(scenes):
+            sig = rec[2] & active
             sf = sig | front
-            rows.append((s, sf, sig | back, _masked_sum(wage_tables, sf)))
+            rows.append((k, sf, sig | back, _masked_sum(wage_tables, sf)))
         dominated = 0
         for s, s1f, s1b, _ in rows:
             for other, s2f, s2b, loss in rows:
                 if s2f & ~s1f or other == s:
                     continue
-                # mutual domination under rule 1 resolves to the smaller id
+                # mutual domination under rule 1 resolves to the earlier
+                # position, the smaller id
                 if (
                     rule1
                     and not s1b & ~s2b

@@ -7,14 +7,17 @@ state cache) are small, slow, and written independently of the solver's
 fast paths so they can serve as ground truth; the optimum of a whole
 instance is ``solver.brute_force``, whose subset DP also gives
 ``enumerate_future_cost``.  The adapters turn a ``SearchNode`` (or the
-``KernelNode`` the search carries) into the per-node arguments of the
-solver's own kernels -- ``_simplify``, ``_Search._increment``,
-``_Search._dominated``, ``_Search._branch_lower`` (on a plain node or, by
-``lower_at``, on a simplified one) and its two halves
-``_pair_constants``/``_pair_bound`` -- so that tests check the code every
-solve runs.  The kernels read the fixed masks of a ``_Search`` of the
-instance, in the mask form its solve uses; an adapter passes at most the
-node's remaining mask, and never the dominance rows.
+``KernelNode`` the search carries, whose remaining scenes are the search's
+records) into the per-node arguments of the solver's own kernels --
+``_simplify``, ``_Search._increment``, ``_Search._dominated``,
+``_Search._branch_lower`` (on a plain node or, by ``lower_at``, on a
+simplified one) and its two halves ``_pair_constants``/``_pair_bound`` --
+so that tests check the code every solve runs.  The kernels read the fixed
+masks of a ``_Search`` of the instance, in the mask form its solve uses;
+an adapter passes at most the node's remaining mask, and never the
+dominance rows.  ``dominated`` and ``groups`` name scenes by their
+representative ids; ``lower_at`` takes a record's position, as the search
+does.
 ``pack_pairs``/``unpack_pairs`` translate between pair constants keyed by
 actor pair and the packed keys of the pair bound's two halves.
 """
@@ -251,62 +254,44 @@ class CacheModel:
 @dataclass(frozen=True)
 class KernelNode:
     """The state ``_Search._search`` carries into a node: the actors on
-    location at each block, the remaining representative scenes, and per
-    scene id its duration, original-id mask, actor set and members; with
-    the node's active actors, which ``simplify`` derives (every actor
-    before)."""
+    location at each block and the remaining scenes, one record
+    ``(duration, mask, actors, members)`` each by ascending representative
+    id; with the node's active actors, which ``simplify`` derives (every
+    actor before)."""
 
     front: int
     back: int
-    q_reps: int
     active: int
-    dur_view: tuple[int, ...]
-    member_mask: tuple[int, ...]
-    member_actors: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    scenes: tuple[tuple[int, int, int, tuple[int, ...]], ...]
 
     def groups(self) -> dict[int, tuple[int, ...]]:
-        """Members of every remaining representative that absorbed others."""
-        return {
-            s: self.members[s] for s in bits(self.q_reps) if len(self.members[s]) > 1
-        }
+        """Members of every remaining representative that absorbed others,
+        keyed by its id."""
+        return {rec[3][0]: rec[3] for rec in self.scenes if len(rec[3]) > 1}
 
 
 def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
     """The node as the search enters it, before any merge, with each
     block's actors trimmed to those on location as ``_search`` trims
     them."""
-    n = inst.num_scenes
     front = actors_of_scenes(inst, mask_of(node.front))
     back = actors_of_scenes(inst, mask_of(node.back))
     aq = actors_of_scenes(inst, node.remaining)
     return KernelNode(
         front=front & (aq | back),
         back=back & (aq | front),
-        q_reps=node.remaining,
         active=inst.all_actors,
-        dur_view=inst.durations,
-        member_mask=tuple(1 << j for j in range(n)),
-        member_actors=inst.scene_actors,
-        members=tuple((j,) for j in range(n)),
+        scenes=tuple(
+            (inst.durations[j], 1 << j, inst.scene_actors[j], (j,))
+            for j in bits(node.remaining)
+        ),
     )
 
 
 def simplify(kn: KernelNode) -> KernelNode:
     """The node after the solver's ``_simplify``."""
-    _, q_reps, active, _, _, dur_view, member_mask, member_actors, members = _simplify(
-        kn.front,
-        kn.back,
-        bits(kn.q_reps),
-        kn.q_reps,
-        kn.dur_view,
-        kn.member_mask,
-        kn.member_actors,
-        kn.members,
-    )
-    return KernelNode(
-        kn.front, kn.back, q_reps, active, dur_view, member_mask, member_actors, members
-    )
+    scenes, active, _, _ = _simplify(kn.front, kn.back, kn.scenes)
+    return KernelNode(kn.front, kn.back, active, scenes)
 
 
 def _kernels(inst: Instance, **switches) -> _Search:
@@ -316,9 +301,7 @@ def _kernels(inst: Instance, **switches) -> _Search:
 def _node_mask(search: _Search, kn: KernelNode) -> int:
     """The remaining scenes of the kernel node ``kn`` as one mask in the
     fixed form (day or scene) that ``search`` uses: ``_search``'s ``dq``."""
-    return _masked_sum(
-        search.q_tables, sum(kn.member_mask[s] for s in bits(kn.q_reps))
-    )
+    return _masked_sum(search.q_tables, sum(rec[1] for rec in kn.scenes))
 
 
 def _require_remaining(node: SearchNode, scene: int) -> None:
@@ -333,7 +316,7 @@ def increment(inst: Instance, node: SearchNode, scene: int) -> int:
     kn = kernel_node(inst, node)
     search = _kernels(inst)
     return search._increment(
-        scene, inst.durations, inst.scene_actors, kn.front, kn.back,
+        inst.durations[scene], inst.scene_actors[scene], kn.front, kn.back,
         _node_mask(search, kn),
     )
 
@@ -341,13 +324,12 @@ def increment(inst: Instance, node: SearchNode, scene: int) -> int:
 def dominated(
     inst: Instance, kn: KernelNode, use_rule1: bool = True, use_rule2: bool = True
 ) -> int:
-    """``_Search._dominated`` at the kernel node ``kn``: the mask of its
-    remaining representatives whose branch is skipped in favour of
-    another's."""
+    """``_Search._dominated`` at the kernel node ``kn``: the mask of the
+    representative ids whose branch is skipped in favour of another's (the
+    kernel's mask is over positions in ``kn.scenes``)."""
     search = _kernels(inst, enable_rule1=use_rule1, enable_rule2=use_rule2)
-    return search._dominated(
-        bits(kn.q_reps), kn.member_actors, kn.active, kn.front, kn.back
-    )
+    mask = search._dominated(kn.scenes, kn.active, kn.front, kn.back)
+    return sum(1 << rec[3][0] for k, rec in enumerate(kn.scenes) if mask >> k & 1)
 
 
 def rule_fires(
@@ -356,12 +338,11 @@ def rule_fires(
     """Whether dominance rule ``rule`` (1 or 2) of ``_Search._dominated``
     skips a scene with actors ``s1_actors`` for one with ``s2_actors``,
     given the active actors on location at each block.  The competitor gets
-    the smaller id, so rule 1's tie-break never spares the first scene."""
+    the earlier position, so rule 1's tie-break never spares the first
+    scene."""
     search = _kernels(inst, enable_rule1=rule == 1, enable_rule2=rule == 2)
-    mask = search._dominated(
-        [0, 1], (s2_actors, s1_actors), inst.all_actors, front, back
-    )
-    return bool(mask & 0b10)
+    scenes = ((1, 1, s2_actors, (0,)), (1, 2, s1_actors, (1,)))
+    return bool(search._dominated(scenes, inst.all_actors, front, back) & 0b10)
 
 
 def relevant_actors(inst: Instance, node: SearchNode) -> tuple[int, int]:
@@ -418,27 +399,21 @@ def branch_lower(inst: Instance, node: SearchNode) -> int:
             return 0
         node = SearchNode(tuple(reversed(node.back)), (), node.remaining)
     s = node.front[-1]
-    parent = SearchNode(node.front[:-1], node.back, node.remaining | 1 << s)
-    return lower_at(inst, kernel_node(inst, parent), s)
+    remaining = node.remaining | 1 << s
+    parent = SearchNode(node.front[:-1], node.back, remaining)
+    return lower_at(inst, kernel_node(inst, parent), bits(remaining).index(s))
 
 
-def lower_at(inst: Instance, kn: KernelNode, scene: int) -> int:
+def lower_at(inst: Instance, kn: KernelNode, k: int) -> int:
     """``_Search._branch_lower``, with an empty memo, at the kernel node
-    ``kn`` for the child that pins the remaining representative ``scene``
-    in front, on the fixed masks of a solve of ``inst``."""
-    if not kn.q_reps >> scene & 1:
-        raise ValueError(f"scene {scene} is not a remaining representative")
+    ``kn`` for the child that pins its record at position ``k`` in front,
+    on the fixed masks of a solve of ``inst``."""
     search = _kernels(inst)
+    _, q, a_s, _ = kn.scenes[k]
     aq2 = 0
     q_orig = 0
-    for r in bits(kn.q_reps):
-        q_orig |= kn.member_mask[r]
-        if r != scene:
-            aq2 |= kn.member_actors[r]
-    return search._branch_lower(
-        kn.member_actors[scene],
-        aq2,
-        kn.front,
-        kn.back,
-        q_orig & ~kn.member_mask[scene],
-    )
+    for other, rec in enumerate(kn.scenes):
+        q_orig |= rec[1]
+        if other != k:
+            aq2 |= rec[2]
+    return search._branch_lower(a_s, aq2, kn.front, kn.back, q_orig & ~q)

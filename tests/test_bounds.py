@@ -393,11 +393,10 @@ def test_pair_bound_depends_only_on_child_state():
         front, back = placed[:split], placed[split:]
         parent = SearchNode(tuple(front), tuple(back), mask_of(rest))
         kn = simplify(kernel_node(inst, parent))
-        for r in bits(kn.q_reps):
-            group = kn.members[r]
+        for k, (_, _, _, group) in enumerate(kn.scenes):
             child_front = front + list(group)
             remaining = parent.remaining & ~mask_of(group)
-            value = lower_at(inst, kn, r)
+            value = lower_at(inst, kn, k)
             merged += len(group) > 1
             positive += value > 0
             for _ in range(3):
@@ -435,10 +434,10 @@ def test_scene_masks_past_the_day_cap_scale_with_the_durations():
         assert pair_constants(big, node) == {p: 720720 * c for p, c in constants.items()}
         assert branch_lower(big, node) == 720720 * branch_lower(inst, node)
         kn, kn_big = (simplify(kernel_node(x, node)) for x in (inst, big))
-        for r in bits(kn.q_reps):
-            value = lower_at(inst, kn, r)
-            assert lower_at(big, kn_big, r) == 720720 * value
-            merged += len(kn.members[r]) > 1
+        for k, (_, _, _, group) in enumerate(kn.scenes):
+            value = lower_at(inst, kn, k)
+            assert lower_at(big, kn_big, k) == 720720 * value
+            merged += len(group) > 1
             positive += value > 0
     assert merged > 40 and positive > 40
 

@@ -235,14 +235,9 @@ def test_probe_accounting_balances():
     rng = random.Random(67)
     probes = 0
     prunes = {"own": 0, "subset": 0, None: 0}
-    for _ in range(300):
-        # one call in four revisits a resident state, as the search does
-        if cache._slots and rng.random() < 0.25:
-            front, back, remaining = rng.choice(list(cache._slots.values()))[0]
-        else:
-            front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(4)
-        masks = _singles(remaining) if rng.random() < 0.5 else []
-        args = (front, back, remaining, rng.randint(0, 20), 25, masks)
+
+    def call(*args):
+        nonlocal probes
         count, pruned_by = _probes_to_prune(cache, *args)
         probes += count
         prunes[pruned_by] += 1
@@ -250,10 +245,30 @@ def test_probe_accounting_balances():
         assert isinstance(got, int) == (pruned_by is not None)
         if not isinstance(got, int) and rng.random() < 0.7:
             got[1] = max(got[1], rng.randint(0, 20))
+
+    for _ in range(300):
+        # one call in four revisits a resident state, as the search does
+        if cache._slots and rng.random() < 0.25:
+            front, back, remaining = rng.choice(list(cache._slots.values()))[0]
+        else:
+            front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(4)
+        masks = _singles(remaining) if rng.random() < 0.5 else []
+        call(front, back, remaining, rng.randint(0, 20), 25, masks)
+    subset_before = prunes["subset"]
+    for _ in range(300):
+        # a resident state's remaining set plus one scene: dropping that
+        # scene reaches the resident, so its bound can prune by a subset
+        # probe, as it does for a parent of a searched node
+        front, back, remaining = rng.choice(list(cache._slots.values()))[0]
+        free = [s for s in range(remaining.bit_length() + 1) if not remaining >> s & 1]
+        remaining |= 1 << rng.choice(free)
+        call(front, back, remaining, rng.randint(0, 20), 25, _singles(remaining))
     assert cache.stats.probes == probes
     assert cache.stats.hits and cache.stats.collisions
     assert cache.stats.hits == prunes["own"] + prunes["subset"]
     assert prunes["own"] and prunes["subset"]
+    # 86 of the 300 at this seed; at least one in five
+    assert prunes["subset"] - subset_before >= 60, prunes
 
 
 def test_exact_store_always_prunes_revisits():

@@ -32,10 +32,16 @@ def _pre_instance():
     return Instance.from_rows(PRE_ROWS, (1, 2, 3, 4, 5, 6), (1, 1, 1, 1, 1))
 
 
+def _reps(kn):
+    """The node's representative ids, in the order of its records."""
+    return [rec[3][0] for rec in kn.scenes]
+
+
 def _expand(kn, order):
     """Original scene ids of a representative order, as the search's leaf
     expands it: each representative's members, consecutively."""
-    return tuple(j for s in order for j in kn.members[s])
+    members = {rec[3][0]: rec[3] for rec in kn.scenes}
+    return tuple(j for s in order for j in members[s])
 
 
 def test_worked_preprocess_example():
@@ -44,11 +50,12 @@ def test_worked_preprocess_example():
     start = kernel_node(inst, node)
     simplified = simplify(start)
     assert simplified.active == mask_of([0, 1, 2])
-    assert simplified.q_reps == mask_of([1, 2, 4])
+    assert _reps(simplified) == [1, 2, 4]
     assert simplified.groups() == {2: (2, 3)}
-    assert simplified.dur_view[2] == 3 + 4
-    assert simplified.member_mask[2] == mask_of([2, 3])
-    assert simplified.member_actors[2] == inst.scene_actors[2] | inst.scene_actors[3]
+    duration, mask, actors, _ = simplified.scenes[1]
+    assert duration == 3 + 4
+    assert mask == mask_of([2, 3])
+    assert actors == inst.scene_actors[2] | inst.scene_actors[3]
     assert simplified.front == start.front
     assert simplified.back == start.back
 
@@ -59,7 +66,7 @@ def test_no_rule_fires():
     )
     node = SearchNode(front=(), back=(), remaining=0b111)
     simplified = simplify(kernel_node(inst, node))
-    assert simplified.q_reps == 0b111
+    assert _reps(simplified) == [0, 1, 2]
     assert not simplified.groups()
     assert simplified.active == 0b111
 
@@ -75,18 +82,16 @@ def test_idempotent():
         assert twice == once
 
 
-def _pin(kn, s):
-    """The child the search enters after pinning the representative ``s``
-    of the simplified node ``kn`` in front: the blocks swap roles, and each
-    keeps the actors still on location."""
+def _pin(kn, k):
+    """The child the search enters after pinning the record at position
+    ``k`` of the simplified node ``kn`` in front: the blocks swap roles,
+    and each keeps the actors still on location."""
+    scenes = kn.scenes[:k] + kn.scenes[k + 1 :]
     aq = 0
-    for r in bits(kn.q_reps & ~(1 << s)):
-        aq |= kn.member_actors[r]
-    front, back = kn.back, kn.front | kn.member_actors[s]
-    return KernelNode(
-        front & (aq | back), back & (aq | front), kn.q_reps & ~(1 << s), kn.active,
-        kn.dur_view, kn.member_mask, kn.member_actors, kn.members,
-    )
+    for rec in scenes:
+        aq |= rec[2]
+    front, back = kn.back, kn.front | kn.scenes[k][2]
+    return KernelNode(front & (aq | back), back & (aq | front), kn.active, scenes)
 
 
 def test_active_actors_only_shrink():
@@ -101,18 +106,18 @@ def test_active_actors_only_shrink():
         kn = simplify(kernel_node(inst, SearchNode((), (), inst.all_scenes)))
         while True:
             aq = multi = 0
-            for s in bits(kn.q_reps):
-                multi |= aq & kn.member_actors[s]
-                aq |= kn.member_actors[s]
+            for rec in kn.scenes:
+                multi |= aq & rec[2]
+                aq |= rec[2]
             anchored, fixed = kn.front | kn.back, kn.front & kn.back
             assert kn.active == (multi | (aq & anchored)) & ~fixed
-            child = _pin(kn, rng.choice(bits(kn.q_reps)))
-            if not child.q_reps:
+            child = _pin(kn, rng.randrange(len(kn.scenes)))
+            if not child.scenes:
                 break
             simplified = simplify(child)
             assert simplified.active & ~kn.active == 0
             shrinks += simplified.active != kn.active
-            merges += simplified.q_reps != child.q_reps
+            merges += len(simplified.scenes) != len(child.scenes)
             steps += 1
             kn = simplified
     assert steps > 150 and shrinks > 50 and merges > 10
@@ -131,18 +136,17 @@ def test_fixed_masks_count_every_active_actors_remaining_days(monkeypatch):
         for seed in range(30):
             inst = generate_instance(10, 6, seed=800 + seed, density=0.4, max_duration=4)
             search = solver_mod._Search(inst, SolveConfig(cache_capacity=0))
-            assert search.by_day == (day_cap > 0)
+            assert (search.days is int.bit_count) == (day_cap > 0)
             kn = simplify(kernel_node(inst, SearchNode((), (), inst.all_scenes)))
-            while kn.q_reps:
-                reps = bits(kn.q_reps)
-                q_orig = sum(kn.member_mask[s] for s in reps)
+            while kn.scenes:
+                q_orig = sum(rec[1] for rec in kn.scenes)
                 dq = solver_mod._masked_sum(search.q_tables, q_orig)
                 for i in bits(kn.active):
-                    need = sum(kn.dur_view[s] for s in reps if kn.member_actors[s] >> i & 1)
+                    need = sum(d for d, _, a, _ in kn.scenes if a >> i & 1)
                     assert search.days(search.actor_q[i] & dq) == need
                     checked += 1
-                merged += any(len(kn.members[s]) > 1 for s in reps)
-                kn = simplify(_pin(kn, rng.choice(reps)))
+                merged += bool(kn.groups())
+                kn = simplify(_pin(kn, rng.randrange(len(kn.scenes))))
     assert checked > 1000 and merged > 50
 
 
@@ -174,7 +178,7 @@ def test_merged_orders_cover_the_optimum():
         inst = generate_instance(7, 4, seed=500 + seed, density=0.5)
         root = SearchNode(front=(), back=(), remaining=inst.all_scenes)
         kn = simplify(kernel_node(inst, root))
-        reps = list(bits(kn.q_reps))
+        reps = _reps(kn)
         best = min(
             holding_cost(inst, Schedule(_expand(kn, order)))
             for order in permutations(reps)

@@ -383,8 +383,8 @@ def test_day_mask_cap_is_decided_per_solve():
     at_cap = Instance(4, 2, (0b01, 0b10, 0b11, 0b01), (1024,) * 4, (3, 5))
     past_cap = Instance(4, 2, at_cap.scene_actors, (1024, 1024, 1024, 1025), (3, 5))
     assert sum(at_cap.durations) == solver_mod.DAY_MASK_MAX_DAYS
-    assert solver_mod._Search(at_cap, FAST).by_day
-    assert not solver_mod._Search(past_cap, FAST).by_day
+    assert solver_mod._Search(at_cap, FAST).days is int.bit_count
+    assert solver_mod._Search(past_cap, FAST).days is not int.bit_count
     for inst in (at_cap, past_cap):
         expect, _ = brute_force(inst)
         assert solve(inst, FAST).holding_cost == expect
@@ -400,7 +400,7 @@ def test_huge_durations_take_scene_masks_and_match_brute_force():
             n, base.num_actors, base.scene_actors,
             tuple(rng.randint(500_000, 1_500_000) for _ in range(n)), base.wages,
         )
-        assert not solver_mod._Search(inst, FAST).by_day
+        assert solver_mod._Search(inst, FAST).days is not int.bit_count
         expect, _ = brute_force(inst)
         for cap in (0, 1 << 4, 1 << 16):
             for lower in (True, False):
@@ -415,8 +415,8 @@ def test_huge_durations_take_scene_masks_and_match_brute_force():
         big = Instance(
             n, m, inst.scene_actors, tuple(720720 * d for d in inst.durations), inst.wages
         )
-        assert solver_mod._Search(inst, FAST).by_day
-        assert not solver_mod._Search(big, FAST).by_day
+        assert solver_mod._Search(inst, FAST).days is int.bit_count
+        assert solver_mod._Search(big, FAST).days is not int.bit_count
         small, large = solve(inst, FAST), solve(big, FAST)
         assert large.holding_cost == small.holding_cost * 720720
         assert large.schedule == small.schedule
