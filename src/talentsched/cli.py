@@ -352,10 +352,25 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="state cache capacity exponent: at most 2^K states are kept, "
         "memory grows only with those stored (0 disables; default %(default)s)",
     )
-    p.add_argument("--no-preprocess", action="store_true")
-    p.add_argument("--no-rule1", action="store_true")
-    p.add_argument("--no-rule2", action="store_true")
-    p.add_argument("--no-lower", action="store_true")
+    p.add_argument(
+        "--no-preprocess",
+        action="store_true",
+        help="turn off actor dropping and the merging of scenes whose active "
+        "actors are equal",
+    )
+    p.add_argument(
+        "--no-rule1",
+        action="store_true",
+        help="turn off dominance rule 1 and the forcing of the zero-cost scene",
+    )
+    p.add_argument(
+        "--no-rule2", action="store_true", help="turn off dominance rule 2"
+    )
+    p.add_argument(
+        "--no-lower",
+        action="store_true",
+        help="turn off the pair lower bound (branch by the increment alone)",
+    )
     _add_time_limit(p)
 
 

@@ -8,6 +8,13 @@ merging), then checked against the state cache, and each candidate branch
 must survive the dominance rules and the lower-bound test
 ``past + increment + future_bound < best`` before it is explored.
 
+Dominance has rules 1 and 2 and, under rule 1's switch, one forced
+branch: a remaining scene whose active actors are exactly the front's
+active actors.  Shooting it next holds no one: the front's active actors
+all work in it, and its other actors are fixed at both blocks or need no
+other remaining scene.  Moving it to the front of any completion never
+lengthens an actor's stay either, so it is the node's only child.
+
 The branch order is best first: a node computes the pair bound of every
 child still live when its loop starts (``past + increment < best``) and
 takes them in ascending ``increment + bound``, ties to the smaller scene
@@ -476,8 +483,9 @@ class _Search:
         # Only once a schedule exists: with no incumbent nothing prunes the
         # first dive (the increment test cannot; the cache holds only
         # ancestors, whose remaining sets are supersets; dominance leaves a
-        # child, since the scene-id tie-break keeps rules 1 and 2 acyclic),
-        # so it reaches a leaf within n + 1 nodes.
+        # child, since the scene-id tie-break keeps rules 1 and 2 acyclic
+        # and a forced zero-cost scene is itself the child left), so it
+        # reaches a leaf within n + 1 nodes.
         if self.best_order and time.perf_counter() > self.deadline:
             raise _TimeLimit
 
@@ -617,16 +625,19 @@ class _Search:
     def _dominated(self, scenes, active, front, back):
         """Mask of the positions in ``scenes`` whose record some other
         remaining one does at least as well as in the next front slot; 0
-        with both rules off.  Over the active actors, a scene's
-        ``s1f``/``s1b`` are its actors joined with those on location at the
-        front/back, and a competitor's are ``s2f``/``s2b``.  Both rules need
-        s1f to cover s2f, and then
+        with both rules off.  With rule 1 on, the first record whose
+        active actors are exactly the front's is the zero-cost scene:
+        every other position is returned, and the rules are not checked.
+        Over the active actors, a scene's ``s1f``/``s1b`` are its actors
+        joined with those on location at the front/back, and a
+        competitor's are ``s2f``/``s2b``.  Both rules need s1f to cover
+        s2f, and then
         rule 1 -- s1b inside s2b (swapping never costs more);
         rule 2 -- the wage of s1f & s2b strictly above the wage of s2f
                   (moving the other scene ahead saves more than it costs).
         Rule 1 can hold both ways (identical joins); the earlier position,
         the smaller id, then survives, and so some remaining scene always
-        does."""
+        does, as the forced one does when it is found."""
         cfg = self.cfg
         rule1 = cfg.enable_rule1
         rule2 = cfg.enable_rule2
@@ -638,6 +649,10 @@ class _Search:
         rows = []
         for k, rec in enumerate(scenes):
             sig = rec[2] & active
+            # the zero-cost scene: shooting it next holds no one, so it is
+            # the only child
+            if rule1 and sig == front:
+                return (1 << len(scenes)) - 1 ^ 1 << k
             sf = sig | front
             rows.append((k, sf, sig | back, _masked_sum(wage_tables, sf)))
         dominated = 0

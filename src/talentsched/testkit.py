@@ -339,7 +339,9 @@ def rule_fires(
     skips a scene with actors ``s1_actors`` for one with ``s2_actors``,
     given the active actors on location at each block.  The competitor gets
     the earlier position, so rule 1's tie-break never spares the first
-    scene."""
+    scene.  Under rule 1 a zero-cost scene, one that needs exactly the
+    front's actors, is forced: the answer is True when the competitor is
+    one, and False when the scene is one and the competitor is not."""
     search = _kernels(inst, enable_rule1=rule == 1, enable_rule2=rule == 2)
     scenes = ((1, 1, s2_actors, (0,)), (1, 2, s1_actors, (1,)))
     return bool(search._dominated(scenes, inst.all_actors, front, back) & 0b10)

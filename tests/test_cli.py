@@ -120,6 +120,22 @@ def test_solver_flag_defaults_are_solve_configs():
     assert cli._bench_configs(args) == [SolveConfig()]
 
 
+def test_switch_flags_say_what_they_turn_off(capsys, monkeypatch):
+    # wide enough that no help line wraps
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for flag, names in (
+        ("--no-preprocess", "merging"),
+        ("--no-rule1", "zero-cost scene"),
+        ("--no-rule2", "rule 2"),
+        ("--no-lower", "lower bound"),
+    ):
+        (line,) = [line for line in lines if line.split()[:1] == [flag]]
+        assert names in line, flag
+
+
 def test_gen_flag_defaults_are_generate_instances(capsys):
     args = build_parser().parse_args(["gen", "-n", "9", "-m", "5"])
     params = inspect.signature(generate_instance).parameters

@@ -1,5 +1,7 @@
-"""Dominance rules 1 and 2 as the solver runs them, in
-``_Search._dominated``, through the testkit adapters."""
+"""Dominance rules 1 and 2, and the zero-cost scene that rule 1's switch
+forces (a remaining scene that needs exactly the front's active actors is
+a node's only branch), as the solver runs them, in ``_Search._dominated``,
+through the testkit adapters."""
 
 import random
 
@@ -14,7 +16,9 @@ from talentsched.instance import mask_of
 from talentsched.testkit import (
     SearchNode,
     dominated,
+    enumerate_future_cost,
     kernel_node,
+    past_cost,
     random_node,
     rule_fires,
     simplify,
@@ -73,7 +77,11 @@ def test_identical_scenes_tie_break_keeps_smaller_id():
     # normally removes this, so probe the raw rule with a plain node
     rows = ["XX.X", "X..X", ".X.."]
     inst = Instance.from_rows(rows, (1, 2, 1, 2), (3, 4, 5))
+    # scene 2 needs no one, exactly the empty front's actors, so it is
+    # forced and every other scene skipped
     node = SearchNode(front=(), back=(), remaining=0b1111)
+    assert dominated(inst, kernel_node(inst, node)) == 0b1011
+    node = SearchNode(front=(), back=(), remaining=0b1011)
     assert dominated(inst, kernel_node(inst, node)) == 1 << 3
 
 
@@ -112,6 +120,67 @@ def test_some_remaining_scene_always_survives():
                     mask = dominated(inst, kn, rule1, rule2)
                     assert mask & ~reps == 0
                     assert mask != reps, (seed, rule1, rule2)
+
+
+def _through(inst, node, rec):
+    """The node's exact cost past its past cost when the record ``rec``
+    is shot next: its increment plus the exact future cost after it."""
+    child = SearchNode(node.front + rec[3], node.back, node.remaining & ~rec[1])
+    return (
+        past_cost(inst, child) - past_cost(inst, node)
+        + enumerate_future_cost(inst, child)
+    )
+
+
+def test_zero_cost_scene_is_the_only_child():
+    # a scene that needs exactly the front's active actors holds no one
+    # when shot next, and moving it first in any completion adds nothing
+    rng = random.Random(41)
+    forced = 0
+    for seed in range(400):
+        inst = generate_instance(
+            3 + seed % 8, 1 + seed % 6, seed=3100 + seed, density=0.3 + seed % 5 / 10,
+            max_duration=3, max_wage=1 + seed % 4,
+        )
+        node = random_node(inst, rng, max_remaining=7)
+        if not node.remaining:
+            continue
+        exact = enumerate_future_cost(inst, node)
+        plain = kernel_node(inst, node)
+        for kn in (plain, simplify(plain)):
+            reps = mask_of(rec[3][0] for rec in kn.scenes)
+            # every mask spares a scene through which the optimum runs
+            for rule1 in (True, False):
+                for rule2 in (True, False):
+                    mask = dominated(inst, kn, rule1, rule2)
+                    assert exact == min(
+                        _through(inst, node, rec)
+                        for rec in kn.scenes
+                        if not mask >> rec[3][0] & 1
+                    ), (seed, rule1, rule2)
+            front = kn.front & kn.active
+            zero = [rec for rec in kn.scenes if rec[2] & kn.active == front]
+            if not zero:
+                continue
+            forced += 1
+            rep = zero[0][3][0]
+            for rule2 in (True, False):
+                assert dominated(inst, kn, True, rule2) == reps & ~(1 << rep)
+            assert exact == _through(inst, node, zero[0])
+    assert forced >= 250
+
+
+def test_actorless_scene_after_an_all_fixed_front_is_forced():
+    # a0 is in both blocks, so fixed and inactive: the front's active
+    # actors are none, as are those of scene 2, which needs no one
+    rows = ["XX...X", "...XX.", "...X.X"]
+    inst = Instance.from_rows(rows, (1, 1, 2, 1, 3, 1), (3, 4, 5))
+    node = SearchNode(front=(0,), back=(1,), remaining=0b111100)
+    kn = simplify(kernel_node(inst, node))
+    assert kn.front & kn.active == 0
+    assert dominated(inst, kn) == 0b111000
+    assert dominated(inst, kn, use_rule1=False) & 1 << 2 == 0
+    assert enumerate_future_cost(inst, node) == _through(inst, node, kn.scenes[0])
 
 
 def test_rules_never_change_the_optimum():

@@ -511,6 +511,39 @@ def test_matches_brute_force_on_a_wide_cast_at_eighteen_scenes():
     assert holding_cost(inst, result.schedule) == 674
 
 
+def _switch_sets_agree(draws, caps):
+    """Every draw ``(n, m, seed, density)`` (durations up to 3, wages up to
+    20) gets one optimum from all switches on, from rule 1 off and from
+    preprocessing off, at each cache capacity in ``caps``; each schedule
+    costs what its solve reports."""
+    for n, m, seed, density in draws:
+        inst = generate_instance(n, m, seed=seed, density=density, max_duration=3, max_wage=20)
+        optima = set()
+        for flags in ({}, {"enable_rule1": False}, {"enable_preprocess": False}):
+            for cap in caps:
+                result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
+                assert result.status == "optimal", (n, m, seed, flags, cap)
+                assert sorted(result.schedule.order) == list(range(n))
+                assert holding_cost(inst, result.schedule) == result.holding_cost
+                optima.add(result.holding_cost)
+        assert len(optima) == 1, (n, m, seed, optima)
+
+
+def test_switch_sets_agree_past_the_oracle_ceiling():
+    # no oracle reaches these sizes, and each switch set takes its own
+    # search path, so one optimum among them is evidence of it
+    _switch_sets_agree(((22, 8, 1, 0.35), (24, 8, 2, 0.35), (26, 8, 4, 0.40)), (1 << 16,))
+
+
+@pytest.mark.slow
+def test_switch_sets_agree_on_larger_draws():
+    # about 55 s on a 2-vCPU Xeon under CPython 3.11; at 2^10 slots rule 1
+    # off alone takes 5 minutes on 28, 8, 3
+    _switch_sets_agree(
+        ((28, 8, 3, 0.40), (30, 8, 2, 0.40), (36, 8, 1, 0.40)), (1 << 16, 1 << 22)
+    )
+
+
 def test_cache_modes_only_change_node_counts():
     inst = generate_instance(12, 6, seed=8, density=0.35)
     results = {
@@ -526,50 +559,51 @@ def test_cache_modes_only_change_node_counts():
 # cache, cache hits with it).  Recorded when the cache came to store a
 # proven lower bound on each state's future cost, pruning at ``z + bound >=
 # incumbent``, and to give a colliding slot to the state with more scenes
-# left; any change to a pruning rule, to the cache, to the order of the
-# search or to its start shows up here.
+# left, and re-recorded when dominance came to force a scene that needs
+# exactly the front's active actors; any change to a pruning rule, to the
+# cache, to the order of the search or to its start shows up here.
 NODE_PINS = {
     (10, 6, 7101, 0.35): {
         "all": (90, 34, 32, 3, 32, 3),
         "no-preprocess": (90, 41, 39, 3, 39, 3),
         "no-rule1": (90, 34, 32, 3, 32, 3),
         "no-rule2": (90, 34, 32, 3, 32, 3),
-        "no-lower": (90, 272, 149, 46, 149, 46),
+        "no-lower": (90, 264, 149, 46, 149, 46),
     },
     (11, 7, 7102, 0.4): {
         "all": (234, 82, 45, 16, 45, 16),
         "no-preprocess": (234, 84, 47, 16, 47, 16),
         "no-rule1": (234, 98, 47, 16, 47, 16),
         "no-rule2": (234, 82, 45, 16, 45, 16),
-        "no-lower": (234, 600, 230, 71, 227, 72),
+        "no-lower": (234, 576, 224, 71, 221, 72),
     },
     (12, 8, 7103, 0.3): {
-        "all": (609, 893, 357, 104, 348, 103),
+        "all": (609, 892, 357, 104, 348, 103),
         "no-preprocess": (609, 903, 361, 105, 352, 104),
         "no-rule1": (609, 1034, 386, 117, 373, 115),
-        "no-rule2": (609, 940, 367, 111, 358, 111),
-        "no-lower": (609, 13775, 4148, 1250, 3127, 1325),
+        "no-rule2": (609, 939, 367, 111, 358, 111),
+        "no-lower": (609, 13489, 4058, 1222, 3058, 1287),
     },
     (12, 6, 7104, 0.45): {
-        "all": (466, 94, 40, 11, 40, 11),
-        "no-preprocess": (466, 114, 48, 12, 48, 12),
+        "all": (466, 93, 40, 11, 40, 11),
+        "no-preprocess": (466, 113, 48, 12, 48, 12),
         "no-rule1": (466, 101, 41, 11, 41, 11),
-        "no-rule2": (466, 103, 41, 11, 41, 11),
-        "no-lower": (466, 766, 258, 86, 258, 86),
+        "no-rule2": (466, 102, 41, 11, 41, 11),
+        "no-lower": (466, 712, 258, 86, 258, 86),
     },
     (13, 7, 7105, 0.35): {
         "all": (246, 283, 156, 44, 156, 44),
-        "no-preprocess": (246, 509, 243, 69, 242, 70),
+        "no-preprocess": (246, 428, 226, 56, 225, 57),
         "no-rule1": (246, 312, 169, 48, 169, 48),
         "no-rule2": (246, 309, 164, 50, 164, 50),
-        "no-lower": (246, 5025, 1861, 681, 1669, 683),
+        "no-lower": (246, 5007, 1857, 681, 1665, 683),
     },
     (14, 8, 7106, 0.3): {
-        "all": (124, 143, 71, 21, 71, 21),
-        "no-preprocess": (124, 424, 122, 41, 122, 41),
+        "all": (124, 137, 71, 21, 71, 21),
+        "no-preprocess": (124, 316, 106, 28, 106, 28),
         "no-rule1": (124, 164, 81, 23, 81, 24),
-        "no-rule2": (124, 143, 71, 21, 71, 21),
-        "no-lower": (124, 2747, 536, 211, 483, 192),
+        "no-rule2": (124, 137, 71, 21, 71, 21),
+        "no-lower": (124, 2546, 529, 208, 476, 189),
     },
 }
 PIN_CONFIGS = {
