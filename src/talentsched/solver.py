@@ -50,11 +50,14 @@ identity independent of the merge history that produced it.
 Simplification, the increment, dominance and the pair bound each have one
 implementation, here: ``_simplify``, ``_Search._increment``,
 ``_Search._dominated`` and ``_Search._branch_lower`` with its halves
-``_pair_constants`` and ``_pair_bound``.  Each is called on the node's own
-state: ``_dominated`` runs once per node and returns the mask of the
+``_Search._pair_keys`` and ``_pair_bound``.  Each is called on the node's
+own state: ``_dominated`` runs once per node and returns the mask of the
 positions it skips, and ``_increment`` and ``_branch_lower`` read the
-solve's fixed masks.  Tests reach them on single nodes through the
-adapters in ``testkit``.
+solve's fixed masks.  ``_pair_keys`` builds each relevant actor's mask,
+days and wage and its pair keys in one pass; the keys' low 12 bits come
+from ``_PAIR_TAGS``, and ``_pair_bound``'s matching reads each key's actor
+pair from ``_PAIR_MARKS``, two read-only tables built at import.  Tests
+reach the kernels on single nodes through the adapters in ``testkit``.
 
 The pair bound of a child is memoised per solve in
 ``_Search.lower_memo``, keyed by the child's state: its relevant actors at
@@ -166,6 +169,18 @@ DAY_MASK_MAX_DAYS = 4096
 # the most scenes ``brute_force`` takes.  Its 2^20 values take 3-4 s and
 # 65 MB with 8 actors, and 11 s with 64; each scene more doubles both.
 BRUTE_FORCE_MAX_SCENES = 20
+
+# the low 12 bits of the packed pair key of actors i and j, ``(63 - i) << 6 |
+# (63 - j)`` with i < j, at ``_PAIR_TAGS[i][j]`` and ``_PAIR_TAGS[j][i]``
+_PAIR_TAGS = tuple(
+    tuple((63 - j) << 6 | 63 - i for j in range(i))
+    + tuple((63 - i) << 6 | 63 - j for j in range(i, 64))
+    for i in range(64)
+)
+
+# the matching mark ``1 << i | 1 << j`` of a pair key's actors, by the key's
+# low 12 bits ``a << 6 | b``: i = 63 - a and j = 63 - b
+_PAIR_MARKS = tuple(1 << 63 - a | 1 << 63 - b for a in range(64) for b in range(64))
 
 
 class _TimeLimit(Exception):
@@ -336,67 +351,25 @@ def _simplify(front, back, scenes):
         scenes = tuple(merged)
 
 
-def _pair_constants(front, back, dq, days):
-    """Positive pair-constraint constants as packed keys, with their total:
-    ``c`` bounds the combined middle-block wait of actors i < j and is
-    stored as ``c << 12 | (63 - i) << 6 | (63 - j)``, so sorting the keys
-    in reverse orders them by ``c`` descending, then by actor pair.
-
-    ``front`` and ``back`` list the relevant actors anchored at each block
-    (on location at exactly one), ascending, as ``(i, q, d, w)``: the
-    actor, its remaining scenes as a mask in the solve's fixed form, their
-    total duration and its wage.  ``dq`` is the whole middle block's
-    length, and ``days`` the solve's counter of a mask's days.  Two actors
-    on the same side: one of them sits through the other's private scenes.
-    Opposite sides: only when some scene needs both must their spans meet,
-    and then one of them covers every scene needing neither.
-    """
-    keys = []
-    total = 0
-    for side in (front, back):
-        for a, (i, qi, di, wi) in enumerate(side, 1):
-            hi = (63 - i) << 6
-            for j, qj, dj, wj in side[a:]:
-                d_int = days(qi & qj)
-                ci = wj * (di - d_int)
-                cj = wi * (dj - d_int)
-                c = ci if ci < cj else cj
-                if c > 0:
-                    total += c
-                    keys.append(c << 12 | hi | 63 - j)
-    for i, qi, di, wi in front:
-        for j, qj, dj, wj in back:
-            inter = qi & qj
-            if not inter:
-                continue
-            c = (wi if wi < wj else wj) * (dq - di - dj + days(inter))
-            if c > 0:
-                total += c
-                if i < j:
-                    keys.append(c << 12 | (63 - i) << 6 | 63 - j)
-                else:
-                    keys.append(c << 12 | (63 - j) << 6 | 63 - i)
-    return keys, total
-
-
 def _pair_bound(keys, total, count):
     """Lower bound on the total wait of ``count`` relevant actors from the
     packed keys of their pair constants and the constants' ``total``: the
     larger of the averaging bound (every actor is in count-1 pairs, so the
     total over count-1, rounded up) and the greedy matching (constants
     largest first, ties by actor pair, each kept when both its actors are
-    still unmarked).  ``count`` is at least the number of actors the keys
-    name, so the matching is complete after ``count // 2`` pairs and stops
-    there.  Sorts ``keys`` in place."""
+    still unmarked; a key's actors are the mark ``_PAIR_MARKS[key & 4095]``).
+    ``count`` is at least the number of actors the keys name, so the
+    matching is complete after ``count // 2`` pairs and stops there.  Sorts
+    ``keys`` in place."""
     if not keys:
         return 0
     keys.sort(reverse=True)
+    marks = _PAIR_MARKS
     marked = 0
     lb2 = 0
     left = count >> 1
     for key in keys:
-        # actor i is marked at bit 63 - i, the form the key stores it in
-        pair = 1 << (key >> 6 & 63) | 1 << (key & 63)
+        pair = marks[key & 4095]
         if not marked & pair:
             lb2 += key >> 12
             left -= 1
@@ -682,7 +655,8 @@ class _Search:
         scene sets, and nothing in the bound depends on which side is the
         front.  Values are memoised under that state in two generations
         of ``LOWER_MEMO_ENTRIES``: when the current one is full it becomes
-        the previous one, and the previous one's values are dropped."""
+        the previous one, and the previous one's values are dropped.  A
+        miss takes the keys of ``_pair_keys`` to ``_pair_bound``."""
         fa2 = front | a_s
         front_rel = fa2 & aq2 & ~back
         back_rel = back & aq2 & ~fa2
@@ -700,22 +674,10 @@ class _Search:
             return value
         value = self.lower_prev.get(key)
         if value is None:
-            actor_q = self.actor_q
-            days = self.days
-            wages = self.inst.wages
-            dq2 = _masked_sum(self.q_tables, q2)
-            sides = []
-            for rel in (front_rel, back_rel):
-                side = []
-                while rel:
-                    low = rel & -rel
-                    i = low.bit_length() - 1
-                    q = actor_q[i] & dq2
-                    side.append((i, q, days(q), wages[i]))
-                    rel ^= low
-                sides.append(side)
-            keys, total = _pair_constants(*sides, days(dq2), days)
-            value = _pair_bound(keys, total, count)
+            value = _pair_bound(
+                *self._pair_keys(front_rel, back_rel, _masked_sum(self.q_tables, q2)),
+                count,
+            )
         if len(memo) >= LOWER_MEMO_ENTRIES:
             prev = self.lower_prev
             prev.clear()
@@ -723,6 +685,64 @@ class _Search:
             self.lower_memo = memo = prev
         memo[key] = value
         return value
+
+    def _pair_keys(self, front_rel, back_rel, dq2):
+        """Positive pair-constraint constants as packed keys, with their
+        total: ``c`` bounds the combined middle-block wait of actors i < j
+        and is stored as ``c << 12 | (63 - i) << 6 | (63 - j)``, so sorting
+        the keys in reverse orders them by ``c`` descending, then by actor
+        pair.  The low 12 bits are read from ``_PAIR_TAGS``.
+
+        ``front_rel`` and ``back_rel`` are the relevant actors anchored at
+        each block (on location at exactly one), and ``dq2`` the middle
+        block's scenes as a fixed mask.  One pass over each side takes an
+        actor's remaining scenes ``actor_q[i] & dq2``, their days and its
+        wage, and pairs it with the side's actors already taken: one of two
+        actors on the same side sits through the other's private scenes.
+        Then the cross pairs: only when some scene needs both must their
+        spans meet, and then one of them covers every scene needing
+        neither."""
+        actor_q = self.actor_q
+        days = self.days
+        wages = self.inst.wages
+        tags = _PAIR_TAGS
+        keys = []
+        total = 0
+        sides = []
+        for rel in (front_rel, back_rel):
+            side = []
+            while rel:
+                low = rel & -rel
+                i = low.bit_length() - 1
+                rel ^= low
+                qi = actor_q[i] & dq2
+                di = days(qi)
+                wi = wages[i]
+                row = tags[i]
+                for j, qj, dj, wj, _ in side:
+                    d_int = days(qi & qj)
+                    ci = wj * (di - d_int)
+                    cj = wi * (dj - d_int)
+                    c = ci if ci < cj else cj
+                    if c > 0:
+                        total += c
+                        keys.append(c << 12 | row[j])
+                side.append((i, qi, di, wi, row))
+            sides.append(side)
+        front, back = sides
+        if back:
+            dq = days(dq2)
+            for _, qi, di, wi, row in front:
+                rest = dq - di
+                for j, qj, dj, wj, _ in back:
+                    inter = qi & qj
+                    if not inter:
+                        continue
+                    c = (wi if wi < wj else wj) * (rest - dj + days(inter))
+                    if c > 0:
+                        total += c
+                        keys.append(c << 12 | row[j])
+        return keys, total
 
 
 def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:

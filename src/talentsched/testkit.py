@@ -11,10 +11,10 @@ instance is ``solver.brute_force``, whose subset DP also gives
 records) into the per-node arguments of the solver's own kernels --
 ``_simplify``, ``_Search._increment``, ``_Search._dominated``,
 ``_Search._branch_lower`` (on a plain node or, by ``lower_at``, on a
-simplified one) and its two halves ``_pair_constants``/``_pair_bound`` --
-so that tests check the code every solve runs.  The kernels read the fixed
-masks of a ``_Search`` of the instance, in the mask form its solve uses;
-an adapter passes at most the node's remaining mask, and never the
+simplified one) and its two halves ``_Search._pair_keys``/``_pair_bound``
+-- so that tests check the code every solve runs.  The kernels read the
+fixed masks of a ``_Search`` of the instance, in the mask form its solve
+uses; an adapter passes at most the node's remaining mask, and never the
 dominance rows.  ``dominated`` and ``groups`` name scenes by their
 representative ids; ``lower_at`` takes a record's position, as the search
 does.
@@ -33,7 +33,6 @@ from .solver import (
     SolveConfig,
     _masked_sum,
     _order_dp,
-    _pair_constants,
     _Search,
     _simplify,
 )
@@ -357,8 +356,8 @@ def relevant_actors(inst: Instance, node: SearchNode) -> tuple[int, int]:
 def pack_pairs(constants: dict[tuple[int, int], int]) -> tuple[list[int], int]:
     """Pair constants keyed by actor pair ``(i, j)``, i < j, as the packed
     keys ``c << 12 | (63 - i) << 6 | (63 - j)`` of the positive ones and
-    their total: the pair ``_pair_constants`` returns and ``_pair_bound``
-    combines."""
+    their total: the pair ``_Search._pair_keys`` returns and
+    ``_pair_bound`` combines."""
     keys = [
         c << 12 | (63 - i) << 6 | (63 - j) for (i, j), c in constants.items() if c > 0
     ]
@@ -372,18 +371,14 @@ def unpack_pairs(keys: list[int]) -> dict[tuple[int, int], int]:
 
 
 def pair_constants(inst: Instance, node: SearchNode) -> dict[tuple[int, int], int]:
-    """``_pair_constants`` over the node's relevant actors, keyed by actor
-    pair, on the masks a solve of ``inst`` uses: day masks, or scene masks
-    past ``DAY_MASK_MAX_DAYS``.  Pairs whose constant is 0 are absent.
-    Checks that the returned total is the constants' sum."""
+    """``_Search._pair_keys`` over the node's relevant actors and its
+    remaining scenes, keyed by actor pair, on the masks a solve of ``inst``
+    uses: day masks, or scene masks past ``DAY_MASK_MAX_DAYS``.  Pairs whose
+    constant is 0 are absent.  Checks that the returned total is the
+    constants' sum."""
     search = _kernels(inst)
     dq = _node_mask(search, kernel_node(inst, node))
-    actor_q, days = search.actor_q, search.days
-    front, back = (
-        [(i, actor_q[i] & dq, days(actor_q[i] & dq), inst.wages[i]) for i in bits(rel)]
-        for rel in relevant_actors(inst, node)
-    )
-    keys, total = _pair_constants(front, back, days(dq), days)
+    keys, total = search._pair_keys(*relevant_actors(inst, node), dq)
     constants = unpack_pairs(keys)
     if len(constants) != len(keys) or total != sum(constants.values()):
         raise AssertionError("pair keys repeat a pair or miss the total")

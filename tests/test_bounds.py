@@ -1,6 +1,8 @@
-"""The pair lower bound the solver runs: ``_pair_constants`` and
-``_pair_bound``, and ``_Search._branch_lower`` through the testkit
-adapters."""
+"""The pair lower bound the solver runs: ``_Search._pair_keys`` and
+``_pair_bound``, with the two tables they read, and
+``_Search._branch_lower``, through the testkit adapters.  The keys are
+checked against the constants written out over scene sets, on day masks
+and on scene masks."""
 
 import random
 from itertools import permutations
@@ -440,6 +442,94 @@ def test_scene_masks_past_the_day_cap_scale_with_the_durations():
             merged += len(group) > 1
             positive += value > 0
     assert merged > 40 and positive > 40
+
+
+def test_pair_tables_follow_the_packing_rule():
+    # a key's low 12 bits are (63 - i) << 6 | (63 - j) for i < j, from
+    # either actor's row, and name the matching mark of both actors
+    for i in range(64):
+        for j in range(i + 1, 64):
+            tag = (63 - i) << 6 | 63 - j
+            assert solver_mod._PAIR_TAGS[i][j] == solver_mod._PAIR_TAGS[j][i] == tag
+            assert solver_mod._PAIR_MARKS[tag] == 1 << i | 1 << j
+
+
+def _closed_form_constants(inst, node):
+    """The pair constants of the node's relevant actors written out over
+    scene sets: a same-side pair's ``min(w_j * (d_i - d_ij), w_i * (d_j -
+    d_ij))``, and a cross pair that shares a scene ``min(w_i, w_j) *
+    (d_Q - d_i - d_j + d_ij)``, keyed ``(i, j)`` with i < j."""
+    middle = list(bits(node.remaining))
+    days = lambda scenes: sum(inst.durations[s] for s in scenes)  # noqa: E731
+    need = {
+        i: {s for s in middle if inst.scene_actors[s] >> i & 1} for i in range(inst.num_actors)
+    }
+    front, back = (list(bits(rel)) for rel in relevant_actors(inst, node))
+    wages = inst.wages
+    constants = {}
+    for side in (front, back):
+        for a, i in enumerate(side):
+            for j in side[a + 1 :]:
+                shared = days(need[i] & need[j])
+                c = min(
+                    wages[j] * (days(need[i]) - shared), wages[i] * (days(need[j]) - shared)
+                )
+                constants[i, j] = c
+    for i in front:
+        for j in back:
+            if need[i] & need[j]:
+                c = min(wages[i], wages[j]) * (
+                    days(middle) - days(need[i]) - days(need[j]) + days(need[i] & need[j])
+                )
+                constants[min(i, j), max(i, j)] = c
+    return {pair: c for pair, c in constants.items() if c > 0}
+
+
+def _spread_actors(inst, rng):
+    """The instance on 64 actors, its own renamed to random ids, so that
+    pairs reach the tables' far rows and columns."""
+    labels = rng.sample(range(64), inst.num_actors)
+    wages = [1] * 64
+    for i, label in enumerate(labels):
+        wages[label] = inst.wages[i]
+    return Instance(
+        inst.num_scenes,
+        64,
+        tuple(sum(1 << labels[i] for i in bits(a)) for a in inst.scene_actors),
+        inst.durations,
+        tuple(wages),
+    )
+
+
+def test_pair_keys_agree_with_the_closed_form_on_both_mask_forms(monkeypatch):
+    # the one-pass kernel against the constants written out, and its keys
+    # and child bounds on day masks against those on scene masks
+    rng = random.Random(73)
+    cases = []
+    cross = 0
+    for seed in range(150):
+        inst = generate_instance(
+            6 + seed % 6, 3 + seed % 10, seed=1900 + seed, density=0.4, max_duration=5
+        )
+        if seed % 3 == 0:
+            inst = _spread_actors(inst, rng)
+        node = random_node(inst, rng, max_remaining=8)
+        constants = pair_constants(inst, node)
+        assert constants == _closed_form_constants(inst, node)
+        front_rel, back_rel = relevant_actors(inst, node)
+        cross += sum(
+            (front_rel >> i & 1) != (front_rel >> j & 1) for i, j in constants
+        )
+        kn = simplify(kernel_node(inst, node))
+        lowers = [lower_at(inst, kn, k) for k in range(len(kn.scenes))]
+        cases.append((inst, node, kn, constants, lowers))
+    positive = sum(value > 0 for case in cases for value in case[4])
+    assert cross > 30 and positive > 200
+    monkeypatch.setattr(solver_mod, "DAY_MASK_MAX_DAYS", 0)
+    for inst, node, kn, constants, lowers in cases:
+        assert solver_mod._Search(inst, SolveConfig(cache_capacity=0)).days is not int.bit_count
+        assert pair_constants(inst, node) == constants
+        assert [lower_at(inst, kn, k) for k in range(len(kn.scenes))] == lowers
 
 
 class _CheckedMemo(dict):

@@ -30,6 +30,11 @@ from talentsched.testkit import (
 
 FAST = SolveConfig(cache_capacity=1 << 12)
 
+FEATURES = ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
+# all 16 switch sets, and the 8 that keep the pair bound
+EVERY = [dict(zip(FEATURES, on)) for on in itertools.product((True, False), repeat=4)]
+BOUNDED = [flags for flags in EVERY if flags["enable_lower"]]
+
 
 def test_worked_example_is_solved_exactly():
     inst = fixture_worked_example()
@@ -318,24 +323,20 @@ def test_matches_brute_force_at_oracle_ceiling():
 def test_matches_subset_dp_past_the_brute_force_ceiling():
     # brute_force is the subset DP now; n = 11-16 were past the old
     # permutation oracle's ceiling
-    features = ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
-    switches = [{}] + [{flag: False} for flag in features]
-    every = [dict(zip(features, on)) for on in itertools.product((True, False), repeat=4)]
-    bounded = [flags for flags in every if flags["enable_lower"]]
+    switches = [{}] + [{flag: False} for flag in FEATURES]
     replaced = 0
-    for n, m, density in itertools.product((11, 12, 13, 14, 15, 16), (6, 8), (0.3, 0.45)):
-        inst = generate_instance(n, m, seed=9100 + n, density=density)
-        expect, _ = brute_force(inst)
-        # past 14 scenes only the unbounded cache, to keep the test's time;
-        # up to 13 every feature combination with no cache, at 2^4, where
-        # almost every store collides and so drives the cache's replace
-        # path, and at 2^16; at 14 every combination that keeps the pair
-        # bound, with no cache and at 2^4
+    for n, inst, expect in _subset_dp_draws((11, 12, 13, 14, 15, 16)):
+        # past 14 scenes only the unbounded cache, to keep the test's time
+        # (the slow test below adds the pair-bound sets); up to 13 every
+        # feature combination with no cache, at 2^4, where almost every
+        # store collides and so drives the cache's replace path, and at
+        # 2^16; at 14 every combination that keeps the pair bound, with no
+        # cache and at 2^4
         runs = [(flags, 1 << 64) for flags in switches]
         if n <= 13:
-            runs += [(flags, cap) for flags in every for cap in (0, 1 << 4, 1 << 16)]
+            runs += [(flags, cap) for flags in EVERY for cap in (0, 1 << 4, 1 << 16)]
         elif n == 14:
-            runs += [(flags, cap) for flags in bounded for cap in (0, 1 << 4)]
+            runs += [(flags, cap) for flags in BOUNDED for cap in (0, 1 << 4)]
         for flags, cap in runs:
             result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
             assert result.status == "optimal"
@@ -348,6 +349,33 @@ def test_matches_subset_dp_past_the_brute_force_ceiling():
     assert replaced
 
 
+def _subset_dp_draws(sizes):
+    """``(n, instance, optimum)`` for the draws of n scenes, with 6 and 8
+    actors at densities 0.30 and 0.45, that the subset-DP tests share."""
+    for n, m, density in itertools.product(sizes, (6, 8), (0.3, 0.45)):
+        inst = generate_instance(n, m, seed=9100 + n, density=density)
+        yield n, inst, brute_force(inst)[0]
+
+
+@pytest.mark.slow
+def test_bounded_switch_sets_match_the_subset_dp_at_fifteen_and_sixteen_scenes():
+    # the 8 switch sets that keep the pair bound, at caches 0, 2^4 and 2^16,
+    # on the draws of n = 15-16 above, and at 2^16 on n = 14, which tier-1
+    # runs at 0 and 2^4.  About 25 s on a 2-vCPU Xeon under CPython 3.11;
+    # the sets without the bound would take about 430 s more at n = 14-16
+    solves = 0
+    for n, inst, expect in _subset_dp_draws((14, 15, 16)):
+        caps = (1 << 16,) if n == 14 else (0, 1 << 4, 1 << 16)
+        for flags in BOUNDED:
+            for cap in caps:
+                result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
+                assert result.status == "optimal"
+                assert result.holding_cost == expect, (n, flags, cap)
+                assert holding_cost(inst, result.schedule) == expect
+                solves += 1
+    assert solves == 224
+
+
 def test_branch_order_matches_brute_force():
     """1,008 solves with all 16 feature switch sets at caches 0, 2^4 and 2^16
     on 21 draws of n = 4-10 with 5, 8 and 12 actors, and 144 with the pair
@@ -355,8 +383,6 @@ def test_branch_order_matches_brute_force():
     Past 10 scenes the switch sets without the bound are left out (with 12
     actors one such solve takes up to a million nodes), and past 11 the
     draws have 5 or 8 actors (at n = 14 with 12, the 24 solves take 20 s)."""
-    features = ("enable_preprocess", "enable_rule1", "enable_rule2", "enable_lower")
-    every = [dict(zip(features, on)) for on in itertools.product((True, False), repeat=4)]
     draws = [(n, k) for n in range(4, 11) for k in range(3)]
     draws += [(11, 2)] + [(n, n % 2) for n in range(12, 17)]
     solves = 0
@@ -368,8 +394,7 @@ def test_branch_order_matches_brute_force():
             max_duration=max_duration, max_wage=20,
         )
         expect, _ = brute_force(inst)
-        switch_sets = every if n <= 10 else [f for f in every if f["enable_lower"]]
-        for flags in switch_sets:
+        for flags in EVERY if n <= 10 else BOUNDED:
             for cap in (0, 1 << 4, 1 << 16):
                 result = solve(inst, SolveConfig(cache_capacity=cap, **flags))
                 assert result.status == "optimal"
