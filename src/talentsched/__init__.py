@@ -7,9 +7,8 @@ lower bounds, dominance pruning, and a direct-mapped cache of search
 states; each of those rules is implemented once, as a kernel in
 ``solver``.  The package also ships an LP-format model exporter, an
 exact oracle (a dynamic program over scene sets, ``brute_force``),
-instance tooling, and a benchmark CLI; ``testkit``
-holds test fixtures, slow reference oracles and adapters that call the
-solver's kernels on one search node.
+instance tooling, and a benchmark CLI; ``testkit`` holds the worked
+example that the tests and the benchmark runner share.
 """
 
 from .cache import CacheStats, StateCache

@@ -34,6 +34,15 @@ subtree, so its bound prunes more, and a node still being searched is
 never pushed out by its own descendants.  Otherwise the incoming state
 gets a detached entry, and its bound is lost at exit.  An entry evicted
 while its node is still searching loses its bound the same way.
+
+The slot index does not see every scene (measured under CPython 3.11).
+The low k bits of a 3-tuple's hash do not depend on the high bits of its
+last field's hash, so at ``2**k`` slots flipping any one of scenes 33 + k
+through 60 never moves a state's slot: scenes 37-60 at ``2**4``, 55-60 at
+``2**22``, 58-60 at the default ``2**25``, none from ``2**28`` up, so
+states that differ only there share a slot.  And an int hashes modulo
+``2**61 - 1``, so scenes 61-63 fold onto scenes 0-2: from 62 scenes up,
+distinct states can share a full hash, and so a slot at any capacity.
 """
 
 from __future__ import annotations
@@ -76,9 +85,12 @@ class StateCache:
     Slot ``hash(key) & (capacity - 1)`` holds one entry, the list ``[key,
     bound]``; a key is the plain tuple ``(front, back, remaining)``, and
     tuples of ints hash through the interpreter's 64-bit mixer, which is
-    deterministic across runs.  A colliding state takes the slot only from
-    a resident with fewer remaining scenes.  ``strategy`` accepts only
-    ``"greedy"``, that policy's name; the benchmark runner still passes it.
+    deterministic across runs.  The slot is blind to scenes 33 + k through
+    60 at ``2**k`` slots, and from 62 scenes up distinct keys can share a
+    full hash (see the module docstring).  A colliding state takes the
+    slot only from a resident with fewer remaining scenes.  ``strategy``
+    accepts only ``"greedy"``, that policy's name; the benchmark runner
+    still passes it.
     """
 
     def __init__(self, capacity: int, strategy: str = "greedy"):

@@ -57,7 +57,8 @@ solve's fixed masks.  ``_pair_keys`` builds each relevant actor's mask,
 days and wage and its pair keys in one pass; the keys' low 12 bits come
 from ``_PAIR_TAGS``, and ``_pair_bound``'s matching reads each key's actor
 pair from ``_PAIR_MARKS``, two read-only tables built at import.  Tests
-reach the kernels on single nodes through the adapters in ``testkit``.
+reach the kernels on single nodes through the adapters in
+``tests/support.py``.
 
 The pair bound of a child is memoised per solve in
 ``_Search.lower_memo``, keyed by the child's state: its relevant actors at
@@ -102,7 +103,8 @@ from .instance import Instance, bits
 @dataclass(frozen=True)
 class SolveConfig:
     """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two
-    (``1 << 64`` evicts a state only for one with an equal hash); the
+    (``1 << 64`` evicts a state only for one with an equal hash, which
+    distinct states can share from 62 scenes up; see ``cache``); the
     cache's collision policy is fixed, not a setting, and so is the branch
     order: a node takes its children in ascending ``increment + pair
     bound`` (the increment alone with ``enable_lower`` off), ties to the

@@ -1,51 +1,14 @@
-"""Worked-example fixtures, reference oracles and kernel adapters shared
-by the test suite.
+"""The worked example: the 12-scene, 6-actor instance the tests and the
+benchmark runner share, with its known costs.
 
-Everything here is test support.  The oracles (``SearchNode``,
-``past_cost``, ``enumerate_future_cost`` and the ``CacheModel`` of the
-state cache) are small, slow, and written independently of the solver's
-fast paths so they can serve as ground truth; the optimum of a whole
-instance is ``solver.brute_force``, whose subset DP also gives
-``enumerate_future_cost``.  The adapters turn a ``SearchNode`` (or the
-``KernelNode`` the search carries, whose remaining scenes are the search's
-records) into the per-node arguments of the solver's own kernels --
-``_simplify``, ``_Search._increment``, ``_Search._dominated``,
-``_Search._branch_lower`` (on a plain node or, by ``lower_at``, on a
-simplified one) and its two halves ``_Search._pair_keys``/``_pair_bound``
--- so that tests check the code every solve runs.  The kernels read the
-fixed masks of a ``_Search`` of the instance, in the mask form its solve
-uses; an adapter passes at most the node's remaining mask, and never the
-dominance rows.  ``dominated`` and ``groups`` name scenes by their
-representative ids; ``lower_at`` takes a record's position, as the search
-does.
-``pack_pairs``/``unpack_pairs`` translate between pair constants keyed by
-actor pair and the packed keys of the pair bound's two halves.
+It stays in the package only because ``perfbench/run.py`` and
+``perfbench/pin.py`` import it; once perfbench keeps its own copy, it can
+join the rest of the test support under ``tests/``.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
-from .cache import CacheStats
-from .instance import Instance, actors_of_scenes, bits, mask_of
-from .solver import (
-    SolveConfig,
-    _masked_sum,
-    _order_dp,
-    _Search,
-    _simplify,
-)
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    """A partial schedule: ordered front and back blocks plus the remaining
-    scene set."""
-
-    front: tuple[int, ...]
-    back: tuple[int, ...]
-    remaining: int
+from .instance import Instance
 
 # 12-scene, 6-actor worked example (matrix rows are actors, X = required)
 _WORKED_ROWS = [
@@ -73,344 +36,3 @@ WORKED_TOTAL_IDENTITY = 604
 WORKED_HOLDING_IDENTITY = 223
 WORKED_TOTAL_BEST = 434
 WORKED_HOLDING_BEST = 53
-
-
-def fixture_partial_example() -> tuple[Instance, SearchNode]:
-    """Six-scene instance with a two-scene front block, a two-scene back
-    block, and two middle scenes; exercises every past-cost category."""
-    inst = Instance(
-        num_scenes=6,
-        num_actors=5,
-        scene_actors=(0b00011, 0b01000, 0b11111, 0b00000, 0b00001, 0b00101),
-        durations=(2, 3, 5, 7, 11, 13),
-        wages=(17, 19, 23, 29, 31),
-        name="partial-example",
-    )
-    node = SearchNode(front=(0, 1), back=(4, 5), remaining=0b001100)
-    return inst, node
-
-
-def enumerate_future_cost(inst: Instance, node: SearchNode) -> int:
-    """Exact minimum holding cost the middle scenes can still incur.
-
-    Counts the waiting days inside the middle block of every actor whose
-    span is not yet fully decided: those anchored at the front are on
-    location from its first day, those anchored at the back stay to its
-    last.  ``brute_force``'s subset DP takes every order of the middle into
-    account, independently of the solver's incremental bookkeeping.
-    """
-    q = bits(node.remaining)
-    a_front = actors_of_scenes(inst, mask_of(node.front))
-    a_back = actors_of_scenes(inst, mask_of(node.back))
-    a_mid = actors_of_scenes(inst, node.remaining)
-    relevant = (a_front | a_back | a_mid) & ~(a_front & a_back)
-    return _order_dp(
-        [inst.scene_actors[s] & relevant for s in q],
-        [inst.durations[s] for s in q],
-        inst.wages,
-        a_front & relevant,
-        a_back & relevant,
-    )[0]
-
-
-def random_node(
-    inst: Instance, rng: random.Random, max_remaining: int = 7
-) -> SearchNode:
-    """Random valid partial schedule of the instance with a bounded middle."""
-    scenes = list(range(inst.num_scenes))
-    rng.shuffle(scenes)
-    q_size = rng.randint(0, min(inst.num_scenes, max_remaining))
-    q = scenes[:q_size]
-    rest = scenes[q_size:]
-    cut = rng.randint(0, len(rest))
-    front = tuple(rest[:cut])
-    back = tuple(rest[cut:])
-    return SearchNode(front=front, back=back, remaining=mask_of(q))
-
-
-# --- past-cost oracle ---------------------------------------------------------
-
-def _block_stats(inst: Instance, seq: tuple[int, ...], actor: int):
-    """(days before first required scene, days through last required scene,
-    work days, block length) for one actor within an ordered block; the
-    first two are None when the block never requires the actor."""
-    first_off = None
-    last_end = None
-    work = 0
-    day = 0
-    for s in seq:
-        d = inst.durations[s]
-        if inst.requires(actor, s):
-            if first_off is None:
-                first_off = day
-            last_end = day + d
-            work += d
-        day += d
-    return first_off, last_end, work, day
-
-
-def past_cost(inst: Instance, node: SearchNode) -> int:
-    """Holding cost already forced by the node's front and back blocks.
-
-    Covers: actors anchored on both sides (their whole span is decided,
-    including the full middle block); actors anchored at the front (their
-    waiting inside the front block is decided -- through the block's end if
-    they still have middle scenes, else through their last front scene);
-    and symmetrically actors anchored at the back.
-    """
-    front_set = mask_of(node.front)
-    back_set = mask_of(node.back)
-    a_front = actors_of_scenes(inst, front_set)
-    a_back = actors_of_scenes(inst, back_set)
-    a_mid = actors_of_scenes(inst, node.remaining)
-    mid_days = sum(inst.durations[j] for j in bits(node.remaining))
-
-    out = 0
-    for i in bits(a_front | a_back):
-        wage = inst.wages[i]
-        if wage == 0:
-            continue
-        in_mid = bool(a_mid >> i & 1)
-        if (a_front >> i & 1) and (a_back >> i & 1):
-            f_first, _, f_work, f_len = _block_stats(inst, node.front, i)
-            _, b_last_end, b_work, _ = _block_stats(inst, node.back, i)
-            mid_work = sum(
-                inst.durations[j]
-                for j in bits(node.remaining)
-                if inst.requires(i, j)
-            )
-            span = (f_len - f_first) + mid_days + b_last_end
-            out += wage * (span - f_work - mid_work - b_work)
-        elif a_front >> i & 1:
-            f_first, f_last_end, f_work, f_len = _block_stats(inst, node.front, i)
-            end = f_len if in_mid else f_last_end
-            out += wage * ((end - f_first) - f_work)
-        else:
-            b_first, b_last_end, b_work, _ = _block_stats(inst, node.back, i)
-            start = 0 if in_mid else b_first
-            out += wage * ((b_last_end - start) - b_work)
-    return out
-
-
-# --- state-cache model --------------------------------------------------------
-
-def _set_order(mask: int) -> list[int]:
-    """Sort key of an actor set (at most 64 actors): the set holding the
-    lowest differing actor sorts first."""
-    return [-(mask >> i & 1) for i in range(64)]
-
-
-class CacheModel:
-    """The direct-mapped state cache, one probe and one store at a time:
-    the same slots, entries ``[key, bound]``, prune test, replacement rule
-    and ``CacheStats`` counters as ``StateCache``, with ``check_and_update``
-    as a lookup of the node's own state, then of each subset state, then a
-    store that hands back the entry the node raises its bound in."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.slots: dict[int, list] = {}
-        self.stats = CacheStats()
-
-    def lookup(self, key: tuple[int, int, int], z: int, limit) -> int | None:
-        """The resident bound of ``key`` if it prunes at past cost ``z``."""
-        self.stats.probes += 1
-        entry = self.slots.get(hash(key) % self.capacity)
-        if entry is not None and entry[0] == key and z + entry[1] >= limit:
-            self.stats.hits += 1
-            return entry[1]
-        return None
-
-    def store(self, key: tuple[int, int, int]) -> list:
-        slot = hash(key) % self.capacity
-        entry = self.slots.get(slot)
-        if entry is None:
-            self.stats.stores += 1
-        elif entry[0] == key:
-            return entry
-        else:
-            self.stats.collisions += 1
-            # the state with more scenes left takes the slot
-            if bin(key[2]).count("1") <= bin(entry[0][2]).count("1"):
-                return [key, 0]
-            self.stats.replacements += 1
-        self.slots[slot] = [key, 0]
-        return self.slots[slot]
-
-    def check_and_update(self, front, back, remaining, z, limit, removable_masks):
-        if _set_order(back) < _set_order(front):
-            front, back = back, front
-        key = (front, back, remaining)
-        for probe in [key] + [(front, back, remaining & ~r) for r in removable_masks]:
-            bound = self.lookup(probe, z, limit)
-            if bound is not None:
-                return bound
-        return self.store(key)
-
-
-# --- kernel adapters ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelNode:
-    """The state ``_Search._search`` carries into a node: the actors on
-    location at each block and the remaining scenes, one record
-    ``(duration, mask, actors, members)`` each by ascending representative
-    id; with the node's active actors, which ``simplify`` derives (every
-    actor before)."""
-
-    front: int
-    back: int
-    active: int
-    scenes: tuple[tuple[int, int, int, tuple[int, ...]], ...]
-
-    def groups(self) -> dict[int, tuple[int, ...]]:
-        """Members of every remaining representative that absorbed others,
-        keyed by its id."""
-        return {rec[3][0]: rec[3] for rec in self.scenes if len(rec[3]) > 1}
-
-
-def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
-    """The node as the search enters it, before any merge, with each
-    block's actors trimmed to those on location as ``_search`` trims
-    them."""
-    front = actors_of_scenes(inst, mask_of(node.front))
-    back = actors_of_scenes(inst, mask_of(node.back))
-    aq = actors_of_scenes(inst, node.remaining)
-    return KernelNode(
-        front=front & (aq | back),
-        back=back & (aq | front),
-        active=inst.all_actors,
-        scenes=tuple(
-            (inst.durations[j], 1 << j, inst.scene_actors[j], (j,))
-            for j in bits(node.remaining)
-        ),
-    )
-
-
-def simplify(kn: KernelNode) -> KernelNode:
-    """The node after the solver's ``_simplify``."""
-    scenes, active, _, _ = _simplify(kn.front, kn.back, kn.scenes)
-    return KernelNode(kn.front, kn.back, active, scenes)
-
-
-def _kernels(inst: Instance, **switches) -> _Search:
-    return _Search(inst, SolveConfig(cache_capacity=0, **switches))
-
-
-def _node_mask(search: _Search, kn: KernelNode) -> int:
-    """The remaining scenes of the kernel node ``kn`` as one mask in the
-    fixed form (day or scene) that ``search`` uses: ``_search``'s ``dq``."""
-    return _masked_sum(search.q_tables, sum(rec[1] for rec in kn.scenes))
-
-
-def _require_remaining(node: SearchNode, scene: int) -> None:
-    if not node.remaining >> scene & 1:
-        raise ValueError(f"scene {scene} is not in the node's remaining set")
-
-
-def increment(inst: Instance, node: SearchNode, scene: int) -> int:
-    """``_Search._increment``: holding cost newly forced by pinning
-    ``scene`` right after the node's front block."""
-    _require_remaining(node, scene)
-    kn = kernel_node(inst, node)
-    search = _kernels(inst)
-    return search._increment(
-        inst.durations[scene], inst.scene_actors[scene], kn.front, kn.back,
-        _node_mask(search, kn),
-    )
-
-
-def dominated(
-    inst: Instance, kn: KernelNode, use_rule1: bool = True, use_rule2: bool = True
-) -> int:
-    """``_Search._dominated`` at the kernel node ``kn``: the mask of the
-    representative ids whose branch is skipped in favour of another's (the
-    kernel's mask is over positions in ``kn.scenes``)."""
-    search = _kernels(inst, enable_rule1=use_rule1, enable_rule2=use_rule2)
-    mask = search._dominated(kn.scenes, kn.active, kn.front, kn.back)
-    return sum(1 << rec[3][0] for k, rec in enumerate(kn.scenes) if mask >> k & 1)
-
-
-def rule_fires(
-    inst: Instance, rule: int, s1_actors: int, s2_actors: int, front: int, back: int
-) -> bool:
-    """Whether dominance rule ``rule`` (1 or 2) of ``_Search._dominated``
-    skips a scene with actors ``s1_actors`` for one with ``s2_actors``,
-    given the active actors on location at each block.  The competitor gets
-    the earlier position, so rule 1's tie-break never spares the first
-    scene.  Under rule 1 a zero-cost scene, one that needs exactly the
-    front's actors, is forced: the answer is True when the competitor is
-    one, and False when the scene is one and the competitor is not."""
-    search = _kernels(inst, enable_rule1=rule == 1, enable_rule2=rule == 2)
-    scenes = ((1, 1, s2_actors, (0,)), (1, 2, s1_actors, (1,)))
-    return bool(search._dominated(scenes, inst.all_actors, front, back) & 0b10)
-
-
-def relevant_actors(inst: Instance, node: SearchNode) -> tuple[int, int]:
-    """Oracle: the actors whose middle-block wait the pair bound covers --
-    on location at the front only, and at the back only."""
-    kn = kernel_node(inst, node)
-    return kn.front & ~kn.back, kn.back & ~kn.front
-
-
-def pack_pairs(constants: dict[tuple[int, int], int]) -> tuple[list[int], int]:
-    """Pair constants keyed by actor pair ``(i, j)``, i < j, as the packed
-    keys ``c << 12 | (63 - i) << 6 | (63 - j)`` of the positive ones and
-    their total: the pair ``_Search._pair_keys`` returns and
-    ``_pair_bound`` combines."""
-    keys = [
-        c << 12 | (63 - i) << 6 | (63 - j) for (i, j), c in constants.items() if c > 0
-    ]
-    return keys, sum(c for c in constants.values() if c > 0)
-
-
-def unpack_pairs(keys: list[int]) -> dict[tuple[int, int], int]:
-    """The inverse of ``pack_pairs``: packed keys as constants keyed by
-    actor pair."""
-    return {(63 - (k >> 6 & 63), 63 - (k & 63)): k >> 12 for k in keys}
-
-
-def pair_constants(inst: Instance, node: SearchNode) -> dict[tuple[int, int], int]:
-    """``_Search._pair_keys`` over the node's relevant actors and its
-    remaining scenes, keyed by actor pair, on the masks a solve of ``inst``
-    uses: day masks, or scene masks past ``DAY_MASK_MAX_DAYS``.  Pairs whose
-    constant is 0 are absent.  Checks that the returned total is the
-    constants' sum."""
-    search = _kernels(inst)
-    dq = _node_mask(search, kernel_node(inst, node))
-    keys, total = search._pair_keys(*relevant_actors(inst, node), dq)
-    constants = unpack_pairs(keys)
-    if len(constants) != len(keys) or total != sum(constants.values()):
-        raise AssertionError("pair keys repeat a pair or miss the total")
-    return constants
-
-
-def branch_lower(inst: Instance, node: SearchNode) -> int:
-    """The pair bound the solver tests before entering the node:
-    ``_Search._branch_lower`` at the node's parent, on the last front
-    scene.  A node with an empty front block is taken reversed; with both
-    blocks empty nothing is anchored, so no actor can be held and the bound
-    is 0."""
-    if not node.front:
-        if not node.back:
-            return 0
-        node = SearchNode(tuple(reversed(node.back)), (), node.remaining)
-    s = node.front[-1]
-    remaining = node.remaining | 1 << s
-    parent = SearchNode(node.front[:-1], node.back, remaining)
-    return lower_at(inst, kernel_node(inst, parent), bits(remaining).index(s))
-
-
-def lower_at(inst: Instance, kn: KernelNode, k: int) -> int:
-    """``_Search._branch_lower``, with an empty memo, at the kernel node
-    ``kn`` for the child that pins its record at position ``k`` in front,
-    on the fixed masks of a solve of ``inst``."""
-    search = _kernels(inst)
-    _, q, a_s, _ = kn.scenes[k]
-    aq2 = 0
-    q_orig = 0
-    for other, rec in enumerate(kn.scenes):
-        q_orig |= rec[1]
-        if other != k:
-            aq2 |= rec[2]
-    return search._branch_lower(a_s, aq2, kn.front, kn.back, q_orig & ~q)

@@ -29,12 +29,14 @@ from talentsched import (
 from talentsched.cli import BENCH_FIELDS, main, result_to_json
 from talentsched.instance import bits
 from talentsched.solver import _pair_bound
-from talentsched.testkit import (
+from talentsched.testkit import fixture_worked_example
+
+from support import (
     branch_lower,
     enumerate_future_cost,
-    fixture_worked_example,
     pack_pairs,
     pair_constants,
+    q_span_holdings,
     random_node,
     relevant_actors,
 )
@@ -112,31 +114,6 @@ def test_criterion_3_oracle_equivalence():
     _report(3, f"200 instances x 48 configurations = {checked} solves match the oracle ({elapsed:.0f}s)")
 
 
-def _q_span_costs(inst, node, order, relevant):
-    a_front = 0
-    for s in node.front:
-        a_front |= inst.scene_actors[s]
-    a_back = 0
-    for s in node.back:
-        a_back |= inst.scene_actors[s]
-    mid_days = sum(inst.durations[s] for s in order)
-    first, last, work = {}, {}, {}
-    day = 0
-    for s in order:
-        d = inst.durations[s]
-        for i in bits(inst.scene_actors[s] & relevant):
-            first.setdefault(i, day)
-            last[i] = day + d
-            work[i] = work.get(i, 0) + d
-        day += d
-    out = {}
-    for i in first:
-        start = 0 if a_front >> i & 1 else first[i]
-        end = mid_days if a_back >> i & 1 else last[i]
-        out[i] = inst.wages[i] * (end - start - work[i])
-    return out
-
-
 def test_criterion_4_bound_validity():
     rng = random.Random(101)
     nodes = 0
@@ -153,7 +130,8 @@ def test_criterion_4_bound_validity():
             front_rel, back_rel = relevant_actors(inst, node)
             relevant = front_rel | back_rel
             for order in permutations(sorted(bits(node.remaining))):
-                x = _q_span_costs(inst, node, order, relevant)
+                waits = q_span_holdings(inst, node, order).items()
+                x = {i: c for i, c in waits if relevant >> i & 1}
                 for (i, j), c in constants.items():
                     assert x.get(i, 0) + x.get(j, 0) >= c
                     pair_checks += 1

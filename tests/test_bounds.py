@@ -1,6 +1,6 @@
 """The pair lower bound the solver runs: ``_Search._pair_keys`` and
 ``_pair_bound``, with the two tables they read, and
-``_Search._branch_lower``, through the testkit adapters.  The keys are
+``_Search._branch_lower``, through the adapters in ``support``.  The keys are
 checked against the constants written out over scene sets, on day masks
 and on scene masks."""
 
@@ -11,7 +11,8 @@ from talentsched import Instance, SolveConfig, generate_instance, solve
 from talentsched import solver as solver_mod
 from talentsched.instance import bits, mask_of
 from talentsched.solver import _pair_bound
-from talentsched.testkit import (
+
+from support import (
     SearchNode,
     branch_lower,
     enumerate_future_cost,
@@ -19,6 +20,7 @@ from talentsched.testkit import (
     lower_at,
     pack_pairs,
     pair_constants,
+    q_span_holdings,
     random_node,
     relevant_actors,
     simplify,
@@ -249,34 +251,6 @@ def test_pair_constant_rejects_irrelevant_actor():
     assert pair_constants(tiny, SearchNode((0,), (2,), 0b010)) == {}
 
 
-def _q_span_holdings(inst, node, order):
-    """Per-actor waiting cost inside the middle block for one order."""
-    a_front = 0
-    for s in node.front:
-        a_front |= inst.scene_actors[s]
-    a_back = 0
-    for s in node.back:
-        a_back |= inst.scene_actors[s]
-    mid_days = sum(inst.durations[s] for s in order)
-    first, last, work = {}, {}, {}
-    day = 0
-    for s in order:
-        d = inst.durations[s]
-        for i in bits(inst.scene_actors[s]):
-            first.setdefault(i, day)
-            last[i] = day + d
-            work[i] = work.get(i, 0) + d
-        day += d
-    out = {}
-    for i in set(first) | set(bits(a_front & a_back)):
-        start = 0 if a_front >> i & 1 else first.get(i, 0)
-        end = mid_days if a_back >> i & 1 else last.get(i, 0)
-        if i not in first and not (a_front >> i & 1 and a_back >> i & 1):
-            continue
-        out[i] = inst.wages[i] * max(0, end - start - work.get(i, 0))
-    return out
-
-
 def test_pair_constants_valid_under_enumeration():
     rng = random.Random(43)
     checked = 0
@@ -292,7 +266,7 @@ def test_pair_constants_valid_under_enumeration():
             continue
         mid = list(bits(node.remaining))
         for order in permutations(mid):
-            x = _q_span_holdings(inst, node, order)
+            x = q_span_holdings(inst, node, order)
             for (i, j), c in constants.items():
                 assert x.get(i, 0) + x.get(j, 0) >= c
                 checked += 1

@@ -5,7 +5,8 @@ import pytest
 
 from talentsched import StateCache
 from talentsched.instance import bits, bitset_lt, mask_of
-from talentsched.testkit import CacheModel
+
+from support import CacheModel
 
 FULL_HASH = 1 << 64  # the slot is the whole 64-bit hash: only equal hashes collide
 NO_INCUMBENT = float("inf")  # the search's limit before its first schedule
@@ -298,7 +299,7 @@ def test_exact_store_always_prunes_revisits():
 # each case is named for its capacity and the cache's one collision policy
 @pytest.mark.parametrize("capacity", [FULL_HASH, 1, 16, 256], ids=lambda cap: f"{cap}-greedy")
 def test_check_and_update_matches_lookups_then_store(capacity):
-    # the one-pass probe against the testkit model, which looks up the own
+    # the one-pass probe against ``support.CacheModel``, which looks up the own
     # state, then each subset, then stores, on a key space small enough for
     # hits, equal keys and slot collisions; one call in four revisits a
     # resident state, as the search does.  Each returned entry then takes

@@ -19,10 +19,13 @@ from talentsched.testkit import (
     WORKED_HOLDING_IDENTITY,
     WORKED_TOTAL_BEST,
     WORKED_TOTAL_IDENTITY,
+    fixture_worked_example,
+)
+
+from support import (
     SearchNode,
     enumerate_future_cost,
     fixture_partial_example,
-    fixture_worked_example,
     increment,
     past_cost,
     random_node,

@@ -7,7 +7,7 @@ import types
 from pathlib import Path
 
 import talentsched
-from talentsched import SolveConfig, generate_instance, solve
+from talentsched import SolveConfig, generate_instance, solve, testkit
 from talentsched.cli import BENCH_FIELDS, SUMMARY_FIELDS, build_parser, result_to_json
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -65,6 +65,18 @@ def test_api_list_names_exactly_the_package_exports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert listed == exported
+
+
+def test_testkit_paragraph_names_exactly_the_modules_names():
+    text = _section("Library use").split("`talentsched.testkit`", 1)[1]
+    listed = set(re.findall(r"`(\w+)`", text.split("\n\n", 1)[0]))
+    defined = {
+        name
+        for name, value in vars(testkit).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", testkit.__name__) == testkit.__name__
+    }
+    assert listed == defined
 
 
 def test_bench_csv_schemas_name_exactly_the_written_columns():

@@ -1,7 +1,7 @@
 """Dominance rules 1 and 2, and the zero-cost scene that rule 1's switch
 forces (a remaining scene that needs exactly the front's active actors is
 a node's only branch), as the solver runs them, in ``_Search._dominated``,
-through the testkit adapters."""
+through the adapters in ``support``."""
 
 import random
 
@@ -13,7 +13,8 @@ from talentsched import (
     SolveConfig,
 )
 from talentsched.instance import mask_of
-from talentsched.testkit import (
+
+from support import (
     SearchNode,
     dominated,
     enumerate_future_cost,

@@ -1,5 +1,5 @@
 """Node simplification as the solver runs it, in ``_simplify``, through
-the testkit adapters."""
+the adapters in ``support``."""
 
 import random
 from itertools import permutations
@@ -15,7 +15,8 @@ from talentsched import (
 )
 from talentsched import solver as solver_mod
 from talentsched.instance import bits, mask_of
-from talentsched.testkit import KernelNode, SearchNode, kernel_node, random_node, simplify
+
+from support import KernelNode, SearchNode, kernel_node, random_node, simplify
 
 # scene 0 anchors the front, scene 5 the back, scenes 1..4 are the middle.
 # a3 is anchored on both sides, a4 only needs the back block.
