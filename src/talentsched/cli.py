@@ -142,6 +142,7 @@ def result_to_json(
             "bits": _cache_bits(cfg),
             "probes": result.cache_stats.probes,
             "hits": result.cache_stats.hits,
+            "subset_hits": result.cache_stats.subset_hits,
             "misses": result.cache_stats.misses,
             "collisions": result.cache_stats.collisions,
             "replacements": result.cache_stats.replacements,
@@ -177,7 +178,7 @@ def cmd_solve(args) -> int:
         print(f"elapsed       {result.elapsed:.3f}s")
         st = result.cache_stats
         print(
-            f"cache         hits={st.hits} misses={st.misses} "
+            f"cache         hits={st.hits} subset_hits={st.subset_hits} misses={st.misses} "
             f"collisions={st.collisions} replacements={st.replacements}"
         )
     return 0 if result.status == "optimal" else 2

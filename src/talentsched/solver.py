@@ -33,9 +33,12 @@ past`` at exit, so the bound never falls below the incumbent's slack.  A
 node writes its bound into its state's cache entry when it finishes, and
 the cache prunes a later node whose ``past`` plus a stored bound reaches
 the incumbent (bounded dynamic programming, Garcia de la Banda, Stuckey &
-Chu 2011).  A time-limit unwind writes no bound, as the node's children
-were not all seen.  On the benchmark's base instances this saves 20% of
-nodes on ``sweep`` and 12% on ``wide-cast`` over storing the past cost.
+Chu 2011): the bound of the node's own state, or of any stored state with
+the same blocks and a subset of its remaining scenes, since finishing a
+subset of the work never costs more.  A time-limit unwind writes no bound,
+as the node's children were not all seen.  On the benchmark's base
+instances the subset states save 19% of nodes on ``sweep`` and 1.4% on
+``wide-cast`` over trying only the states one remaining scene smaller.
 
 A node is ``(front, back, z, scenes)``: the actors at each block, the past
 cost, and one record ``(duration, mask, actors, members)`` per remaining
@@ -102,14 +105,15 @@ from .instance import Instance, bits
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two
-    (``1 << 64`` evicts a state only for one with an equal hash, which
-    distinct states can share from 62 scenes up; see ``cache``); the
-    cache's collision policy is fixed, not a setting, and so is the branch
-    order: a node takes its children in ascending ``increment + pair
-    bound`` (the increment alone with ``enable_lower`` off), ties to the
-    smaller scene id.  ``time_limit`` is in seconds, positive;
-    ``float("inf")`` means no limit.
+    """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two;
+    the slot sees every scene at every capacity, and ``1 << 64`` evicts a
+    state only for one with an equal hash, which distinct states can share
+    from 62 scenes up (see ``cache``).  The cache's collision policy is
+    fixed, not a setting, and so is the branch order: a node takes its
+    children in ascending ``increment + pair bound`` (the increment alone
+    with ``enable_lower`` off), ties to the smaller scene id.
+    ``time_limit`` is in seconds, positive; ``float("inf")`` means no
+    limit.
 
     The defaults below and the checks in ``__post_init__`` are the only
     statement of each setting: the CLI's flags take their defaults from
@@ -499,8 +503,7 @@ class _Search:
                 aq_full |= a
         # the remaining scenes over original ids: the records' masks are
         # disjoint, so their sum is their union
-        masks = [rec[1] for rec in scenes]
-        q_orig = sum(masks)
+        q_orig = sum([rec[1] for rec in scenes])
         # exact: an actor held by neither the middle nor the other block can
         # never enter either again
         front, back = front & (aq_full | back), back & (aq_full | front)
@@ -509,14 +512,7 @@ class _Search:
         # list is the node's own entry, which takes its bound at exit --
         entry = None
         if self.cache is not None:
-            entry = self.cache.check_and_update(
-                front,
-                back,
-                q_orig,
-                z,
-                self.best_h,
-                masks,
-            )
+            entry = self.cache.check_and_update(front, back, q_orig, z, self.best_h)
             if isinstance(entry, int):
                 return entry
 

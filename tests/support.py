@@ -209,25 +209,58 @@ class CacheModel:
     """The direct-mapped state cache, one probe and one store at a time:
     the same slots, entries ``[key, bound]``, prune test, replacement rule
     and ``CacheStats`` counters as ``StateCache``, with ``check_and_update``
-    as a lookup of the node's own state, then of each subset state, then a
-    store that hands back the entry the node raises its bound in."""
+    as a lookup of the node's own state, then a pass over the resident
+    states with the node's blocks and a remaining set below its own as an
+    int, from the largest down, for the first that is a subset whose bound
+    prunes, then a store that hands back the entry the node raises its
+    bound in."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.slots: dict[int, list] = {}
         self.stats = CacheStats()
 
+    def slot(self, key: tuple[int, int, int]) -> int:
+        """The hash modulo the capacity, or, for a remaining set that
+        reaches scene 33 + k at 2^k slots, the top k bits of the 64-bit hash
+        with its high half folded onto its low half, times
+        0x9E3779B97F4A7C15 modulo 2^64."""
+        k = self.capacity.bit_length() - 1
+        if key[2] >= 2 ** (33 + k):
+            h = hash(key) % 2**64
+            h ^= h // 2**32
+            return h * 0x9E3779B97F4A7C15 % 2**64 // 2 ** (64 - k)
+        return hash(key) % self.capacity
+
     def lookup(self, key: tuple[int, int, int], z: int, limit) -> int | None:
         """The resident bound of ``key`` if it prunes at past cost ``z``."""
         self.stats.probes += 1
-        entry = self.slots.get(hash(key) % self.capacity)
+        entry = self.slots.get(self.slot(key))
         if entry is not None and entry[0] == key and z + entry[1] >= limit:
             self.stats.hits += 1
             return entry[1]
         return None
 
+    def subset_lookup(self, front, back, remaining, z, limit) -> int | None:
+        """The bound of the first resident state with blocks ``front`` and
+        ``back`` and a subset of ``remaining`` that prunes at past cost
+        ``z``, trying the states of those blocks with a smaller remaining
+        set as an int, the largest first; each one tried is a probe."""
+        below = [
+            entry[0] + (entry[1],)
+            for entry in self.slots.values()
+            if entry[0][:2] == (front, back) and entry[0][2] < remaining
+        ]
+        for _, _, r, bound in sorted(below, key=lambda state: -state[2]):
+            self.stats.probes += 1
+            if r | remaining == remaining and z + bound >= limit:
+                self.stats.hits += 1
+                self.stats.subset_hits += 1
+                return bound
+        return None
+
     def store(self, key: tuple[int, int, int]) -> list:
-        slot = hash(key) % self.capacity
+        slot = self.slot(key)
         entry = self.slots.get(slot)
         if entry is None:
             self.stats.stores += 1
@@ -242,14 +275,15 @@ class CacheModel:
         self.slots[slot] = [key, 0]
         return self.slots[slot]
 
-    def check_and_update(self, front, back, remaining, z, limit, removable_masks):
+    def check_and_update(self, front, back, remaining, z, limit):
         if _set_order(back) < _set_order(front):
             front, back = back, front
         key = (front, back, remaining)
-        for probe in [key] + [(front, back, remaining & ~r) for r in removable_masks]:
-            bound = self.lookup(probe, z, limit)
-            if bound is not None:
-                return bound
+        bound = self.lookup(key, z, limit)
+        if bound is None:
+            bound = self.subset_lookup(front, back, remaining, z, limit)
+        if bound is not None:
+            return bound
         return self.store(key)
 
 

@@ -1,6 +1,7 @@
 import csv
 import inspect
 import json
+import re
 
 import pytest
 
@@ -50,8 +51,9 @@ def test_solve_json_worked_example(tmp_path, capsys):
     assert out["n"] == 12 and out["m"] == 6
     assert sorted(out["schedule"]) == list(range(12))
     assert set(out["cache"]) == {
-        "bits", "probes", "hits", "misses", "collisions", "replacements",
+        "bits", "probes", "hits", "subset_hits", "misses", "collisions", "replacements",
     }
+    assert 0 < out["cache"]["subset_hits"] <= out["cache"]["hits"]
 
 
 def test_solve_human_output(tmp_path, capsys):
@@ -62,6 +64,7 @@ def test_solve_human_output(tmp_path, capsys):
     assert code == 0
     assert "holding cost  53" in text
     assert "total cost    434" in text
+    assert re.search(r"^cache +hits=\d+ subset_hits=\d+ misses=\d+ ", text, re.M)
 
 
 def _exit_code(argv) -> int:

@@ -477,26 +477,33 @@ def test_time_limited_answers_never_undercut_the_optimum():
             assert result.holding_cost == optimum
 
 
-def _overstated_bounds(inst, search):
+def _overstated_bounds(inst, search, exact_costs=None):
     """The resident cache entries of a finished ``_Search`` whose bound
     exceeds the state's exact future cost, and how many entries there are.
     That cost is the oracle's DP over the remaining scenes with the front's
     actors on location from the first day and the back's to the last;
-    actors at both blocks are left out, as the past cost charged them."""
+    actors at both blocks are left out, as the past cost charged them.
+    ``exact_costs``, a dict by key, keeps the costs across solves of
+    ``inst``."""
+    if exact_costs is None:
+        exact_costs = {}
     over = []
     slots = search.cache._slots
-    for (front, back, remaining), bound in slots.values():
-        charged = front & back
-        scenes = bits(remaining)
-        exact, _ = solver_mod._order_dp(
-            [inst.scene_actors[s] & ~charged for s in scenes],
-            [inst.durations[s] for s in scenes],
-            inst.wages,
-            front & ~charged,
-            back & ~charged,
-        )
+    for key, bound in slots.values():
+        exact = exact_costs.get(key)
+        if exact is None:
+            front, back, remaining = key
+            charged = front & back
+            scenes = bits(remaining)
+            exact = exact_costs[key] = solver_mod._order_dp(
+                [inst.scene_actors[s] & ~charged for s in scenes],
+                [inst.durations[s] for s in scenes],
+                inst.wages,
+                front & ~charged,
+                back & ~charged,
+            )[0]
         if bound > exact:
-            over.append(((front, back, remaining), bound, exact))
+            over.append((key, bound, exact))
     return over, len(slots)
 
 
@@ -525,6 +532,29 @@ def test_cached_bounds_never_exceed_the_future_cost():
     assert result.holding_cost > brute_force(inst)[0]
     over, entries = _overstated_bounds(inst, search)
     assert not over and entries > 5
+
+
+def test_cached_bounds_are_sound_under_every_switch_set():
+    # the subset scan prunes a node by any resident state of its blocks
+    # whose remaining scenes it holds, which is sound only if every stored
+    # bound is at most its own state's exact future cost; small caches
+    # evict entries whose nodes are still searching
+    proved = 0
+    for k in range(30):
+        inst = generate_instance(
+            6 + k % 5, 5 + k % 4, seed=9500 + k, density=(0.3, 0.45)[k % 2],
+            max_duration=3, max_wage=20,
+        )
+        optimum = brute_force(inst)[0]
+        exact_costs = {}
+        for flags in EVERY:
+            for cap in (1 << 4, 1 << 16):
+                search = solver_mod._Search(inst, SolveConfig(cache_capacity=cap, **flags))
+                assert search.run().holding_cost == optimum, (k, flags, cap)
+                over, _ = _overstated_bounds(inst, search, exact_costs)
+                assert not over, (k, flags, cap, over[:3])
+                proved += sum(entry[1] > 0 for entry in search.cache._slots.values())
+    assert proved > 20000, proved
 
 
 def test_matches_brute_force_on_a_wide_cast_at_eighteen_scenes():
@@ -585,7 +615,9 @@ def test_cache_modes_only_change_node_counts():
 # proven lower bound on each state's future cost, pruning at ``z + bound >=
 # incumbent``, and to give a colliding slot to the state with more scenes
 # left, and re-recorded when dominance came to force a scene that needs
-# exactly the front's active actors; any change to a pruning rule, to the
+# exactly the front's active actors and when the cache came to prune by
+# any resident state with the same blocks and a subset of the node's
+# remaining scenes; any change to a pruning rule, to the
 # cache, to the order of the search or to its start shows up here.
 NODE_PINS = {
     (10, 6, 7101, 0.35): {
@@ -593,42 +625,42 @@ NODE_PINS = {
         "no-preprocess": (90, 41, 39, 3, 39, 3),
         "no-rule1": (90, 34, 32, 3, 32, 3),
         "no-rule2": (90, 34, 32, 3, 32, 3),
-        "no-lower": (90, 264, 149, 46, 149, 46),
+        "no-lower": (90, 264, 142, 44, 142, 44),
     },
     (11, 7, 7102, 0.4): {
-        "all": (234, 82, 45, 16, 45, 16),
-        "no-preprocess": (234, 84, 47, 16, 47, 16),
-        "no-rule1": (234, 98, 47, 16, 47, 16),
-        "no-rule2": (234, 82, 45, 16, 45, 16),
-        "no-lower": (234, 576, 224, 71, 221, 72),
+        "all": (234, 82, 44, 16, 44, 16),
+        "no-preprocess": (234, 84, 46, 16, 46, 16),
+        "no-rule1": (234, 98, 46, 16, 46, 16),
+        "no-rule2": (234, 82, 44, 16, 44, 16),
+        "no-lower": (234, 576, 218, 69, 215, 70),
     },
     (12, 8, 7103, 0.3): {
-        "all": (609, 892, 357, 104, 348, 103),
-        "no-preprocess": (609, 903, 361, 105, 352, 104),
-        "no-rule1": (609, 1034, 386, 117, 373, 115),
-        "no-rule2": (609, 939, 367, 111, 358, 111),
-        "no-lower": (609, 13489, 4058, 1222, 3058, 1287),
+        "all": (609, 892, 342, 103, 332, 102),
+        "no-preprocess": (609, 903, 346, 104, 336, 103),
+        "no-rule1": (609, 1034, 366, 113, 353, 111),
+        "no-rule2": (609, 939, 351, 110, 341, 110),
+        "no-lower": (609, 13489, 3905, 1231, 2974, 1290),
     },
     (12, 6, 7104, 0.45): {
-        "all": (466, 93, 40, 11, 40, 11),
-        "no-preprocess": (466, 113, 48, 12, 48, 12),
-        "no-rule1": (466, 101, 41, 11, 41, 11),
-        "no-rule2": (466, 102, 41, 11, 41, 11),
-        "no-lower": (466, 712, 258, 86, 258, 86),
+        "all": (466, 93, 39, 11, 39, 11),
+        "no-preprocess": (466, 113, 46, 12, 46, 12),
+        "no-rule1": (466, 101, 40, 11, 40, 11),
+        "no-rule2": (466, 102, 40, 11, 40, 11),
+        "no-lower": (466, 712, 246, 86, 246, 86),
     },
     (13, 7, 7105, 0.35): {
         "all": (246, 283, 156, 44, 156, 44),
-        "no-preprocess": (246, 428, 226, 56, 225, 57),
+        "no-preprocess": (246, 428, 223, 56, 221, 57),
         "no-rule1": (246, 312, 169, 48, 169, 48),
-        "no-rule2": (246, 309, 164, 50, 164, 50),
-        "no-lower": (246, 5007, 1857, 681, 1665, 683),
+        "no-rule2": (246, 309, 163, 50, 163, 50),
+        "no-lower": (246, 5007, 1802, 703, 1619, 696),
     },
     (14, 8, 7106, 0.3): {
-        "all": (124, 137, 71, 21, 71, 21),
-        "no-preprocess": (124, 316, 106, 28, 106, 28),
-        "no-rule1": (124, 164, 81, 23, 81, 24),
-        "no-rule2": (124, 137, 71, 21, 71, 21),
-        "no-lower": (124, 2546, 529, 208, 476, 189),
+        "all": (124, 137, 70, 21, 70, 21),
+        "no-preprocess": (124, 316, 92, 27, 92, 27),
+        "no-rule1": (124, 164, 80, 23, 79, 24),
+        "no-rule2": (124, 137, 70, 21, 70, 21),
+        "no-lower": (124, 2546, 430, 180, 426, 180),
     },
 }
 PIN_CONFIGS = {
