@@ -8,7 +8,8 @@ at the back, remaining scene set over original scene ids).  Its future
 cost is the least holding cost still to come once the two blocks are
 fixed, on top of the "past cost" ``z`` the solver carries; it depends on
 the state alone.  Front/back are interchangeable by the problem's reversal
-symmetry, so keys are canonicalized with the lower of the two masks first.
+symmetry, so keys are canonicalized with the smaller of the two masks, as
+an int, first.
 
 An entry is the list ``[key, bound]``.  It is created with bound 0 when a
 node's probe finds nothing to prune, and the solver raises the bound in
@@ -35,38 +36,37 @@ gets a detached entry, and its bound is lost at exit.  An entry evicted
 while its node is still searching loses its bound the same way.  Beside
 the slots, an index maps each pair of blocks to the list of resident
 entries with those blocks, sorted by key: the same list objects as the
-slots, added on store and removed on eviction.  Within one pair of blocks
-the keys sort by remaining set as an int, and a proper subset is a
-smaller int, so the subset scan reads only the entries below the node's
-own key, from the largest down.  That reads about half the list, and
-the largest subsets first take fewer nodes than store order did: 38,126
-against 38,410 on ``generate_instance(28, 8, seed=3, density=0.4,
-max_duration=3, max_wage=20)`` at ``2**22`` slots.
+slots, added on store and removed on eviction.  The index answers both
+probes.  Within one pair of blocks the keys sort by remaining set as an
+int, and a proper subset is a smaller int, so the node's own entry, when
+resident, sits at its key's place in the list and its subsets below it.
+One scan from that place down tries the own state first and then the
+subsets, largest first; it reads about half the list, and the largest
+subsets first take fewer nodes than store order did: 38,126 against
+38,410 on ``generate_instance(28, 8, seed=3, density=0.4,
+max_duration=3, max_wage=20)`` at ``2**22`` slots.  The slots are read
+only to place a state that is not resident.
 
-The slot of a key at ``2**k`` slots is its hash's low k bits, unless its
-remaining set reaches scene 33 + k.  Under CPython 3.11 the low k bits of
-a 3-tuple's hash do not depend on the high bits of its last field's hash,
-so at ``2**k`` slots they never see scenes 33 + k through 60.  Such a key
-takes the top k bits of ``h * 0x9E3779B97F4A7C15 mod 2**64`` instead,
-with ``h`` the 64-bit hash with its high half xored onto its low half.
-The multiply carries every bit of ``h`` into its top bits.  Without the
-fold, flipping one scene moved the product by a near-constant amount, and
-at ``2**4`` slots flipping scene 49 kept the slot of 55% of random
-states.  States that cannot reach scene 33 + k keep the low-bit slot, so
-their solves keep their node counts.  With ``capacity = 1 << 64`` the
-slot is the whole 64-bit hash, so distinct states share a slot only when
-their hashes are equal and nothing else is ever evicted.  An int hashes
-modulo ``2**61 - 1``, so scenes 61-63 fold onto scenes 0-2: from 62
-scenes up, distinct states can share a full hash, and so a slot at any
-capacity.
+The slot of a key at ``2**k`` slots is the top k bits of ``h *
+0x9E3779B97F4A7C15 mod 2**64``, with ``h`` the key's 64-bit hash with its
+high half xored onto its low half.  The multiply carries every bit of
+``h`` into its top bits; without the fold, flipping one scene moved the
+product by a near-constant amount, and at ``2**4`` slots flipping scene
+49 kept the slot of 55% of random 64-scene states.  The hash's own low
+bits would not do: under CPython 3.11 the low k bits of a 3-tuple's hash
+never see scenes 33 + k through 60, and at ``2**4`` slots flipping scene
+10 kept the slot of 32 of 40 random 20-scene states.  Both steps are
+bijections of the 64-bit hash, so with ``capacity = 1 << 64`` distinct
+states share a slot only when their hashes are equal, and nothing else is
+ever evicted.  An int hashes modulo ``2**61 - 1``, so scenes 61-63 fold
+onto scenes 0-2: from 62 scenes up, distinct states can share a full
+hash, and so a slot at any capacity.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
-
-from .instance import bitset_lt
 
 # Fibonacci hashing's multiplier, 2**64 over the golden ratio, made odd,
 # and the 64-bit word it works in
@@ -115,14 +115,13 @@ class StateCache:
     A slot holds one entry, the list ``[key, bound]``; a key is the plain
     tuple ``(front, back, remaining)``, and tuples of ints hash through
     the interpreter's 64-bit mixer, which is deterministic across runs.
-    At ``2**k`` slots the slot is ``hash(key) & (capacity - 1)``, or, for
-    a remaining set that reaches scene 33 + k, where those low bits are
-    blind, the top k bits of the hash folded onto its low half times
-    ``0x9E3779B97F4A7C15 mod 2**64``; so the slot sees every scene.  From
-    62 scenes up distinct keys can share a full hash (see the module
-    docstring).  A colliding state takes the slot only from a resident
-    with fewer remaining scenes.  ``strategy`` accepts only ``"greedy"``,
-    that policy's name; the benchmark runner still passes it.
+    At ``2**k`` slots the slot is the top k bits of the hash folded onto
+    its low half times ``0x9E3779B97F4A7C15 mod 2**64``, so it sees every
+    scene; from 62 scenes up distinct keys can share a full hash (see the
+    module docstring).  A colliding state takes the slot only from a
+    resident with fewer remaining scenes.  ``strategy`` accepts only
+    ``"greedy"``, that policy's name; the benchmark runner still passes
+    it.
     """
 
     def __init__(self, capacity: int, strategy: str = "greedy"):
@@ -131,11 +130,8 @@ class StateCache:
         if strategy != "greedy":
             raise ValueError(f"unknown strategy {strategy!r} (greedy is the only one)")
         self.capacity = capacity
-        bits = capacity.bit_length() - 1
-        # the remaining sets from which the low bits of the hash miss scenes,
-        # and the shift that keeps the top ``bits`` bits of a 64-bit word
-        self._wide = 1 << 33 + bits
-        self._shift = 64 - bits
+        # the shift that keeps a 64-bit word's top log2(capacity) bits
+        self._shift = 64 - (capacity.bit_length() - 1)
         self._slots: dict[int, list] = {}
         self._blocks: dict[tuple[int, int], list[list]] = {}
         self.stats = CacheStats()
@@ -144,67 +140,64 @@ class StateCache:
         """Prune check for one search node at past cost ``z`` under the
         incumbent cost ``limit``.
 
-        Probes the node's own state, then scans the resident entries with
-        the node's blocks whose remaining set is below ``remaining`` as an
-        int, from the largest down.  The first whose remaining set is a
-        subset of ``remaining`` and whose bound ``v`` gives ``z + v >=
-        limit`` prunes, and the call returns that ``v``, an int; so does
-        the own state's bound when it reaches the limit.  Otherwise it
+        Scans the resident entries with the node's blocks from the node's
+        own state, when it is resident, down through those whose remaining
+        set is below ``remaining`` as an int, the largest first.  The
+        first whose remaining set is a subset of ``remaining`` (the own
+        state is one) and whose bound ``v`` gives ``z + v >= limit``
+        prunes, and the call returns that ``v``, an int.  Otherwise it
         returns the node's own entry, a list ``[key, bound]``, for the node
         to raise the bound in at exit: the resident entry of an equal key,
         a new one in an empty slot or in place of a resident with fewer
         remaining scenes, or else a detached one that no slot holds.
         """
-        if bitset_lt(back, front):
+        if back < front:
             front, back = back, front
         key = (front, back, remaining)
-        if remaining < self._wide:
-            slot = hash(key) & self.capacity - 1
-        else:
-            slot = hash(key) & _WORD
-            slot = ((slot ^ slot >> 32) * _MIX & _WORD) >> self._shift
-        slots = self._slots
-        own = slots.get(slot)
         stats = self.stats
-        if own is not None and own[0] == key and z + own[1] >= limit:
-            stats.probes += 1
-            stats.hits += 1
-            return own[1]
         blocks = self._blocks
         group = blocks.get((front, back))
         if group is None:
             stats.probes += 1
         else:
-            # a proper subset is a smaller int, so only the entries below
-            # the node's own key can prune; the largest are tried first
-            below = bisect_left(group, [key])
+            # the index holds every resident entry, so the own one, if
+            # resident, sits at ``at``, above the proper subsets, which are
+            # smaller ints
+            at = bisect_left(group, [key])
+            own = at < len(group) and group[at][0] == key
             slack = limit - z
             outside = ~remaining
-            for entry in reversed(group[:below]):
+            for entry in reversed(group[: at + own]):
                 if not entry[0][2] & outside and entry[1] >= slack:
-                    stats.probes += 1 + below - bisect_left(group, entry)
+                    stats.probes += 1 + at - bisect_left(group, entry)
                     stats.hits += 1
-                    stats.subset_hits += 1
+                    if entry[0][2] != remaining:
+                        stats.subset_hits += 1
                     return entry[1]
-            stats.probes += 1 + below
-        if own is None:
+            stats.probes += 1 + at
+            if own:
+                return group[at]
+        slot = hash(key) & _WORD
+        slot = ((slot ^ slot >> 32) * _MIX & _WORD) >> self._shift
+        slots = self._slots
+        resident = slots.get(slot)
+        if resident is None:
             stats.stores += 1
-        elif own[0] == key:
-            return own
         else:
             stats.collisions += 1
-            if remaining.bit_count() <= own[0][2].bit_count():
+            if remaining.bit_count() <= resident[0][2].bit_count():
                 return [key, 0]
             stats.replacements += 1
-            old = own[0][:2]
+            old = resident[0][:2]
             evicted = blocks[old]
-            del evicted[bisect_left(evicted, own)]
-            # an emptied list goes, unless the newcomer joins it
-            if not evicted and evicted is not group:
+            del evicted[bisect_left(evicted, resident)]
+            if evicted is group:
+                at = bisect_left(group, [key])
+            elif not evicted:
                 del blocks[old]
-        own = slots[slot] = [key, 0]
+        entry = slots[slot] = [key, 0]
         if group is None:
-            blocks[front, back] = [own]
+            blocks[front, back] = [entry]
         else:
-            insort(group, own)
-        return own
+            group.insert(at, entry)
+        return entry

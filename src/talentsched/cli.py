@@ -162,6 +162,8 @@ def result_to_json(
 
 
 def cmd_solve(args) -> int:
+    if args.trace and not args.json:
+        _fail("--trace needs --json")
     cfg = _config_from_args(args)
     inst = _read_instance(args.instance)
     result = solve(inst, cfg)
@@ -394,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file path, or - for stdin")
     _add_solver_flags(p)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--trace", action="store_true", help="include incumbent trace in JSON")
+    p.add_argument(
+        "--trace", action="store_true", help="include incumbent trace in JSON (needs --json)"
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="CSV sweep over instances and parameters")

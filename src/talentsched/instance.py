@@ -77,15 +77,6 @@ def bits(mask: int) -> list[int]:
     return bits(mask)
 
 
-def bitset_lt(a: int, b: int) -> bool:
-    """Total order on index sets: the set holding the lowest differing
-    index compares lower.  Equal sets are not less than each other."""
-    diff = a ^ b
-    if diff == 0:
-        return False
-    return bool(a & (diff & -diff))
-
-
 # --- instance --------------------------------------------------------------
 
 @dataclass(frozen=True)

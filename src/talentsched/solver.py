@@ -106,9 +106,9 @@ from .instance import Instance, bits
 @dataclass(frozen=True)
 class SolveConfig:
     """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two;
-    the slot sees every scene at every capacity, and ``1 << 64`` evicts a
-    state only for one with an equal hash, which distinct states can share
-    from 62 scenes up (see ``cache``).  The cache's collision policy is
+    ``1 << 64`` evicts a state only for one with an equal hash, which
+    distinct states can share from 62 scenes up (see ``cache``, which also
+    gives the slot rule).  The cache's collision policy is
     fixed, not a setting, and so is the branch order: a node takes its
     children in ascending ``increment + pair bound`` (the increment alone
     with ``enable_lower`` off), ties to the smaller scene id.

@@ -199,12 +199,6 @@ def past_cost(inst: Instance, node: SearchNode) -> int:
 
 # --- state-cache model --------------------------------------------------------
 
-def _set_order(mask: int) -> list[int]:
-    """Sort key of an actor set (at most 64 actors): the set holding the
-    lowest differing actor sorts first."""
-    return [-(mask >> i & 1) for i in range(64)]
-
-
 class CacheModel:
     """The direct-mapped state cache, one probe and one store at a time:
     the same slots, entries ``[key, bound]``, prune test, replacement rule
@@ -221,16 +215,13 @@ class CacheModel:
         self.stats = CacheStats()
 
     def slot(self, key: tuple[int, int, int]) -> int:
-        """The hash modulo the capacity, or, for a remaining set that
-        reaches scene 33 + k at 2^k slots, the top k bits of the 64-bit hash
-        with its high half folded onto its low half, times
-        0x9E3779B97F4A7C15 modulo 2^64."""
+        """At 2^k slots, the top k bits of the 64-bit hash with its high
+        half folded onto its low half, times 0x9E3779B97F4A7C15 modulo
+        2^64."""
         k = self.capacity.bit_length() - 1
-        if key[2] >= 2 ** (33 + k):
-            h = hash(key) % 2**64
-            h ^= h // 2**32
-            return h * 0x9E3779B97F4A7C15 % 2**64 // 2 ** (64 - k)
-        return hash(key) % self.capacity
+        h = hash(key) % 2**64
+        h ^= h // 2**32
+        return h * 0x9E3779B97F4A7C15 % 2**64 // 2 ** (64 - k)
 
     def lookup(self, key: tuple[int, int, int], z: int, limit) -> int | None:
         """The resident bound of ``key`` if it prunes at past cost ``z``."""
@@ -276,7 +267,7 @@ class CacheModel:
         return self.slots[slot]
 
     def check_and_update(self, front, back, remaining, z, limit):
-        if _set_order(back) < _set_order(front):
+        if back < front:
             front, back = back, front
         key = (front, back, remaining)
         bound = self.lookup(key, z, limit)

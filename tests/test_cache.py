@@ -4,16 +4,24 @@ import tracemalloc
 import pytest
 
 from talentsched import StateCache
-from talentsched.instance import bitset_lt, mask_of
+from talentsched.instance import mask_of
 
 from support import CacheModel
 
-FULL_HASH = 1 << 64  # the slot is the whole 64-bit hash: only equal hashes collide
+FULL_HASH = 1 << 64  # the slot is a bijection of the 64-bit hash: only equal hashes collide
 NO_INCUMBENT = float("inf")  # the search's limit before its first schedule
 
 
 def _resident_keys(cache):
     return sorted(entry[0] for entry in cache._slots.values())
+
+
+def _slot_of(capacity, front, back, remaining):
+    """The slot a ``capacity``-slot cache stores the state in."""
+    cache = StateCache(capacity)
+    cache.check_and_update(front, back, remaining, 0, NO_INCUMBENT)
+    (slot,) = cache._slots
+    return slot
 
 
 def _colliding_keys(capacity):
@@ -22,7 +30,7 @@ def _colliding_keys(capacity):
     by_slot = {}
     for remaining in range(1, 1 << 12):
         key = (1, 2, remaining)
-        by_slot.setdefault(hash(key) & (capacity - 1), []).append(key)
+        by_slot.setdefault(_slot_of(capacity, *key), []).append(key)
     for keys in by_slot.values():
         for one, other in zip(keys, keys[1:]):
             size = one[2].bit_count()
@@ -38,7 +46,7 @@ def test_canonicalize_keeps_lower_front():
     back = mask_of([0, 2, 5, 6])
     cache = StateCache(1 << 8)
     cache.check_and_update(front, back, 0b111, 0, NO_INCUMBENT)
-    assert _resident_keys(cache) == [(front, back, 0b111)]  # index 1 beats index 2
+    assert _resident_keys(cache) == [(front, back, 0b111)]  # 27 < 101
 
 
 def test_canonicalize_swaps_when_back_is_lower():
@@ -219,7 +227,7 @@ def _probes_to_prune(cache, front, back, remaining, z, limit):
     remaining set as an int compared, the largest first, up to the one
     that prunes -- and the state that prunes: ``"own"``, ``"subset"`` or
     None."""
-    if bitset_lt(back, front):
+    if back < front:
         front, back = back, front
     key = (front, back, remaining)
     own = [entry for entry in cache._slots.values() if entry[0] == key]
@@ -358,21 +366,16 @@ def test_check_and_update_matches_lookups_then_store(capacity):
         assert fast.stats.collisions and fast.stats.replacements
 
 
-def _slot_of(capacity, front, back, remaining):
-    """The slot a ``capacity``-slot cache stores the state in."""
-    cache = StateCache(capacity)
-    cache.check_and_update(front, back, remaining, 0, NO_INCUMBENT)
-    (slot,) = cache._slots
-    return slot
-
-
+@pytest.mark.parametrize("scenes", [20, 40, 64])
 @pytest.mark.parametrize("k", [4, 16, 22, 25])
-def test_slot_sees_every_scene_at_sixty_four_scenes(k):
-    # for random states over 64 scenes, flipping any one scene moves the
-    # slot unless the two slots meet by chance, one time in 2^k
+def test_slot_sees_every_scene(k, scenes):
+    # for random states over ``scenes`` scenes, flipping any one scene moves
+    # the slot unless the two slots meet by chance, one time in 2^k
     rng = random.Random(79)
-    states = [(rng.getrandbits(16), rng.getrandbits(16), rng.getrandbits(64)) for _ in range(40)]
-    for scene in range(64):
+    states = [
+        (rng.getrandbits(16), rng.getrandbits(16), rng.getrandbits(scenes)) for _ in range(40)
+    ]
+    for scene in range(scenes):
         kept = 0
         for front, back, remaining in states:
             kept += _slot_of(1 << k, front, back, remaining) == _slot_of(

@@ -88,6 +88,23 @@ def test_solve_missing_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_solve_json_trace_lists_each_incumbent(tmp_path, capsys):
+    path = tmp_path / "t1.txt"
+    path.write_text(write_instance(fixture_worked_example()), encoding="utf-8")
+    assert main(["solve", str(path), "--json", "--trace", *FAST_FLAGS]) == 0
+    out = json.loads(capsys.readouterr().out)
+    costs = [cost for _, cost in out["trace"]]
+    assert costs and costs[-1] == out["holding_cost"] == 53
+    assert costs == sorted(set(costs), reverse=True)  # each incumbent is cheaper
+
+
+def test_solve_trace_without_json_exits_1_before_reading(tmp_path, capsys):
+    # the trace goes only into the JSON payload, so the flag alone is refused
+    # before the (missing) instance file is opened
+    assert _exit_code(["solve", str(tmp_path / "nope.txt"), "--trace"]) == 1
+    assert capsys.readouterr().err == "error: --trace needs --json\n"
+
+
 def test_solve_time_limit_exits_2(tmp_path, capsys):
     inst = generate_instance(30, 8, seed=4, density=0.3, max_duration=3)
     path = tmp_path / "big.txt"

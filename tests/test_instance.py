@@ -10,7 +10,7 @@ from talentsched import (
     parse_instance,
     write_instance,
 )
-from talentsched.instance import bits, bitset_lt, mask_of
+from talentsched.instance import bits, mask_of
 from talentsched.testkit import fixture_worked_example
 
 WORKED_EXAMPLE_TEXT = """\
@@ -166,19 +166,6 @@ def test_actors_of_scenes_monotone():
         q1 = q2 & rng.getrandbits(inst.num_scenes)
         a1, a2 = actors_of_scenes(inst, q1), actors_of_scenes(inst, q2)
         assert a1 & ~a2 == 0
-
-
-def test_bitset_order():
-    # {a1,a2,a4,a5} vs {a1,a3,a6,a7}: differs first at index 1
-    a = mask_of([0, 1, 3, 4])
-    b = mask_of([0, 2, 5, 6])
-    assert bitset_lt(a, b) and not bitset_lt(b, a)
-    assert not bitset_lt(a, a)
-    # total order sanity on random masks
-    rng = random.Random(7)
-    for _ in range(100):
-        x, y = rng.getrandbits(10), rng.getrandbits(10)
-        assert (bitset_lt(x, y), bitset_lt(y, x), x == y).count(True) == 1
 
 
 def test_bits_matches_a_naive_scan():
