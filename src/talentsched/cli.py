@@ -59,6 +59,7 @@ BENCH_FIELDS = [
     "subproblems",
     "seconds",
     "cache_hits",
+    "cache_subset_hits",
     "cache_collisions",
     "cache_replacements",
 ]
@@ -222,6 +223,7 @@ def _bench_one(task):
         "subproblems": result.subproblems,
         "seconds": f"{result.elapsed:.6f}",
         "cache_hits": result.cache_stats.hits,
+        "cache_subset_hits": result.cache_stats.subset_hits,
         "cache_collisions": result.cache_stats.collisions,
         "cache_replacements": result.cache_stats.replacements,
     }

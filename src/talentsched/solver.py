@@ -3,9 +3,11 @@ program over scene sets.
 
 The search fixes one scene per level, alternating between the two ends of
 the schedule by swapping the roles of the front and back blocks on every
-recursion.  Each node is simplified first (actor dropping, duplicate-scene
-merging), then checked against the state cache, and each candidate branch
-must survive the dominance rules and the lower-bound test
+recursion.  Each node is checked against the state cache first, and only
+a node the cache does not prune is simplified (actor dropping,
+duplicate-scene merging): a merge unions its records' scene masks and
+actor sets, so the cache key is the same either way.  Each candidate
+branch must survive the dominance rules and the lower-bound test
 ``past + increment + future_bound < best`` before it is explored.
 
 Dominance has rules 1 and 2 and, under rule 1's switch, one forced
@@ -303,46 +305,43 @@ def _order_dp(
     return togo[0], order
 
 
-def _simplify(front, back, scenes):
+def _simplify(front, back, scenes, seen_once, seen_twice):
     """Drop actors that can no longer wait and merge middle scenes that have
     become indistinguishable, iterated to a fixed point.
 
     ``front`` and ``back`` are the actors at each block, and ``scenes`` the
     node's records ``(duration, mask, actors, members)`` by ascending
-    representative id.  An actor is dropped when both blocks anchor them
-    (their pay is decided) or when fewer than two things still do,
-    counting each block and each remaining scene as one (they can never be
-    held waiting again).  The survivors are the node's active actors; they
-    are derived afresh at every node, as an actor that drops out never
-    comes back along a search path.  Records whose active-actor sets
-    coincide merge into one at the place of the group's head, the one with
-    the smallest id: the summed duration, the union of the masks and actor
-    sets, and the members of the head followed by the others'.  A merge
-    can drop more actors, so the derivation repeats until the signatures
-    are distinct.  Returns ``(scenes, active, aq, multi)``, with ``aq`` and
-    ``multi`` the actors of one or more and of two or more remaining
-    scenes, from the last pass; the node's optimal holding cost is
-    unchanged.
+    representative id; ``seen_once`` and ``seen_twice`` are the actors of
+    one or more and of two or more of those records.  An actor is dropped
+    when both blocks anchor them (their pay is decided) or when fewer than
+    two things still do, counting each block and each remaining scene as
+    one (they can never be held waiting again).  The survivors are the
+    node's active actors; they are derived afresh at every node, as an
+    actor that drops out never comes back along a search path.  Records
+    whose active-actor sets coincide merge into one at the place of the
+    group's head, the one with the smallest id: the summed duration, the
+    union of the masks and actor sets, and the members of the head
+    followed by the others'.  A merge can drop more actors, so the
+    derivation repeats until the signatures are distinct.  Returns
+    ``(scenes, active, multi)``, with ``multi`` the actors of two or more
+    of the returned records; a merge keeps ``seen_once``, and the node's
+    optimal holding cost is unchanged.
     """
     anchored = front | back
     fixed = front & back
     while True:
-        seen_once = 0
-        seen_twice = 0
-        for rec in scenes:
-            a = rec[2]
-            seen_twice |= seen_once & a
-            seen_once |= a
         active = (seen_twice | (seen_once & anchored)) & ~fixed
         # the fixed point: no two signatures coincide
         if len({rec[2] & active for rec in scenes}) == len(scenes):
-            return scenes, active, seen_once, seen_twice
+            return scenes, active, seen_twice
         # a dict keeps its groups in the order of their heads, so the
         # merged records stay in ascending order of representative id
         groups: dict[int, list[tuple]] = {}
         for rec in scenes:
             groups.setdefault(rec[2] & active, []).append(rec)
         merged = []
+        seen = 0
+        seen_twice = 0
         for group in groups.values():
             d, q, a, members = group[0]
             for od, oq, oa, om in group[1:]:
@@ -354,6 +353,8 @@ def _simplify(front, back, scenes):
                 # the stored order
                 members += om
             merged.append((d, q, a, members))
+            seen_twice |= seen & a
+            seen |= a
         scenes = tuple(merged)
 
 
@@ -488,33 +489,39 @@ class _Search:
             return 0
 
         cfg = self.cfg
-        # ``aq_full`` and ``multi``: actors of one or more and of two or more
-        # remaining scenes; the latter stay in the middle whichever scene is
-        # pinned next
-        if cfg.enable_preprocess:
-            scenes, active, aq_full, multi = _simplify(front, back, scenes)
-        else:
-            active = self.inst.all_actors
-            aq_full = 0
-            multi = 0
-            for rec in scenes:
-                a = rec[2]
-                multi |= aq_full & a
-                aq_full |= a
-        # the remaining scenes over original ids: the records' masks are
-        # disjoint, so their sum is their union
-        q_orig = sum([rec[1] for rec in scenes])
+        # one pass over the records: ``aq_full`` and ``multi`` are the actors
+        # of one or more and of two or more remaining scenes, and ``q_orig``
+        # the remaining scenes over original ids.  A merge unions its
+        # records' masks and actor sets, so ``aq_full`` and ``q_orig`` are
+        # those of the simplified node too
+        aq_full = 0
+        multi = 0
+        q_orig = 0
+        for _, q, a, _ in scenes:
+            multi |= aq_full & a
+            aq_full |= a
+            q_orig |= q
         # exact: an actor held by neither the middle nor the other block can
         # never enter either again
         front, back = front & (aq_full | back), back & (aq_full | front)
 
-        # -- cached-state prune: an int is the stored bound that pruned, a
-        # list is the node's own entry, which takes its bound at exit --
+        # -- cached-state prune, before simplifying, as the key reads only
+        # the blocks and ``q_orig``: an int is the stored bound that pruned,
+        # a list is the node's own entry, which takes its bound at exit --
         entry = None
         if self.cache is not None:
             entry = self.cache.check_and_update(front, back, q_orig, z, self.best_h)
             if isinstance(entry, int):
                 return entry
+
+        # ``multi`` after simplifying: its actors stay in the middle whichever
+        # scene is pinned next.  The trimmed blocks simplify as the untrimmed
+        # ones would: the anchored actors ``_simplify`` keeps are those of
+        # some remaining scene, and the blocks' intersection is unchanged
+        if cfg.enable_preprocess:
+            scenes, active, multi = _simplify(front, back, scenes, aq_full, multi)
+        else:
+            active = self.inst.all_actors
 
         dq = _masked_sum(self.q_tables, q_orig)
         dominated = self._dominated(scenes, active, front, back)

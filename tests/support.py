@@ -318,8 +318,14 @@ def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
 
 
 def simplify(kn: KernelNode) -> KernelNode:
-    """The node after the solver's ``_simplify``."""
-    scenes, active, _, _ = _simplify(kn.front, kn.back, kn.scenes)
+    """The node after the solver's ``_simplify``, given the actors of one
+    or more and of two or more records as ``_search``'s pass finds them."""
+    seen_once = 0
+    seen_twice = 0
+    for rec in kn.scenes:
+        seen_twice |= seen_once & rec[2]
+        seen_once |= rec[2]
+    scenes, active, _ = _simplify(kn.front, kn.back, kn.scenes, seen_once, seen_twice)
     return KernelNode(kn.front, kn.back, active, scenes)
 
 

@@ -291,6 +291,7 @@ def test_bench_row_grid(tmp_path):
     by_inst = {}
     for row in rows:
         by_inst.setdefault(row["instance"], set()).add(row["holding_cost"])
+        assert 0 <= int(row["cache_subset_hits"]) <= int(row["cache_hits"])
     assert all(len(vals) == 1 for vals in by_inst.values())
 
 

@@ -137,6 +137,31 @@ def test_subproblems_count_search_invocations(monkeypatch):
     assert result.subproblems == calls
 
 
+def test_a_node_the_cache_prunes_is_never_simplified(monkeypatch):
+    # the probe reads only the blocks and the remaining scenes, which
+    # simplifying leaves as they are, so it comes first; every node but a
+    # leaf or a cache prune is simplified once, and every leaf sets a new
+    # incumbent, so the trace counts the leaves
+    calls = 0
+    original = solver_mod._simplify
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver_mod, "_simplify", counting)
+    for n, m, seed, density in ((11, 7, 7102, 0.4), (12, 8, 7103, 0.3), (13, 7, 7105, 0.35)):
+        inst = generate_instance(n, m, seed=seed, density=density)
+        for pre in (True, False):
+            calls = 0
+            result = solve(inst, SolveConfig(cache_capacity=1 << 16, enable_preprocess=pre))
+            hits = result.cache_stats.hits
+            assert hits > 0
+            expect = result.subproblems - hits - len(result.ub_trace) if pre else 0
+            assert calls == expect, (n, pre)
+
+
 def test_identical_runs_are_identical():
     inst = generate_instance(10, 6, seed=33, density=0.4)
     cfg = SolveConfig(cache_capacity=1 << 10)
@@ -362,7 +387,9 @@ def test_bounded_switch_sets_match_the_subset_dp_at_fifteen_and_sixteen_scenes()
     # the 8 switch sets that keep the pair bound, at caches 0, 2^4 and 2^16,
     # on the draws of n = 15-16 above, and at 2^16 on n = 14, which tier-1
     # runs at 0 and 2^4.  About 25 s on a 2-vCPU Xeon under CPython 3.11;
-    # the sets without the bound would take about 430 s more at n = 14-16
+    # the sets without the bound would take about 430 s more at caches 0
+    # and 2^4 (at 2^4, 16, 8, seed 9116, 0.30 alone takes 426,233 nodes),
+    # so the next test runs them at 2^16 only
     solves = 0
     for n, inst, expect in _subset_dp_draws((14, 15, 16)):
         caps = (1 << 16,) if n == 14 else (0, 1 << 4, 1 << 16)
@@ -374,6 +401,22 @@ def test_bounded_switch_sets_match_the_subset_dp_at_fifteen_and_sixteen_scenes()
                 assert holding_cost(inst, result.schedule) == expect
                 solves += 1
     assert solves == 224
+
+
+@pytest.mark.slow
+def test_unbounded_switch_sets_match_the_subset_dp_at_fourteen_to_sixteen_scenes():
+    # the 8 switch sets without the pair bound, at 2^16 only, on the draws
+    # of n = 14-16 above.  About 10 s on a 2-vCPU Xeon under CPython 3.11
+    solves = 0
+    unbounded = [flags for flags in EVERY if not flags["enable_lower"]]
+    for n, inst, expect in _subset_dp_draws((14, 15, 16)):
+        for flags in unbounded:
+            result = solve(inst, SolveConfig(cache_capacity=1 << 16, **flags))
+            assert result.status == "optimal"
+            assert result.holding_cost == expect, (n, flags)
+            assert holding_cost(inst, result.schedule) == expect
+            solves += 1
+    assert solves == 96
 
 
 def test_branch_order_matches_brute_force():
@@ -597,6 +640,18 @@ def test_switch_sets_agree_on_larger_draws():
     _switch_sets_agree(
         ((28, 8, 3, 0.40), (30, 8, 2, 0.40), (36, 8, 1, 0.40)), (1 << 16, 1 << 22)
     )
+
+
+@pytest.mark.slow
+def test_small_and_large_caches_agree_at_fifty_two_scenes():
+    # 2^16 slots is the smallest cache tried on which this draw finishes:
+    # at 2^12 it takes more than 600 s.  About 12 s on a 2-vCPU Xeon under
+    # CPython 3.11
+    inst = generate_instance(52, 8, seed=1, density=0.5, max_duration=3, max_wage=20)
+    for cap in (1 << 16, 1 << 22):
+        result = solve(inst, SolveConfig(cache_capacity=cap))
+        assert (result.status, result.holding_cost) == ("optimal", 2477), cap
+        assert holding_cost(inst, result.schedule) == 2477
 
 
 def test_cache_modes_only_change_node_counts():
