@@ -41,10 +41,11 @@ probes.  Within one pair of blocks the keys sort by remaining set as an
 int, and a proper subset is a smaller int, so the node's own entry, when
 resident, sits at its key's place in the list and its subsets below it.
 One scan from that place down tries the own state first and then the
-subsets, largest first; it reads about half the list, and the largest
-subsets first take fewer nodes than store order did: 38,126 against
-38,410 on ``generate_instance(28, 8, seed=3, density=0.4,
-max_duration=3, max_wage=20)`` at ``2**22`` slots.  The slots are read
+subsets, largest first; it reads about half the list.  Largest first
+also took fewer nodes than store order: 38,126 against 38,410 on
+``generate_instance(28, 8, seed=3, density=0.4, max_duration=3,
+max_wage=20)`` at ``2**22`` slots, measured before every key took the
+mixed slot below; that draw takes 38,144 nodes today.  The slots are read
 only to place a state that is not resident.
 
 The slot of a key at ``2**k`` slots is the top k bits of ``h *

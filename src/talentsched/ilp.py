@@ -20,10 +20,9 @@ LP file, matching the combinatorial total cost exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import Instance, bits
-from .cost import Schedule, _check_schedule
 
 
 @dataclass(frozen=True)
@@ -37,16 +36,11 @@ class Constraint:
 @dataclass(frozen=True)
 class MilpModel:
     inst: Instance
-    big_l: int
-    x_pairs: tuple[tuple[int, int], ...]
-    z_pairs: tuple[tuple[int, int], ...]
-    used_actors: tuple[int, ...]
     objective: dict[str, int]
     objective_constant: int
     constraints: tuple[Constraint, ...]
     binaries: tuple[str, ...]
     generals: tuple[str, ...]
-    var_order: tuple[str, ...] = field(repr=False, default=())
 
 
 def build_model(inst: Instance) -> MilpModel:
@@ -61,13 +55,6 @@ def build_model(inst: Instance) -> MilpModel:
     z_pairs = tuple(
         (i, j) for i in range(1, n + 1) for j in range(n + 1) if i != j
     )
-
-    var_order: list[str] = []
-    var_order += [f"x_{i}_{j}" for i, j in x_pairs]
-    var_order += [f"t_{j}" for j in range(n + 1)]
-    var_order += [f"e_{i}" for i in used]
-    var_order += [f"l_{i}" for i in used]
-    var_order += [f"z_{i}_{j}" for i, j in z_pairs]
 
     objective = {}
     constant = 0
@@ -126,16 +113,11 @@ def build_model(inst: Instance) -> MilpModel:
     )
     return MilpModel(
         inst=inst,
-        big_l=big_l,
-        x_pairs=x_pairs,
-        z_pairs=z_pairs,
-        used_actors=used,
         objective=objective,
         objective_constant=constant,
         constraints=tuple(cons),
         binaries=binaries,
         generals=generals,
-        var_order=tuple(var_order),
     )
 
 
@@ -154,7 +136,7 @@ def _render_terms(coeffs: dict[str, int]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def render_model(model: MilpModel) -> str:
+def _render_model(model: MilpModel) -> str:
     inst = model.inst
     lines = [
         f"\\ talent scheduling MILP: {inst.num_scenes} scenes, {inst.num_actors} actors",
@@ -178,67 +160,5 @@ def render_model(model: MilpModel) -> str:
 
 def export_milp(inst: Instance) -> str:
     """LP-format text of the instance's sequencing model."""
-    return render_model(build_model(inst))
+    return _render_model(build_model(inst))
 
-
-def build_assignment(model: MilpModel, sched: Schedule) -> dict[str, int]:
-    """Variable values implied by a schedule: the successor cycle through the
-    dummy, cumulative start days, actor windows, and the z products."""
-    inst = model.inst
-    _check_schedule(inst, sched)
-    n = inst.num_scenes
-
-    values = {name: 0 for name in model.var_order}
-    start = {}
-    day = 0
-    for s in sched.order:
-        start[s + 1] = day
-        day += inst.durations[s]
-    start[0] = day  # dummy scene begins after the whole shoot
-
-    chain = [0] + [s + 1 for s in sched.order] + [0]
-    for prev, nxt in zip(chain, chain[1:]):
-        values[f"x_{prev}_{nxt}"] = 1
-    for j in range(n + 1):
-        values[f"t_{j}"] = start[j]
-    for i, j in model.z_pairs:
-        if values[f"x_{i}_{j}"]:
-            values[f"z_{i}_{j}"] = start[j]
-    for i in model.used_actors:
-        days = [
-            (start[j + 1], start[j + 1] + inst.durations[j] - 1)
-            for j in bits(inst.actor_scenes[i])
-        ]
-        values[f"e_{i}"] = min(d[0] for d in days)
-        values[f"l_{i}"] = max(d[1] for d in days)
-    return values
-
-
-def check_assignment(
-    model: MilpModel, values: dict[str, int]
-) -> tuple[bool, int, str | None]:
-    """Evaluate every constraint; returns (feasible, objective, first
-    violated constraint name)."""
-    for c in model.constraints:
-        lhs = sum(coef * values[var] for var, coef in c.coeffs.items())
-        ok = (
-            lhs <= c.rhs
-            if c.sense == "<="
-            else lhs >= c.rhs if c.sense == ">=" else lhs == c.rhs
-        )
-        if not ok:
-            return False, 0, c.name
-    for name in model.var_order:
-        if values[name] < 0:
-            return False, 0, f"nonneg_{name}"
-    objective = model.objective_constant + sum(
-        coef * values[var] for var, coef in model.objective.items()
-    )
-    return True, objective, None
-
-
-def validate_assignment(model: MilpModel, sched: Schedule) -> tuple[bool, int]:
-    """Whether the schedule's implied assignment satisfies the model, and its
-    objective value (equals the schedule's total cost when feasible)."""
-    feasible, objective, _ = check_assignment(model, build_assignment(model, sched))
-    return feasible, objective

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MAX_SCENES = 64
 MAX_ACTORS = 64
@@ -33,14 +33,6 @@ class InstanceFormatError(ValueError):
 
 
 # --- bit-set helpers -------------------------------------------------------
-
-def mask_of(indices: Iterable[int]) -> int:
-    """Bit mask with the given indices set."""
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
 
 # ``_BYTE_BITS[k][b]``: the set bit indices of byte value b at byte k of a
 # mask, ascending.  The tables are built on first use, as far as the widest
@@ -99,6 +91,17 @@ class Instance:
 
     def __post_init__(self):
         n, m = self.num_scenes, self.num_actors
+        for label, values in (
+            ("num_scenes", (n,)),
+            ("num_actors", (m,)),
+            ("every scene actor mask", self.scene_actors),
+            ("every duration", self.durations),
+            ("every wage", self.wages),
+        ):
+            for v in values:
+                # a bool is an int, and True would pass as 1
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"{label} must be an int, got {v!r}")
         if not 1 <= n <= MAX_SCENES:
             raise ValueError(f"num_scenes must be in 1..{MAX_SCENES}, got {n}")
         if not 1 <= m <= MAX_ACTORS:
@@ -113,6 +116,8 @@ class Instance:
             raise ValueError("every duration must be >= 1")
         if any(w < 0 for w in self.wages):
             raise ValueError("every wage must be >= 0")
+        if any(a < 0 for a in self.scene_actors):
+            raise ValueError("every scene actor mask must be >= 0")
         if any(a >> m for a in self.scene_actors):
             raise ValueError("scene actor mask references an actor >= num_actors")
         per_actor = [0] * m
@@ -152,17 +157,6 @@ class Instance:
 
     def requires(self, actor: int, scene: int) -> bool:
         return bool(self.scene_actors[scene] >> actor & 1)
-
-
-# --- operations ------------------------------------------------------------
-
-def actors_of_scenes(inst: Instance, scenes: int) -> int:
-    """Union of the actor sets of the scenes in ``scenes``."""
-    out = 0
-    sa = inst.scene_actors
-    for j in bits(scenes):
-        out |= sa[j]
-    return out
 
 
 # --- file format ------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Reference oracles and kernel adapters shared by the test suite.
+"""Reference oracles, kernel adapters and the LP model's reference check,
+shared by the test suite.
+
+``mask_of`` and ``actors_of_scenes`` build the bit masks the tests state
+nodes in; the package itself needs neither.
 
 The oracles (``SearchNode``, ``past_cost``, ``enumerate_future_cost``,
 ``q_span_holdings`` and the ``CacheModel`` of the state cache) are small,
@@ -20,6 +24,14 @@ does.
 ``pack_pairs``/``unpack_pairs`` translate between pair constants keyed by
 actor pair and the packed keys of the pair bound's two halves.
 
+``validate_assignment`` checks a schedule against the LP model that
+``talentsched.build_model`` returns: ``build_assignment`` sets the
+variables the schedule implies and ``check_assignment`` evaluates every
+row, non-negativity and the objective.  They read the model only through the
+fields the export writes: ``model_variables`` collects every variable
+from the objective and the rows, and ``z_pairs`` and ``used_actors`` read
+the indices that the names ``z_i_j`` and ``e_i`` carry.
+
 The worked example is ``talentsched.testkit``'s, since the benchmark
 runner reads it too.
 """
@@ -28,9 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from talentsched.cache import CacheStats
-from talentsched.instance import Instance, actors_of_scenes, bits, mask_of
+from talentsched.cost import Schedule, _check_schedule
+from talentsched.ilp import MilpModel
+from talentsched.instance import Instance, bits
 from talentsched.solver import (
     SolveConfig,
     _masked_sum,
@@ -38,6 +53,25 @@ from talentsched.solver import (
     _Search,
     _simplify,
 )
+
+
+# --- bit-set helpers ----------------------------------------------------------
+
+def mask_of(indices: Iterable[int]) -> int:
+    """Bit mask with the given indices set."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def actors_of_scenes(inst: Instance, scenes: int) -> int:
+    """Union of the actor sets of the scenes in ``scenes``."""
+    out = 0
+    sa = inst.scene_actors
+    for j in bits(scenes):
+        out |= sa[j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -450,3 +484,98 @@ def lower_at(inst: Instance, kn: KernelNode, k: int) -> int:
         if other != k:
             aq2 |= rec[2]
     return search._branch_lower(a_s, aq2, kn.front, kn.back, q_orig & ~q)
+
+
+# --- LP model reference check -------------------------------------------------
+
+def model_variables(model: MilpModel) -> list[str]:
+    """Every variable of the model, in order of first appearance in the
+    objective and then the rows; each one appears in at least one of them."""
+    names = dict.fromkeys(model.objective)
+    for c in model.constraints:
+        names.update(dict.fromkeys(c.coeffs))
+    return list(names)
+
+
+def _indices(names: Iterable[str], family: str) -> tuple[tuple[int, ...], ...]:
+    """The indices that the names of one variable family carry, ``x_i_j`` ->
+    ``(i, j)``, in the order of ``names``."""
+    out = []
+    for name in names:
+        head, *rest = name.split("_")
+        if head == family:
+            out.append(tuple(map(int, rest)))
+    return tuple(out)
+
+
+def z_pairs(model: MilpModel) -> tuple[tuple[int, int], ...]:
+    """The ``(i, j)`` of every linearization variable ``z_i_j``."""
+    return _indices(model_variables(model), "z")
+
+
+def used_actors(model: MilpModel) -> tuple[int, ...]:
+    """The actors with a window ``e_i``/``l_i``: those some scene requires."""
+    return tuple(i for (i,) in _indices(model.generals, "e"))
+
+
+def build_assignment(model: MilpModel, sched: Schedule) -> dict[str, int]:
+    """Variable values implied by a schedule: the successor cycle through the
+    dummy, cumulative start days, actor windows, and the z products."""
+    inst = model.inst
+    _check_schedule(inst, sched)
+    n = inst.num_scenes
+
+    values = {name: 0 for name in model_variables(model)}
+    start = {}
+    day = 0
+    for s in sched.order:
+        start[s + 1] = day
+        day += inst.durations[s]
+    start[0] = day  # dummy scene begins after the whole shoot
+
+    chain = [0] + [s + 1 for s in sched.order] + [0]
+    for prev, nxt in zip(chain, chain[1:]):
+        values[f"x_{prev}_{nxt}"] = 1
+    for j in range(n + 1):
+        values[f"t_{j}"] = start[j]
+    for i, j in z_pairs(model):
+        if values[f"x_{i}_{j}"]:
+            values[f"z_{i}_{j}"] = start[j]
+    for i in used_actors(model):
+        days = [
+            (start[j + 1], start[j + 1] + inst.durations[j] - 1)
+            for j in bits(inst.actor_scenes[i])
+        ]
+        values[f"e_{i}"] = min(d[0] for d in days)
+        values[f"l_{i}"] = max(d[1] for d in days)
+    return values
+
+
+def check_assignment(
+    model: MilpModel, values: dict[str, int]
+) -> tuple[bool, int, str | None]:
+    """Evaluate every constraint; returns (feasible, objective, first
+    violated constraint name)."""
+    for c in model.constraints:
+        lhs = sum(coef * values[var] for var, coef in c.coeffs.items())
+        ok = (
+            lhs <= c.rhs
+            if c.sense == "<="
+            else lhs >= c.rhs if c.sense == ">=" else lhs == c.rhs
+        )
+        if not ok:
+            return False, 0, c.name
+    for name in model_variables(model):
+        if values[name] < 0:
+            return False, 0, f"nonneg_{name}"
+    objective = model.objective_constant + sum(
+        coef * values[var] for var, coef in model.objective.items()
+    )
+    return True, objective, None
+
+
+def validate_assignment(model: MilpModel, sched: Schedule) -> tuple[bool, int]:
+    """Whether the schedule's implied assignment satisfies the model, and its
+    objective value (equals the schedule's total cost when feasible)."""
+    feasible, objective, _ = check_assignment(model, build_assignment(model, sched))
+    return feasible, objective

@@ -23,7 +23,6 @@ from talentsched import (
     parse_instance,
     solve,
     total_cost,
-    validate_assignment,
     write_instance,
 )
 from talentsched.cli import BENCH_FIELDS, main, result_to_json
@@ -39,6 +38,7 @@ from support import (
     q_span_holdings,
     random_node,
     relevant_actors,
+    validate_assignment,
 )
 
 # the benchmark files referenced by published results; not bundled, so the

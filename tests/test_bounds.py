@@ -9,7 +9,7 @@ from itertools import permutations
 
 from talentsched import Instance, SolveConfig, generate_instance, solve
 from talentsched import solver as solver_mod
-from talentsched.instance import bits, mask_of
+from talentsched.instance import bits
 from talentsched.solver import _pair_bound
 
 from support import (
@@ -18,6 +18,7 @@ from support import (
     enumerate_future_cost,
     kernel_node,
     lower_at,
+    mask_of,
     pack_pairs,
     pair_constants,
     q_span_holdings,

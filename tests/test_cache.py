@@ -4,9 +4,8 @@ import tracemalloc
 import pytest
 
 from talentsched import StateCache
-from talentsched.instance import mask_of
 
-from support import CacheModel
+from support import CacheModel, mask_of
 
 FULL_HASH = 1 << 64  # the slot is a bijection of the 64-bit hash: only equal hashes collide
 NO_INCUMBENT = float("inf")  # the search's limit before its first schedule

@@ -8,7 +8,6 @@ from talentsched import (
     Schedule,
     generate_instance,
     holding_cost,
-    scene_costs,
     total_cost,
     work_cost,
 )
@@ -45,21 +44,6 @@ def test_worked_example_best_order():
     best = Schedule(WORKED_BEST_ORDER)
     assert total_cost(inst, best) == WORKED_TOTAL_BEST
     assert holding_cost(inst, best) == WORKED_HOLDING_BEST
-
-
-def test_worked_example_per_scene_costs():
-    inst = fixture_worked_example()
-    costs = scene_costs(inst, IDENTITY12)
-    assert costs == [35, 39, 78, 43, 129, 43, 33, 66, 29, 64, 25, 20]
-    assert sum(costs) == WORKED_TOTAL_IDENTITY
-    # waiting-only part of each column
-    working = [
-        inst.durations[s] * sum(inst.wages[i] for i in bits(inst.scene_actors[s]))
-        for s in IDENTITY12.order
-    ]
-    held = [c - w for c, w in zip(costs, working)]
-    assert held == [0, 20, 28, 34, 84, 13, 24, 10, 0, 10, 0, 0]
-    assert sum(held) == WORKED_HOLDING_IDENTITY
 
 
 def test_single_scene_costs():

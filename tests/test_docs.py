@@ -2,7 +2,11 @@
 against the code."""
 
 import argparse
+import functools
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -98,3 +102,32 @@ def test_json_key_list_names_exactly_the_emitted_keys():
     payload = result_to_json(inst, cfg, solve(inst, cfg), include_trace=True)
     assert top == set(payload)
     assert nested == {"cache": set(payload["cache"]), "config": set(payload["config"])}
+
+
+def test_code_references_resolve():
+    names = set(re.findall(r"`talentsched\.([\w.]+)`", README))
+    assert names  # the pattern still finds the README's references
+    for name in sorted(names):
+        functools.reduce(getattr, name.split("."), talentsched)  # AttributeError names the stale part
+
+
+def test_package_imports_only_the_standard_library():
+    probe = (
+        "import sys; before = set(sys.modules); "
+        "import talentsched, talentsched.cli, talentsched.testkit; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(talentsched.__file__).parents[1])},
+    ).stdout.split()
+    assert "talentsched" in out
+    # aliases such as ``__mp_main__`` are not modules of their own
+    foreign = [
+        m for m in out
+        if m != "talentsched" and not m.startswith("__") and m not in sys.stdlib_module_names
+    ]
+    assert foreign == []

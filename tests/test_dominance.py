@@ -12,13 +12,13 @@ from talentsched import (
     solve,
     SolveConfig,
 )
-from talentsched.instance import mask_of
 
 from support import (
     SearchNode,
     dominated,
     enumerate_future_cost,
     kernel_node,
+    mask_of,
     past_cost,
     random_node,
     rule_fires,

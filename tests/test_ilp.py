@@ -10,20 +10,26 @@ from talentsched import (
     export_milp,
     generate_instance,
     total_cost,
-    validate_assignment,
     work_cost,
 )
-from talentsched.ilp import build_assignment, check_assignment
 from talentsched.testkit import WORKED_BEST_ORDER, fixture_worked_example
+
+from support import (
+    build_assignment,
+    check_assignment,
+    model_variables,
+    used_actors,
+    validate_assignment,
+    z_pairs,
+)
 
 
 def test_variable_counts_follow_index_ranges():
     for n, m in ((2, 1), (5, 3), (12, 6)):
         inst = generate_instance(n, m, seed=n * 10 + m, density=0.5)
         model = build_model(inst)
-        assert len(model.x_pairs) == (n + 1) * n
-        assert len(model.z_pairs) == n * n
-        assert len(model.binaries) == (n + 1) * n
+        assert len(model.binaries) == (n + 1) * n  # one x_i_j per ordered pair
+        assert len(z_pairs(model)) == n * n
         required_pairs = sum(a.bit_count() for a in inst.scene_actors)
         by_family = {}
         for c in model.constraints:
@@ -41,7 +47,7 @@ def test_variable_counts_follow_index_ranges():
 def test_two_scene_one_actor_model_shape():
     inst = Instance(2, 1, (1, 1), (5, 1), (30,))
     model = build_model(inst)
-    assert len(model.x_pairs) == 6
+    assert len(model.binaries) == 6
     window = [c for c in model.constraints if c.name.startswith(("estart", "lend"))]
     assert len(window) == 4  # two required pairs, two rows each
     text = export_milp(inst)
@@ -91,8 +97,8 @@ def test_objective_matches_schedule_cost():
 def test_actor_without_scenes_is_ignored():
     inst = Instance(2, 2, (1, 1), (2, 3), (5, 9))  # actor 1 appears nowhere
     model = build_model(inst)
-    assert model.used_actors == (0,)
-    assert "e_1" not in model.var_order
+    assert used_actors(model) == (0,)
+    assert "e_1" not in model_variables(model)
     sched = Schedule((1, 0))
     feasible, objective = validate_assignment(model, sched)
     assert feasible and objective == total_cost(inst, sched)
@@ -144,7 +150,7 @@ def _milp_optimum(model) -> int:
     ``t``/``e``/``l`` integer, ``z`` continuous, all non-negative."""
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
-    index = {name: k for k, name in enumerate(model.var_order)}
+    index = {name: k for k, name in enumerate(model_variables(model))}
     cost = np.zeros(len(index))
     for name, coef in model.objective.items():
         cost[index[name]] = coef

@@ -1,17 +1,19 @@
 import random
+import re
 
 import pytest
 
 from talentsched import (
     Instance,
     InstanceFormatError,
-    actors_of_scenes,
     generate_instance,
     parse_instance,
     write_instance,
 )
-from talentsched.instance import bits, mask_of
+from talentsched.instance import bits
 from talentsched.testkit import fixture_worked_example
+
+from support import actors_of_scenes, mask_of
 
 WORKED_EXAMPLE_TEXT = """\
 12 6
@@ -139,6 +141,28 @@ def test_instance_invariants_enforced():
         Instance(1, 1, (0,), (1,), (-1,))  # negative wage
     with pytest.raises(ValueError):
         Instance(1, 1, (0b10,), (1,), (1,))  # actor bit out of range
+
+
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        ((2, 1, (1, 1), (1, 2), (2.5,)), "every wage must be an int, got 2.5"),
+        ((2, 1, (1, 1), (1.0, 2), (3,)), "every duration must be an int, got 1.0"),
+        ((2, 1, (1, 1.0), (1, 2), (3,)), "every scene actor mask must be an int"),
+        ((2.0, 1, (1, 1), (1, 2), (3,)), "num_scenes must be an int, got 2.0"),
+        ((2, "1", (1, 1), (1, 2), (3,)), "num_actors must be an int, got '1'"),
+        # a bool is an int, and True would pass as 1
+        ((True, 1, (1,), (1,), (3,)), "num_scenes must be an int, got True"),
+        ((1, True, (1,), (1,), (3,)), "num_actors must be an int, got True"),
+        ((1, 1, (True,), (1,), (3,)), "every scene actor mask must be an int"),
+        ((1, 1, (1,), (True,), (3,)), "every duration must be an int, got True"),
+        ((1, 1, (1,), (1,), (False,)), "every wage must be an int, got False"),
+        ((2, 1, (1, -1), (1, 2), (3,)), "every scene actor mask must be >= 0"),
+    ],
+)
+def test_instance_refuses_non_integer_data(args, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        Instance(*args)
 
 
 def test_actors_of_scenes_examples():

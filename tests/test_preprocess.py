@@ -14,9 +14,9 @@ from talentsched import (
     SolveConfig,
 )
 from talentsched import solver as solver_mod
-from talentsched.instance import bits, mask_of
+from talentsched.instance import bits
 
-from support import KernelNode, SearchNode, kernel_node, random_node, simplify
+from support import KernelNode, SearchNode, kernel_node, mask_of, random_node, simplify
 
 # scene 0 anchors the front, scene 5 the back, scenes 1..4 are the middle.
 # a3 is anchored on both sides, a4 only needs the back block.
