@@ -126,8 +126,13 @@ class StateCache:
     """
 
     def __init__(self, capacity: int, strategy: str = "greedy"):
-        if capacity < 1 or capacity & (capacity - 1):
-            raise ValueError("capacity must be a positive power of two")
+        # a bool is an int, and True would give a one-slot cache; past
+        # 2**64 slots the shift below would be negative
+        if (
+            isinstance(capacity, bool) or not isinstance(capacity, int)
+            or not 1 <= capacity <= 1 << 64 or capacity & (capacity - 1)
+        ):
+            raise ValueError("capacity must be a power of two up to 2**64")
         if strategy != "greedy":
             raise ValueError(f"unknown strategy {strategy!r} (greedy is the only one)")
         self.capacity = capacity
@@ -157,27 +162,24 @@ class StateCache:
         key = (front, back, remaining)
         stats = self.stats
         blocks = self._blocks
-        group = blocks.get((front, back))
-        if group is None:
-            stats.probes += 1
-        else:
-            # the index holds every resident entry, so the own one, if
-            # resident, sits at ``at``, above the proper subsets, which are
-            # smaller ints
-            at = bisect_left(group, [key])
-            own = at < len(group) and group[at][0] == key
-            slack = limit - z
-            outside = ~remaining
-            for entry in reversed(group[: at + own]):
-                if not entry[0][2] & outside and entry[1] >= slack:
-                    stats.probes += 1 + at - bisect_left(group, entry)
-                    stats.hits += 1
-                    if entry[0][2] != remaining:
-                        stats.subset_hits += 1
-                    return entry[1]
-            stats.probes += 1 + at
-            if own:
-                return group[at]
+        group = blocks.get((front, back), ())
+        # the index holds every resident entry, so the own one, if resident,
+        # sits at ``at``, above the proper subsets, which are smaller ints
+        at = bisect_left(group, [key])
+        own = at < len(group) and group[at][0] == key
+        slack = limit - z
+        outside = ~remaining
+        for k in range(at - 1 + own, -1, -1):
+            entry = group[k]
+            if not entry[0][2] & outside and entry[1] >= slack:
+                stats.probes += 1 + at - k
+                stats.hits += 1
+                if entry[0][2] != remaining:
+                    stats.subset_hits += 1
+                return entry[1]
+        stats.probes += 1 + at
+        if own:
+            return group[at]
         slot = hash(key) & _WORD
         slot = ((slot ^ slot >> 32) * _MIX & _WORD) >> self._shift
         slots = self._slots
@@ -197,8 +199,8 @@ class StateCache:
             elif not evicted:
                 del blocks[old]
         entry = slots[slot] = [key, 0]
-        if group is None:
-            blocks[front, back] = [entry]
-        else:
+        if group:
             group.insert(at, entry)
+        else:
+            blocks[front, back] = [entry]
         return entry

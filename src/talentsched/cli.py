@@ -8,8 +8,9 @@ or input error, 2 time limit hit (incumbent still printed).  An error found
 before any work prints one ``error:`` line and raises ``SystemExit(1)``.
 
 Every solver flag takes its default from ``SolveConfig()`` and is checked
-by ``SolveConfig``, before any instance is read; ``gen``'s flags take
-theirs from ``generate_instance``'s signature.
+by ``SolveConfig``, before any instance is read, and each ``--no-<name>``
+flag is its ``enable_<name>`` field; ``gen``'s flags take theirs from
+``generate_instance``'s signature.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -35,15 +37,26 @@ def _cache_bits(cfg: SolveConfig) -> int:
     return cfg.cache_capacity.bit_length() - 1 if cfg.cache_capacity else 0
 
 
+# SolveConfig's on/off switches, named by their ``enable_<name>`` fields in
+# field order, with each one's ``--no-<name>`` help text.  A switch is also
+# a JSON ``config`` key and a bench column under its name.
+_SWITCHES = {
+    f.name.removeprefix("enable_"): f.metadata["help"]
+    for f in fields(SolveConfig)
+    if f.name.startswith("enable_")
+}
+
+
+def _switch_values(cfg: SolveConfig) -> dict:
+    return {name: getattr(cfg, f"enable_{name}") for name in _SWITCHES}
+
+
 def _param_columns(cfg: SolveConfig) -> dict:
     """The bench columns that name a solve's settings: one per CSV row,
     and the grouping of ``--summary``."""
     return {
         "cache_bits": _cache_bits(cfg),
-        "preprocess": int(cfg.enable_preprocess),
-        "rule1": int(cfg.enable_rule1),
-        "rule2": int(cfg.enable_rule2),
-        "lower": int(cfg.enable_lower),
+        **{name: int(on) for name, on in _switch_values(cfg).items()},
     }
 
 
@@ -100,26 +113,25 @@ def _write_output(path: str | None, text: str) -> None:
         _open_output(stack, path).write(text)
 
 
-def _solver_config(cache_bits: int, **settings) -> SolveConfig:
-    """The solver config for one set of flag values; a bad value prints an
-    ``error:`` line and exits with code 1."""
+def _solver_config(cache_bits: int, time_limit: float, switches) -> SolveConfig:
+    """The solver config for one set of flag values, ``switches`` giving
+    each switch's value in order; a bad value prints an ``error:`` line
+    and exits with code 1."""
     if not 0 <= cache_bits <= 30:
         _fail(f"cache bits must be in 0..30, got {cache_bits}")
     try:
-        return SolveConfig(cache_capacity=(1 << cache_bits) if cache_bits else 0, **settings)
+        return SolveConfig(
+            cache_capacity=(1 << cache_bits) if cache_bits else 0,
+            time_limit=time_limit,
+            **{f"enable_{name}": on for name, on in zip(_SWITCHES, switches)},
+        )
     except ValueError as exc:
         _fail(str(exc))
 
 
 def _config_from_args(args) -> SolveConfig:
-    return _solver_config(
-        args.cache_bits,
-        time_limit=args.time_limit,
-        enable_preprocess=not args.no_preprocess,
-        enable_rule1=not args.no_rule1,
-        enable_rule2=not args.no_rule2,
-        enable_lower=not args.no_lower,
-    )
+    switches = [not getattr(args, f"no_{name}") for name in _SWITCHES]
+    return _solver_config(args.cache_bits, args.time_limit, switches)
 
 
 def result_to_json(
@@ -149,10 +161,7 @@ def result_to_json(
             "replacements": result.cache_stats.replacements,
         },
         "config": {
-            "preprocess": cfg.enable_preprocess,
-            "rule1": cfg.enable_rule1,
-            "rule2": cfg.enable_rule2,
-            "lower": cfg.enable_lower,
+            **_switch_values(cfg),
             "time_limit": None if cfg.time_limit == math.inf else cfg.time_limit,
         },
         "elapsed": result.elapsed,
@@ -194,18 +203,11 @@ def _bench_configs(args) -> list[SolveConfig]:
         bit_values = [int(b) for b in args.cache_bits.split(",")]
     except ValueError:
         _fail(f"--cache-bits must be comma-separated integers, got {args.cache_bits!r}")
-    switches = (True, False) if args.ablate else (True,)
+    choices = (True, False) if args.ablate else (True,)
     return [
-        _solver_config(
-            bits,
-            time_limit=args.time_limit,
-            enable_preprocess=pre,
-            enable_rule1=r1,
-            enable_rule2=r2,
-            enable_lower=lo,
-        )
+        _solver_config(bits, args.time_limit, values)
         for bits in bit_values
-        for pre, r1, r2, lo in itertools.product(switches, repeat=4)
+        for values in itertools.product(choices, repeat=len(_SWITCHES))
     ]
 
 
@@ -357,25 +359,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="state cache capacity exponent: at most 2^K states are kept, "
         "memory grows only with those stored (0 disables; default %(default)s)",
     )
-    p.add_argument(
-        "--no-preprocess",
-        action="store_true",
-        help="turn off actor dropping and the merging of scenes whose active "
-        "actors are equal",
-    )
-    p.add_argument(
-        "--no-rule1",
-        action="store_true",
-        help="turn off dominance rule 1 and the forcing of the zero-cost scene",
-    )
-    p.add_argument(
-        "--no-rule2", action="store_true", help="turn off dominance rule 2"
-    )
-    p.add_argument(
-        "--no-lower",
-        action="store_true",
-        help="turn off the pair lower bound (branch by the increment alone)",
-    )
+    for name, text in _SWITCHES.items():
+        p.add_argument(f"--no-{name}", action="store_true", help=text)
     _add_time_limit(p)
 
 
@@ -408,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-bits", default=str(_cache_bits(_DEFAULTS)),
                    help="comma-separated capacity exponents, each capping the cache "
                    "at 2^K states, 0 disables (e.g. 0,10,25; default %(default)s)")
-    p.add_argument("--ablate", action="store_true",
-                   help="sweep all 16 on/off combinations of the search features")
+    p.add_argument("--ablate", action="store_true", help=f"sweep all {2 ** len(_SWITCHES)} "
+                   "on/off combinations of the search features")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_time_limit(p)
     p.add_argument("--output", "-o", default=None, help="CSV output path (default stdout)")

@@ -134,8 +134,10 @@ class Instance:
         wages: Sequence[int],
         name: str | None = None,
     ) -> "Instance":
-        """Build from an m x n requirement matrix (rows are actors; truthy
-        cells or 'X' mark required scenes)."""
+        """Build from an m x n requirement matrix, one row per actor.  A
+        cell is ``"X"``, ``"x"``, ``1`` or ``True`` for a required scene
+        and ``"."``, ``0`` or ``False`` for one that is not; any other
+        cell raises ``ValueError`` naming its row and column."""
         m = len(rows)
         n = len(rows[0]) if m else 0
         scene_actors = [0] * n
@@ -143,7 +145,10 @@ class Instance:
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
             for j, cell in enumerate(row):
-                if cell in ("X", "x", 1, True):
+                # the type check keeps out cells equal to 0 or 1, such as 1.0
+                if type(cell) not in (str, int, bool) or cell not in ("X", "x", ".", 0, 1):
+                    raise ValueError(f"row {i}, column {j}: unknown cell {cell!r}")
+                if cell in ("X", "x", 1):
                     scene_actors[j] |= 1 << i
         return cls(n, m, tuple(scene_actors), tuple(durations), tuple(wages), name)
 

@@ -107,10 +107,10 @@ from .instance import Instance, bits
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two;
-    ``1 << 64`` evicts a state only for one with an equal hash, which
-    distinct states can share from 62 scenes up (see ``cache``, which also
-    gives the slot rule).  The cache's collision policy is
+    """Solver switches.  ``cache_capacity`` is 0 (off) or a power of two
+    up to ``1 << 64``, which evicts a state only for one with an equal
+    hash; distinct states can share one from 62 scenes up (see ``cache``,
+    which also gives the slot rule).  The cache's collision policy is
     fixed, not a setting, and so is the branch order: a node takes its
     children in ascending ``increment + pair bound`` (the increment alone
     with ``enable_lower`` off), ties to the smaller scene id.
@@ -119,13 +119,23 @@ class SolveConfig:
 
     The defaults below and the checks in ``__post_init__`` are the only
     statement of each setting: the CLI's flags take their defaults from
-    ``SolveConfig()`` and are checked here."""
+    ``SolveConfig()`` and are checked here.  The ``enable_<name>`` fields
+    are the on/off switches: the CLI makes each a ``--no-<name>`` flag,
+    with the field's ``help`` metadata as its help text, a key of ``solve
+    --json``'s ``config`` and a ``bench`` column, and ``bench --ablate``
+    sweeps their product."""
 
     cache_capacity: int = 1 << 25
-    enable_preprocess: bool = True
-    enable_rule1: bool = True
-    enable_rule2: bool = True
-    enable_lower: bool = True
+    enable_preprocess: bool = field(default=True, metadata={
+        "help": "turn off actor dropping and the merging of scenes whose active actors are equal"
+    })
+    enable_rule1: bool = field(default=True, metadata={
+        "help": "turn off dominance rule 1 and the forcing of the zero-cost scene"
+    })
+    enable_rule2: bool = field(default=True, metadata={"help": "turn off dominance rule 2"})
+    enable_lower: bool = field(default=True, metadata={
+        "help": "turn off the pair lower bound (branch by the increment alone)"
+    })
     time_limit: float = 600.0
 
     # not a field, so not settable: the cache's one collision policy, which
@@ -135,8 +145,11 @@ class SolveConfig:
     def __post_init__(self):
         cap = self.cache_capacity
         # a bool is an int, and True would give a one-slot cache
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0 or cap & (cap - 1):
-            raise ValueError("cache_capacity must be 0 or a power of two")
+        if (
+            isinstance(cap, bool) or not isinstance(cap, int)
+            or not 0 <= cap <= 1 << 64 or cap & (cap - 1)
+        ):
+            raise ValueError("cache_capacity must be 0 (off) or a power of two up to 2**64")
         # written so that NaN, which compares false both ways, is refused;
         # True would read as one second
         if isinstance(self.time_limit, bool) or not self.time_limit > 0:

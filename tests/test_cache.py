@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -76,8 +77,8 @@ def test_capacity_must_be_power_of_two():
     StateCache(1)
     StateCache(1 << 10)
     StateCache(FULL_HASH)
-    for bad in (0, -4, 3, 12):
-        with pytest.raises(ValueError):
+    for bad in (0, -4, 3, 12, True, 1.0, 1 << 65, 1 << 100):
+        with pytest.raises(ValueError, match=re.escape("a power of two up to 2**64")):
             StateCache(bad)
     for bad in ("random", "latest"):
         with pytest.raises(ValueError):

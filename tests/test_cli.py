@@ -1,7 +1,11 @@
 import csv
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -466,3 +470,39 @@ def test_unwritable_output_exits_1(tmp_path, capsys, command):
         main([command, *args, "-o", str(tmp_path / "missing" / "out.txt")])
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    # the entry point across a process boundary: a pipe, stdout and the
+    # exit codes, as an installed ``talentsched`` script runs it
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"talentsched": "talentsched.cli:main"}
+
+    command = [sys.executable, "-m", "talentsched.cli"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with subprocess.Popen(
+        [*command, "gen", "-n", "9", "-m", "5"], stdout=subprocess.PIPE, env=env
+    ) as gen:
+        solved = subprocess.run(
+            [*command, "solve", "-", "--json"],
+            stdin=gen.stdout,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+    assert gen.returncode == 0
+    assert solved.returncode == 0, solved.stderr
+    assert json.loads(solved.stdout)["status"] == "optimal"
+
+    path = tmp_path / "n30.txt"
+    path.write_text(write_instance(generate_instance(30, 8, seed=1)), encoding="utf-8")
+    cut = subprocess.run(
+        [*command, "solve", str(path), "--json", "--time-limit", "1e-9"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    status = json.loads(cut.stdout)["status"]
+    assert cut.returncode == (2 if status == "time_limit" else 0), cut.stderr

@@ -165,6 +165,27 @@ def test_instance_refuses_non_integer_data(args, fragment):
         Instance(*args)
 
 
+def test_from_rows_reads_each_known_cell():
+    inst = Instance.from_rows(["Xx.", [1, True, 0], [False, "X", "."]], (1, 1, 1), (3, 4, 5))
+    assert inst.scene_actors == (0b011, 0b111, 0b000)
+
+
+@pytest.mark.parametrize(
+    "rows, fragment",
+    [
+        (["X?x"], "row 0, column 1: unknown cell '?'"),
+        ([[2, "yes", 1.0]], "row 0, column 0: unknown cell 2"),
+        ([[1, "yes", 1.0]], "row 0, column 1: unknown cell 'yes'"),
+        ([[1, 0, 1.0]], "row 0, column 2: unknown cell 1.0"),
+        (["X.X", ["X", None, "."]], "row 1, column 1: unknown cell None"),
+        (["X.X", "X. "], "row 1, column 2: unknown cell ' '"),
+    ],
+)
+def test_from_rows_refuses_unknown_cells(rows, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        Instance.from_rows(rows, (1, 1, 1), (3,) * len(rows))
+
+
 def test_actors_of_scenes_examples():
     inst = fixture_worked_example()
     assert actors_of_scenes(inst, 1 << 9) == mask_of([0, 5])  # tenth scene

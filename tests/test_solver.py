@@ -221,9 +221,10 @@ def test_infinite_time_limit_means_no_limit():
 
 
 def test_config_validation():
-    for bad in (3, -4, None, True):
-        with pytest.raises(ValueError):
+    for bad in (3, -4, None, True, 1.0, 1 << 65, 1 << 100):
+        with pytest.raises(ValueError, match=re.escape("0 (off) or a power of two up to 2**64")):
             SolveConfig(cache_capacity=bad)
+    assert SolveConfig(cache_capacity=1 << 64).cache_capacity == 1 << 64
     with pytest.raises(TypeError):  # one collision policy, not a setting
         SolveConfig(cache_strategy="latest")
     for bad in (0, -1.0, float("nan"), True):
