@@ -10,11 +10,14 @@ its LP-format export, an exact oracle (a dynamic program over scene sets,
 ``brute_force``), schedule costs, instance tooling, and a benchmark CLI;
 ``testkit`` holds the worked example that the tests and the benchmark
 runner share.
+
+Importing the package loads the solver and what it needs, but not the LP
+model: ``build_model`` and ``export_milp`` load ``ilp`` on their first
+use, so a process that only solves never builds it.
 """
 
 from .cache import CacheStats, StateCache
 from .cost import Schedule, holding_cost, total_cost, work_cost
-from .ilp import build_model, export_milp
 from .instance import (
     Instance,
     InstanceFormatError,
@@ -29,3 +32,33 @@ from .solver import (
     greedy_upper_bound,
     solve,
 )
+
+__all__ = [
+    "CacheStats",
+    "Instance",
+    "InstanceFormatError",
+    "Schedule",
+    "SolveConfig",
+    "SolveResult",
+    "StateCache",
+    "brute_force",
+    "build_model",
+    "export_milp",
+    "generate_instance",
+    "greedy_upper_bound",
+    "holding_cost",
+    "parse_instance",
+    "solve",
+    "total_cost",
+    "work_cost",
+    "write_instance",
+]
+
+
+def __getattr__(name):
+    # PEP 562: the LP model's two names load ``ilp`` on their first use
+    if name in ("build_model", "export_milp"):
+        from . import ilp
+
+        return getattr(ilp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,8 +4,14 @@ Subcommands: ``solve`` one instance, ``bench`` a sweep over many instances,
 ``gen`` a random instance, ``export-ilp`` the MILP text, ``oracle`` the
 exact minimum by a dynamic program over scene sets, for at most
 ``BRUTE_FORCE_MAX_SCENES`` scenes.  Exit codes: 0 success/optimal, 1 usage
-or input error, 2 time limit hit (incumbent still printed).  An error found
-before any work prints one ``error:`` line and raises ``SystemExit(1)``.
+or input error or a closed output pipe, 2 time limit hit (incumbent still
+printed).  An error found before any work prints one ``error:`` line and
+raises ``SystemExit(1)``; a reader that closes stdout early ends the
+command with code 1 and no traceback.
+
+Only what a command uses is imported: ``export-ilp`` loads the LP model
+and ``bench --jobs N`` loads its process pool only when N > 1, so ``solve``
+starts without either.
 
 Every solver flag takes its default from ``SolveConfig()`` and is checked
 by ``SolveConfig``, before any instance is read, and each ``--no-<name>``
@@ -22,13 +28,12 @@ import inspect
 import itertools
 import json
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 from typing import NoReturn
 
-from .ilp import export_milp
 from .instance import Instance, InstanceFormatError, generate_instance, parse_instance, write_instance
 from .solver import BRUTE_FORCE_MAX_SCENES, SolveConfig, SolveResult, brute_force, solve
 
@@ -265,6 +270,8 @@ def cmd_bench(args) -> int:
         summary = _open_output(stack, args.summary) if args.summary else None
         workers = min(args.jobs, len(tasks))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_bench_one, tasks, chunksize=1))
         else:
@@ -323,6 +330,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_export_ilp(args) -> int:
+    from .ilp import export_milp
+
     inst = _read_instance(args.instance)
     _write_output(args.output, export_milp(inst))
     return 0
@@ -435,7 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit does not fail again, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

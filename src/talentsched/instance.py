@@ -17,8 +17,8 @@ Instance file format (UTF-8 text, ``#`` lines are comments)::
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 MAX_SCENES = 64
 MAX_ACTORS = 64

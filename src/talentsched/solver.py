@@ -192,16 +192,20 @@ DAY_MASK_MAX_DAYS = 4096
 BRUTE_FORCE_MAX_SCENES = 20
 
 # the low 12 bits of the packed pair key of actors i and j, ``(63 - i) << 6 |
-# (63 - j)`` with i < j, at ``_PAIR_TAGS[i][j]`` and ``_PAIR_TAGS[j][i]``
+# (63 - j)`` with i < j, at ``_PAIR_TAGS[i][j]`` and ``_PAIR_TAGS[j][i]``;
+# actor i's low field is ``63 - i`` and its high field that shifted by 6
+_LOWS = [63 - i for i in range(64)]
+_HIGHS = [low << 6 for low in _LOWS]
 _PAIR_TAGS = tuple(
-    tuple((63 - j) << 6 | 63 - i for j in range(i))
-    + tuple((63 - i) << 6 | 63 - j for j in range(i, 64))
+    tuple([high | _LOWS[i] for high in _HIGHS[:i]] + [_HIGHS[i] | low for low in _LOWS[i:]])
     for i in range(64)
 )
 
 # the matching mark ``1 << i | 1 << j`` of a pair key's actors, by the key's
 # low 12 bits ``a << 6 | b``: i = 63 - a and j = 63 - b
-_PAIR_MARKS = tuple(1 << 63 - a | 1 << 63 - b for a in range(64) for b in range(64))
+_MARKS = [1 << low for low in _LOWS]
+_PAIR_MARKS = tuple([a | b for a in _MARKS for b in _MARKS])
+del _LOWS, _HIGHS, _MARKS
 
 
 class _TimeLimit(Exception):

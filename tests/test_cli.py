@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import inspect
 import json
@@ -402,7 +403,8 @@ def test_bench_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # ``cmd_bench`` imports the pool class only when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     out = tmp_path / "rows.csv"
     assert main(["bench", str(tmp_path), "--cache-bits", "8", "--jobs", "8", "-o", str(out)]) == 0
     assert asked == [2]
@@ -506,3 +508,24 @@ def test_cli_runs_as_a_process(tmp_path):
     )
     status = json.loads(cut.stdout)["status"]
     assert cut.returncode == (2 if status == "time_limit" else 0), cut.stderr
+
+
+def test_closed_output_pipe_exits_1_without_a_traceback(tmp_path):
+    # a reader that is gone before the output is written, as ``| head``
+    # leaves it: the write fails with EPIPE, which ends the command quietly
+    path = tmp_path / "n9.txt"
+    path.write_text(write_instance(generate_instance(9, 5, seed=1)), encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "talentsched.cli", "solve", str(path), "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no traceback, and no error at the exit flush

@@ -63,12 +63,16 @@ def test_api_list_names_exactly_the_package_exports():
     text = _section("Library use").split("The public API", 1)[1].split("\n\n", 1)[1]
     text = text.split("\n\n", 1)[0]
     listed = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", text)))
-    exported = {
+    # ``__all__``, since a name loaded on first use is not in ``vars`` before
+    assert listed == set(talentsched.__all__)
+    for name in talentsched.__all__:
+        assert not isinstance(getattr(talentsched, name), types.ModuleType), name
+    public = {
         name
         for name, value in vars(talentsched).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert listed == exported
+    assert public <= set(talentsched.__all__)
 
 
 def test_testkit_paragraph_names_exactly_the_modules_names():
@@ -131,3 +135,25 @@ def test_package_imports_only_the_standard_library():
         if m != "talentsched" and not m.startswith("__") and m not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_package_and_cli_import_no_more_than_a_solve_needs():
+    # the LP model and the process pool load on first use; ``-S`` keeps
+    # what the interpreter's site hooks import out of the probe
+    probe = (
+        "import sys; import talentsched; "
+        "print('talentsched.ilp' in sys.modules); "
+        "import talentsched.cli; "
+        "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'talentsched.ilp') "
+        "if m in sys.modules], sep=','); "
+        "from talentsched import build_model, export_milp; "
+        "print(build_model.__module__, export_milp.__module__)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(talentsched.__file__).parents[1])},
+    ).stdout.splitlines()
+    assert out == ["False", "", "talentsched.ilp talentsched.ilp"]
