@@ -88,12 +88,14 @@ class CacheStats:
       a bound that reaches the incumbent (``z + bound >= limit``).
     * ``subset_hits`` -- the hits made by a subset state; ``hits -
       subset_hits`` are own-state prunes.
-    * ``misses`` -- probes that did not prune, ``probes - hits``; read-only.
     * ``collisions`` -- stores that found a different key in the slot.
     * ``replacements`` -- collisions in which the incoming state took the slot,
       because it had more remaining scenes than the resident.
     * ``stores`` -- fills of an empty slot; finding a resident equal key is not
       a store.
+
+    The command line prints and writes every field, in this order, so a new
+    counter is one new field.
     """
 
     probes: int = 0
@@ -102,10 +104,6 @@ class CacheStats:
     collisions: int = 0
     replacements: int = 0
     stores: int = 0
-
-    @property
-    def misses(self) -> int:
-        return self.probes - self.hits
 
 
 class StateCache:

@@ -16,7 +16,9 @@ starts without either.
 Every solver flag takes its default from ``SolveConfig()`` and is checked
 by ``SolveConfig``, before any instance is read, and each ``--no-<name>``
 flag is its ``enable_<name>`` field; ``gen``'s flags take theirs from
-``generate_instance``'s signature.
+``generate_instance``'s signature.  Likewise the cache counters that
+``solve`` prints and ``bench`` writes are ``CacheStats``'s fields, in field
+order, so a new counter is one new field.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import NoReturn
 
+from .cache import CacheStats
 from .instance import Instance, InstanceFormatError, generate_instance, parse_instance, write_instance
 from .solver import BRUTE_FORCE_MAX_SCENES, SolveConfig, SolveResult, brute_force, solve
 
@@ -65,6 +67,12 @@ def _param_columns(cfg: SolveConfig) -> dict:
     }
 
 
+def _cache_columns(stats: CacheStats) -> dict:
+    """The bench columns of a solve's cache counters: ``cache_<name>`` for
+    each ``CacheStats`` field."""
+    return {f"cache_{name}": value for name, value in asdict(stats).items()}
+
+
 _DEFAULTS = SolveConfig()
 _GROUP_FIELDS = ["n", "m", *_param_columns(_DEFAULTS)]
 
@@ -76,16 +84,15 @@ BENCH_FIELDS = [
     "total_cost",
     "subproblems",
     "seconds",
-    "cache_hits",
-    "cache_subset_hits",
-    "cache_collisions",
-    "cache_replacements",
+    *_cache_columns(CacheStats()),
 ]
 
 SUMMARY_FIELDS = [*_GROUP_FIELDS, "instances", "solved", "avg_seconds", "avg_subproblems"]
 
 
-def _fail(message: str) -> NoReturn:
+def _fail(message: str):
+    """Print ``message`` as an ``error:`` line and exit with code 1; it
+    never returns."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(1)
 
@@ -156,15 +163,7 @@ def result_to_json(
         "total_cost": result.total_cost,
         "schedule": list(result.schedule.order),
         "subproblems": result.subproblems,
-        "cache": {
-            "bits": _cache_bits(cfg),
-            "probes": result.cache_stats.probes,
-            "hits": result.cache_stats.hits,
-            "subset_hits": result.cache_stats.subset_hits,
-            "misses": result.cache_stats.misses,
-            "collisions": result.cache_stats.collisions,
-            "replacements": result.cache_stats.replacements,
-        },
+        "cache": {"bits": _cache_bits(cfg), **asdict(result.cache_stats)},
         "config": {
             **_switch_values(cfg),
             "time_limit": None if cfg.time_limit == math.inf else cfg.time_limit,
@@ -193,11 +192,8 @@ def cmd_solve(args) -> int:
         print(f"schedule      {' '.join(str(s) for s in result.schedule.order)}")
         print(f"subproblems   {result.subproblems}")
         print(f"elapsed       {result.elapsed:.3f}s")
-        st = result.cache_stats
-        print(
-            f"cache         hits={st.hits} subset_hits={st.subset_hits} misses={st.misses} "
-            f"collisions={st.collisions} replacements={st.replacements}"
-        )
+        counters = asdict(result.cache_stats).items()
+        print(f"cache         {' '.join(f'{name}={value}' for name, value in counters)}")
     return 0 if result.status == "optimal" else 2
 
 
@@ -229,10 +225,7 @@ def _bench_one(task):
         "total_cost": result.total_cost,
         "subproblems": result.subproblems,
         "seconds": f"{result.elapsed:.6f}",
-        "cache_hits": result.cache_stats.hits,
-        "cache_subset_hits": result.cache_stats.subset_hits,
-        "cache_collisions": result.cache_stats.collisions,
-        "cache_replacements": result.cache_stats.replacements,
+        **_cache_columns(result.cache_stats),
     }
 
 

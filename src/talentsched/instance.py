@@ -34,39 +34,16 @@ class InstanceFormatError(ValueError):
 
 # --- bit-set helpers -------------------------------------------------------
 
-# ``_BYTE_BITS[k][b]``: the set bit indices of byte value b at byte k of a
-# mask, ascending.  The tables are built on first use, as far as the widest
-# mask seen needs, so importing the module builds none; a wider mask adds
-# the missing ones in a new tuple, so a reader never sees a partial one.
-_BYTE_BITS: tuple[tuple[tuple[int, ...], ...], ...] = ()
-
-
-def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
-    table: list[tuple[int, ...]] = [()] * 256
-    for b in range(1, 256):
-        low = b & -b
-        table[b] = (8 * k + low.bit_length() - 1,) + table[b ^ low]
-    return tuple(table)
-
-
 def bits(mask: int) -> list[int]:
-    """The set bit indices of the non-negative ``mask`` in ascending order,
-    one table lookup per byte."""
-    global _BYTE_BITS
-    out: list[int] = []
-    rest = mask
-    for table in _BYTE_BITS:
-        if not rest:
-            return out
-        out += table[rest & 255]
-        rest >>= 8
-    if not rest:
-        return out
+    """The set bit indices of the non-negative ``mask`` in ascending order."""
     if mask < 0:
         raise ValueError(f"bits needs a non-negative mask, got {mask}")
-    need = range(len(_BYTE_BITS), (mask.bit_length() + 7) >> 3)
-    _BYTE_BITS += tuple(_byte_table(k) for k in need)
-    return bits(mask)
+    out: list[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # --- instance --------------------------------------------------------------

@@ -304,13 +304,17 @@ def _order_dp(
         rest = full ^ done
         waiting = (needs[done] | before) & (needs[rest] | after)
         best = None
-        for s in bits(rest):
+        left = rest
+        while left:
+            low = left & -left
+            left ^= low
+            s = low.bit_length() - 1
             held = waiting & ~scene_actors[s]
             w = 0
             for t in tables:
                 w += t[held & 255]
                 held >>= 8
-            cost = durations[s] * w + togo[done | 1 << s]
+            cost = durations[s] * w + togo[done | low]
             if best is None or cost < best:
                 best, first[done] = cost, s
         togo[done] = best

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -19,6 +20,7 @@ from talentsched import (
     generate_instance,
     holding_cost,
     parse_instance,
+    solve,
     solver,
     write_instance,
 )
@@ -56,7 +58,7 @@ def test_solve_json_worked_example(tmp_path, capsys):
     assert out["n"] == 12 and out["m"] == 6
     assert sorted(out["schedule"]) == list(range(12))
     assert set(out["cache"]) == {
-        "bits", "probes", "hits", "subset_hits", "misses", "collisions", "replacements",
+        "bits", "probes", "hits", "subset_hits", "collisions", "replacements", "stores",
     }
     assert 0 < out["cache"]["subset_hits"] <= out["cache"]["hits"]
 
@@ -69,7 +71,39 @@ def test_solve_human_output(tmp_path, capsys):
     assert code == 0
     assert "holding cost  53" in text
     assert "total cost    434" in text
-    assert re.search(r"^cache +hits=\d+ subset_hits=\d+ misses=\d+ ", text, re.M)
+    assert re.search(
+        r"^cache +probes=\d+ hits=\d+ subset_hits=\d+ collisions=\d+ replacements=\d+ "
+        r"stores=\d+$",
+        text,
+        re.M,
+    )
+
+
+def test_every_cache_counter_reaches_every_output(tmp_path, capsys):
+    # 16 slots for a 12-scene draw, so that every counter is nonzero
+    inst = generate_instance(12, 6, seed=0)
+    path = tmp_path / "draw.txt"
+    path.write_text(write_instance(inst), encoding="utf-8")
+    expected = dataclasses.asdict(solve(inst, SolveConfig(cache_capacity=1 << 4)).cache_stats)
+    assert all(expected.values())
+    flags = ["--cache-bits", "4"]
+
+    assert main(["solve", str(path), "--json", *flags]) == 0
+    cache = json.loads(capsys.readouterr().out)["cache"]
+    assert cache.pop("bits") == 4
+    assert cache == expected
+
+    assert main(["solve", str(path), *flags]) == 0
+    (line,) = re.findall(r"^cache +(.*)$", capsys.readouterr().out, re.M)
+    pairs = [pair.split("=") for pair in line.split()]
+    assert {name: int(value) for name, value in pairs} == expected
+    assert [name for name, _ in pairs] == list(expected)
+
+    out = tmp_path / "rows.csv"
+    assert main(["bench", str(path), *flags, "-o", str(out)]) == 0
+    (row,) = _read_csv(out)
+    columns = {k.removeprefix("cache_"): int(v) for k, v in row.items() if k.startswith("cache_")}
+    assert columns == {"bits": 4, **expected}
 
 
 def _exit_code(argv) -> int:

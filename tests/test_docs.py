@@ -138,14 +138,15 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_package_and_cli_import_no_more_than_a_solve_needs():
-    # the LP model and the process pool load on first use; ``-S`` keeps
+    # the LP model and the process pool load on first use, and nothing
+    # imports ``typing`` for an annotation alone; ``-S`` keeps
     # what the interpreter's site hooks import out of the probe
     probe = (
         "import sys; import talentsched; "
         "print('talentsched.ilp' in sys.modules); "
         "import talentsched.cli; "
-        "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'talentsched.ilp') "
-        "if m in sys.modules], sep=','); "
+        "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'talentsched.ilp', "
+        "'typing') if m in sys.modules], sep=','); "
         "from talentsched import build_model, export_milp; "
         "print(build_model.__module__, export_milp.__module__)"
     )
