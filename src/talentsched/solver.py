@@ -42,15 +42,19 @@ as the node's children were not all seen.  On the benchmark's base
 instances the subset states save 19% of nodes on ``sweep`` and 1.4% on
 ``wide-cast`` over trying only the states one remaining scene smaller.
 
-A node is ``(front, back, z, scenes)``: the actors at each block, the past
-cost, and one record ``(duration, mask, actors, members)`` per remaining
-scene, in ascending order of its representative id, the lowest member.  A
-merge replaces its group by one record: the summed duration, the union of
-the members' original-id masks and actor sets, and the concatenated member
-list.  A record's position stands in for its id in both tie-breaks, the
-branch order's and dominance rule 1's.  Cache keys use the remaining set
-over *original* scene ids (the union of the masks), which keeps a state's
-identity independent of the merge history that produced it.
+A node is ``(front, back, z, scenes, dq, known)``: the actors at each
+block, the past cost, one record ``(duration, mask, actors, members, fixed
+mask)`` per remaining scene, in ascending order of its representative id,
+the lowest member, and two values its parent hands down: the union ``dq``
+of the records' fixed masks (below), and the parent's active actors
+``known``, which spare ``_simplify`` its fixed-point check when the node's
+are the same.  A merge replaces its group by one record: the summed
+duration, the union of the members' original-id masks, actor sets and
+fixed masks, and the concatenated member list.  A record's position stands
+in for its id in both tie-breaks, the branch order's and dominance rule
+1's.  Cache keys use the remaining set over *original* scene ids (the
+union of the masks), which keeps a state's identity independent of the
+merge history that produced it.
 
 Simplification, the increment, dominance and the pair bound each have one
 implementation, here: ``_simplify``, ``_Search._increment``,
@@ -81,15 +85,17 @@ day offset, so the days two actors share are the popcount of their masks'
 intersection.  An instance longer than ``DAY_MASK_MAX_DAYS`` days would
 build ints that long, so its solve gives scene j bit j and sums the
 durations of a mask's scenes by partial-sum tables.  ``_Search.__init__``
-builds each actor's mask over all scenes (``actor_q``), partial-sum tables
-of the scene masks (``q_tables``) and the counter of a mask's days
-(``days``); only it knows which form it built.  A node's remaining scenes
-over original ids map to one mask ``dq`` through ``q_tables``: the scenes'
-masks are disjoint, so their sum is their union.  An actor's remaining
-scenes are then ``actor_q[i] & dq``.  That is exact for every actor the
-kernels read, as each is active, and no merge splits an active actor's
-scenes: a merge joins scenes whose active actors coincide, and an actor
-once inactive never comes back along a search path.
+builds the scene masks (``scene_q``), each actor's mask over all scenes
+(``actor_q``), the counter of a mask's days (``days``) and that of a
+mask's wages (``wage``: one read of the byte table with at most 8 actors,
+partial sums past that); only it knows which forms it built.  A record
+carries the union of its scenes' masks, and a node's ``dq`` is the union
+over its records: the root's is every scene's, and a child's is its
+parent's less the pinned record's, as the scenes' masks are disjoint.  An
+actor's remaining scenes are then ``actor_q[i] & dq``.  That is exact for
+every actor the kernels read, as each is active, and no merge splits an
+active actor's scenes: a merge joins scenes whose active actors coincide,
+and an actor once inactive never comes back along a search path.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from types import MethodType
 
 from .cache import CacheStats, StateCache
 from .cost import Schedule, holding_cost, work_cost
@@ -326,34 +332,38 @@ def _order_dp(
     return togo[0], order
 
 
-def _simplify(front, back, scenes, seen_once, seen_twice):
+def _simplify(front, back, scenes, seen_once, seen_twice, known):
     """Drop actors that can no longer wait and merge middle scenes that have
     become indistinguishable, iterated to a fixed point.
 
     ``front`` and ``back`` are the actors at each block, and ``scenes`` the
-    node's records ``(duration, mask, actors, members)`` by ascending
-    representative id; ``seen_once`` and ``seen_twice`` are the actors of
-    one or more and of two or more of those records.  An actor is dropped
-    when both blocks anchor them (their pay is decided) or when fewer than
-    two things still do, counting each block and each remaining scene as
-    one (they can never be held waiting again).  The survivors are the
-    node's active actors; they are derived afresh at every node, as an
-    actor that drops out never comes back along a search path.  Records
-    whose active-actor sets coincide merge into one at the place of the
-    group's head, the one with the smallest id: the summed duration, the
-    union of the masks and actor sets, and the members of the head
-    followed by the others'.  A merge can drop more actors, so the
-    derivation repeats until the signatures are distinct.  Returns
-    ``(scenes, active, multi)``, with ``multi`` the actors of two or more
-    of the returned records; a merge keeps ``seen_once``, and the node's
-    optimal holding cost is unchanged.
+    node's records ``(duration, mask, actors, members, fixed mask)`` by
+    ascending representative id; ``seen_once`` and ``seen_twice`` are the
+    actors of one or more and of two or more of those records.  An actor
+    is dropped when both blocks anchor them (their pay is decided) or when
+    fewer than two things still do, counting each block and each remaining
+    scene as one (they can never be held waiting again).  The survivors
+    are the node's active actors; they are derived afresh at every node,
+    as an actor that drops out never comes back along a search path.
+    Records whose active-actor sets coincide merge into one at the place
+    of the group's head, the one with the smallest id: the summed
+    duration, the union of the masks, actor sets and fixed masks, and the
+    members of the head followed by the others'.  A merge can drop more
+    actors, so the derivation repeats until the signatures are distinct.
+
+    ``known`` is the parent node's active set, or -1 at the root.  The
+    records are a subset of the parent's, whose signatures under ``known``
+    were distinct, so an active set equal to ``known`` is a fixed point
+    without the check.  Returns ``(scenes, active, multi)``, with
+    ``multi`` the actors of two or more of the returned records; a merge
+    keeps ``seen_once``, and the node's optimal holding cost is unchanged.
     """
     anchored = front | back
     fixed = front & back
     while True:
         active = (seen_twice | (seen_once & anchored)) & ~fixed
         # the fixed point: no two signatures coincide
-        if len({rec[2] & active for rec in scenes}) == len(scenes):
+        if active == known or len({rec[2] & active for rec in scenes}) == len(scenes):
             return scenes, active, seen_twice
         # a dict keeps its groups in the order of their heads, so the
         # merged records stay in ascending order of representative id
@@ -364,16 +374,17 @@ def _simplify(front, back, scenes, seen_once, seen_twice):
         seen = 0
         seen_twice = 0
         for group in groups.values():
-            d, q, a, members = group[0]
-            for od, oq, oa, om in group[1:]:
+            d, q, a, members, fq = group[0]
+            for od, oq, oa, om, ofq in group[1:]:
                 d += od
                 q |= oq
                 a |= oa
+                fq |= ofq
                 # concatenate, never re-sort: actors wholly inside an
                 # earlier merge rely on its members staying adjacent in
                 # the stored order
                 members += om
-            merged.append((d, q, a, members))
+            merged.append((d, q, a, members, fq))
             seen_twice |= seen & a
             seen |= a
         scenes = tuple(merged)
@@ -412,7 +423,16 @@ class _Search:
     def __init__(self, inst: Instance, cfg: SolveConfig):
         self.inst = inst
         self.cfg = cfg
-        self.wage_tables = _sum_tables(inst.wages)
+        # a wage sum is one table read with at most 8 actors, as one byte
+        # indexes the only table.  Past that, and for ``days`` below, the
+        # tables are bound to ``_masked_sum`` as a method's self: CPython
+        # 3.11 calls the bound method as fast as the function, and a
+        # ``partial`` about 15% slower
+        wage_tables = _sum_tables(inst.wages)
+        if len(wage_tables) == 1:
+            self.wage = wage_tables[0].__getitem__
+        else:
+            self.wage = MethodType(_masked_sum, wage_tables)
         self.cache = StateCache(cfg.cache_capacity) if cfg.cache_capacity else None
         # the pair-bound memo: the generation being filled, and the full one
         # before it, whose values are copied forward when they hit
@@ -429,9 +449,10 @@ class _Search:
             self.days = int.bit_count
         else:
             scene_q = [1 << j for j in range(inst.num_scenes)]
-            self.days = partial(_masked_sum, _sum_tables(inst.durations))
-        self.q_tables = _sum_tables(scene_q)
-        self.actor_q = [_masked_sum(self.q_tables, q) for q in inst.actor_scenes]
+            self.days = MethodType(_masked_sum, _sum_tables(inst.durations))
+        self.scene_q = scene_q
+        # each actor's scenes; the masks are disjoint, so a sum is a union
+        self.actor_q = [sum(scene_q[j] for j in bits(a)) for a in inst.actor_scenes]
         self.nodes = 0
         # the incumbent, above every schedule's cost until the first leaf
         self.best_h = math.inf
@@ -450,12 +471,13 @@ class _Search:
         self.deadline = self.t0 + cfg.time_limit
 
         scenes = tuple(
-            (d, 1 << j, a, (j,))
-            for j, (d, a) in enumerate(zip(inst.durations, inst.scene_actors))
+            (d, 1 << j, a, (j,), q)
+            for j, (d, a, q) in enumerate(zip(inst.durations, inst.scene_actors, self.scene_q))
         )
         status = "optimal"
         try:
-            self._search(0, 0, 0, scenes)
+            # no active set is -1, so the root is simplified in full
+            self._search(0, 0, 0, scenes, sum(self.scene_q), -1)
         except _TimeLimit:
             status = "time_limit"
         elapsed = time.perf_counter() - self.t0
@@ -472,12 +494,14 @@ class _Search:
             ub_trace=tuple(self.trace),
         )
 
-    def _search(self, front, back, z, scenes):
+    def _search(self, front, back, z, scenes, dq, known):
         """Search the node whose blocks hold the actors ``front`` and
         ``back`` (trimmed here to those on location), at past cost ``z``,
         with the records ``scenes`` left, by ascending representative id.
-        The blocks' scenes are in ``self.pinned``.  Returns a lower bound on
-        the node's future cost."""
+        ``dq`` is the union of the records' fixed masks and ``known`` the
+        parent's active actors, both handed down by the parent.  The blocks'
+        scenes are in ``self.pinned``.  Returns a lower bound on the node's
+        future cost."""
         self.nodes += 1
         # every node: at n = 64 one node can take milliseconds, so a check
         # every few thousand nodes would overshoot the limit by seconds.
@@ -518,7 +542,7 @@ class _Search:
         aq_full = 0
         multi = 0
         q_orig = 0
-        for _, q, a, _ in scenes:
+        for _, q, a, _, _ in scenes:
             multi |= aq_full & a
             aq_full |= a
             q_orig |= q
@@ -540,11 +564,10 @@ class _Search:
         # ones would: the anchored actors ``_simplify`` keeps are those of
         # some remaining scene, and the blocks' intersection is unchanged
         if cfg.enable_preprocess:
-            scenes, active, multi = _simplify(front, back, scenes, aq_full, multi)
+            scenes, active, multi = _simplify(front, back, scenes, aq_full, multi, known)
         else:
             active = self.inst.all_actors
 
-        dq = _masked_sum(self.q_tables, q_orig)
         dominated = self._dominated(scenes, active, front, back)
 
         # The branch order: the children that survive dominance and are live
@@ -565,7 +588,7 @@ class _Search:
         least = math.inf
         children = []
         order = []
-        for k, (d, q, a_s, _) in enumerate(scenes):
+        for k, (d, q, a_s, _, fq) in enumerate(scenes):
             if dominated >> k & 1:
                 continue
             inc = self._increment(d, a_s, front, back, dq)
@@ -576,7 +599,7 @@ class _Search:
             key = inc
             if cfg.enable_lower:
                 key += self._branch_lower(
-                    a_s, aq_full & ~(a_s & ~multi), front, back, q_orig & ~q
+                    a_s, aq_full & ~(a_s & ~multi), front, back, q_orig & ~q, dq & ~fq
                 )
             order.append(key << 6 | len(children))
             children.append((k, inc))
@@ -589,10 +612,10 @@ class _Search:
                     least = key >> 6
                 break
             k, inc = children[key & 63]
-            _, _, a_s, members = scenes[k]
+            _, _, a_s, members, fq = scenes[k]
             pinned.append(members)
             cost = inc + self._search(
-                back, front | a_s, z + inc, scenes[:k] + scenes[k + 1 :]
+                back, front | a_s, z + inc, scenes[:k] + scenes[k + 1 :], dq & ~fq, active
             )
             pinned.pop()
             if cost < least:
@@ -606,9 +629,10 @@ class _Search:
         actors ``a_s`` after the front block: the front's idle on-location
         actors wait through it, and its arrivals anchored at the back wait
         through every later middle scene that does not use them.  ``dq`` is
-        the node's remaining scenes as a fixed mask."""
+        the node's remaining scenes as a fixed mask, as its parent handed
+        it down; the waiting wages are one ``wage`` read."""
         waiting = front & ~back & ~a_s
-        inc = d * _masked_sum(self.wage_tables, waiting) if waiting else 0
+        inc = d * self.wage(waiting) if waiting else 0
         arriving = a_s & ~front & back
         if arriving:
             actor_q = self.actor_q
@@ -642,7 +666,7 @@ class _Search:
         rule2 = cfg.enable_rule2
         if not (rule1 or rule2):
             return 0
-        wage_tables = self.wage_tables
+        wage = self.wage
         front &= active
         back &= active
         rows = []
@@ -653,7 +677,7 @@ class _Search:
             if rule1 and sig == front:
                 return (1 << len(scenes)) - 1 ^ 1 << k
             sf = sig | front
-            rows.append((k, sf, sig | back, _masked_sum(wage_tables, sf)))
+            rows.append((k, sf, sig | back, wage(sf)))
         dominated = 0
         for s, s1f, s1b, _ in rows:
             for other, s2f, s2b, loss in rows:
@@ -665,16 +689,17 @@ class _Search:
                     rule1
                     and not s1b & ~s2b
                     and (other < s or s1f != s2f or s1b != s2b)
-                ) or (rule2 and _masked_sum(wage_tables, s1f & s2b) > loss):
+                ) or (rule2 and wage(s1f & s2b) > loss):
                     dominated |= 1 << s
                     break
         return dominated
 
-    def _branch_lower(self, a_s, aq2, front, back, q2):
+    def _branch_lower(self, a_s, aq2, front, back, q2, dq2):
         """Pair-constraint bound for the child that pins the scene with
         actors ``a_s`` in front, whose remaining scenes use the actors
-        ``aq2`` and are ``q2`` over original scene ids.  Each relevant
-        actor's remaining scenes are its fixed mask within ``q2``'s.
+        ``aq2`` and are ``q2`` over original scene ids and ``dq2`` as a
+        fixed mask.  Each relevant actor's remaining scenes are its fixed
+        mask within ``dq2``.
 
         The bound depends only on the child's relevant actors at each block
         and on ``q2``: relevant actors are active, so no merge splits their
@@ -700,10 +725,7 @@ class _Search:
             return value
         value = self.lower_prev.get(key)
         if value is None:
-            value = _pair_bound(
-                *self._pair_keys(front_rel, back_rel, _masked_sum(self.q_tables, q2)),
-                count,
-            )
+            value = _pair_bound(*self._pair_keys(front_rel, back_rel, dq2), count)
         if len(memo) >= LOWER_MEMO_ENTRIES:
             prev = self.lower_prev
             prev.clear()

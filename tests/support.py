@@ -48,7 +48,6 @@ from talentsched.ilp import MilpModel
 from talentsched.instance import Instance, bits
 from talentsched.solver import (
     SolveConfig,
-    _masked_sum,
     _order_dp,
     _Search,
     _simplify,
@@ -318,9 +317,9 @@ class CacheModel:
 class KernelNode:
     """The state ``_Search._search`` carries into a node: the actors on
     location at each block and the remaining scenes, one record
-    ``(duration, mask, actors, members)`` each by ascending representative
-    id; with the node's active actors, which ``simplify`` derives (every
-    actor before)."""
+    ``(duration, mask, actors, members, fixed mask)`` each by ascending
+    representative id; with the node's active actors, which ``simplify``
+    derives (every actor before)."""
 
     front: int
     back: int
@@ -336,16 +335,18 @@ class KernelNode:
 def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
     """The node as the search enters it, before any merge, with each
     block's actors trimmed to those on location as ``_search`` trims
-    them."""
+    them, and each record's fixed mask in the form a solve of ``inst``
+    uses."""
     front = actors_of_scenes(inst, mask_of(node.front))
     back = actors_of_scenes(inst, mask_of(node.back))
     aq = actors_of_scenes(inst, node.remaining)
+    scene_q = _kernels(inst).scene_q
     return KernelNode(
         front=front & (aq | back),
         back=back & (aq | front),
         active=inst.all_actors,
         scenes=tuple(
-            (inst.durations[j], 1 << j, inst.scene_actors[j], (j,))
+            (inst.durations[j], 1 << j, inst.scene_actors[j], (j,), scene_q[j])
             for j in bits(node.remaining)
         ),
     )
@@ -353,13 +354,15 @@ def kernel_node(inst: Instance, node: SearchNode) -> KernelNode:
 
 def simplify(kn: KernelNode) -> KernelNode:
     """The node after the solver's ``_simplify``, given the actors of one
-    or more and of two or more records as ``_search``'s pass finds them."""
+    or more and of two or more records as ``_search``'s pass finds them,
+    and no parent's active set (-1, as at the root): ``kn.active`` need not
+    be one whose signatures were distinct."""
     seen_once = 0
     seen_twice = 0
     for rec in kn.scenes:
         seen_twice |= seen_once & rec[2]
         seen_once |= rec[2]
-    scenes, active, _ = _simplify(kn.front, kn.back, kn.scenes, seen_once, seen_twice)
+    scenes, active, _ = _simplify(kn.front, kn.back, kn.scenes, seen_once, seen_twice, -1)
     return KernelNode(kn.front, kn.back, active, scenes)
 
 
@@ -367,10 +370,14 @@ def _kernels(inst: Instance, **switches) -> _Search:
     return _Search(inst, SolveConfig(cache_capacity=0, **switches))
 
 
-def _node_mask(search: _Search, kn: KernelNode) -> int:
+def _node_mask(kn: KernelNode) -> int:
     """The remaining scenes of the kernel node ``kn`` as one mask in the
-    fixed form (day or scene) that ``search`` uses: ``_search``'s ``dq``."""
-    return _masked_sum(search.q_tables, sum(rec[1] for rec in kn.scenes))
+    fixed form (day or scene) of its records, the union of their fixed
+    masks: ``_search``'s ``dq``."""
+    dq = 0
+    for rec in kn.scenes:
+        dq |= rec[4]
+    return dq
 
 
 def _require_remaining(node: SearchNode, scene: int) -> None:
@@ -386,7 +393,7 @@ def increment(inst: Instance, node: SearchNode, scene: int) -> int:
     search = _kernels(inst)
     return search._increment(
         inst.durations[scene], inst.scene_actors[scene], kn.front, kn.back,
-        _node_mask(search, kn),
+        _node_mask(kn),
     )
 
 
@@ -412,7 +419,7 @@ def rule_fires(
     front's actors, is forced: the answer is True when the competitor is
     one, and False when the scene is one and the competitor is not."""
     search = _kernels(inst, enable_rule1=rule == 1, enable_rule2=rule == 2)
-    scenes = ((1, 1, s2_actors, (0,)), (1, 2, s1_actors, (1,)))
+    scenes = ((1, 1, s2_actors, (0,), 1), (1, 2, s1_actors, (1,), 2))
     return bool(search._dominated(scenes, inst.all_actors, front, back) & 0b10)
 
 
@@ -447,7 +454,7 @@ def pair_constants(inst: Instance, node: SearchNode) -> dict[tuple[int, int], in
     constant is 0 are absent.  Checks that the returned total is the
     constants' sum."""
     search = _kernels(inst)
-    dq = _node_mask(search, kernel_node(inst, node))
+    dq = _node_mask(kernel_node(inst, node))
     keys, total = search._pair_keys(*relevant_actors(inst, node), dq)
     constants = unpack_pairs(keys)
     if len(constants) != len(keys) or total != sum(constants.values()):
@@ -476,14 +483,18 @@ def lower_at(inst: Instance, kn: KernelNode, k: int) -> int:
     ``kn`` for the child that pins its record at position ``k`` in front,
     on the fixed masks of a solve of ``inst``."""
     search = _kernels(inst)
-    _, q, a_s, _ = kn.scenes[k]
+    _, q, a_s, _, _ = kn.scenes[k]
     aq2 = 0
     q_orig = 0
     for other, rec in enumerate(kn.scenes):
         q_orig |= rec[1]
         if other != k:
             aq2 |= rec[2]
-    return search._branch_lower(a_s, aq2, kn.front, kn.back, q_orig & ~q)
+    # the child's fixed mask from ``search``'s scene masks, not the
+    # records', so ``kn`` may come from a solve in the other mask form
+    q2 = q_orig & ~q
+    dq2 = sum(search.scene_q[j] for j in bits(q2))
+    return search._branch_lower(a_s, aq2, kn.front, kn.back, q2, dq2)
 
 
 # --- LP model reference check -------------------------------------------------

@@ -370,7 +370,7 @@ def test_pair_bound_depends_only_on_child_state():
         front, back = placed[:split], placed[split:]
         parent = SearchNode(tuple(front), tuple(back), mask_of(rest))
         kn = simplify(kernel_node(inst, parent))
-        for k, (_, _, _, group) in enumerate(kn.scenes):
+        for k, (_, _, _, group, _) in enumerate(kn.scenes):
             child_front = front + list(group)
             remaining = parent.remaining & ~mask_of(group)
             value = lower_at(inst, kn, k)
@@ -411,7 +411,7 @@ def test_scene_masks_past_the_day_cap_scale_with_the_durations():
         assert pair_constants(big, node) == {p: 720720 * c for p, c in constants.items()}
         assert branch_lower(big, node) == 720720 * branch_lower(inst, node)
         kn, kn_big = (simplify(kernel_node(x, node)) for x in (inst, big))
-        for k, (_, _, _, group) in enumerate(kn.scenes):
+        for k, (_, _, _, group, _) in enumerate(kn.scenes):
             value = lower_at(inst, kn, k)
             assert lower_at(big, kn_big, k) == 720720 * value
             merged += len(group) > 1

@@ -53,7 +53,7 @@ def test_worked_preprocess_example():
     assert simplified.active == mask_of([0, 1, 2])
     assert _reps(simplified) == [1, 2, 4]
     assert simplified.groups() == {2: (2, 3)}
-    duration, mask, actors, _ = simplified.scenes[1]
+    duration, mask, actors, _, _ = simplified.scenes[1]
     assert duration == 3 + 4
     assert mask == mask_of([2, 3])
     assert actors == inst.scene_actors[2] | inst.scene_actors[3]
@@ -140,10 +140,9 @@ def test_fixed_masks_count_every_active_actors_remaining_days(monkeypatch):
             assert (search.days is int.bit_count) == (day_cap > 0)
             kn = simplify(kernel_node(inst, SearchNode((), (), inst.all_scenes)))
             while kn.scenes:
-                q_orig = sum(rec[1] for rec in kn.scenes)
-                dq = solver_mod._masked_sum(search.q_tables, q_orig)
+                dq = sum(rec[4] for rec in kn.scenes)
                 for i in bits(kn.active):
-                    need = sum(d for d, _, a, _ in kn.scenes if a >> i & 1)
+                    need = sum(d for d, _, a, _, _ in kn.scenes if a >> i & 1)
                     assert search.days(search.actor_q[i] & dq) == need
                     checked += 1
                 merged += bool(kn.groups())

@@ -162,6 +162,61 @@ def test_a_node_the_cache_prunes_is_never_simplified(monkeypatch):
             assert calls == expect, (n, pre)
 
 
+def test_a_node_inherits_its_mask_and_its_parents_active_set(monkeypatch):
+    # the parent hands each child ``dq`` less the pinned record's fixed mask
+    # and its own active set; at every node, in both mask forms, ``dq`` is
+    # the union of the node's records' fixed masks, and the records
+    # ``_simplify`` returns have distinct signatures, also where it took the
+    # exit for an active set equal to the parent's
+    nodes = exits = 0
+    search = solver_mod._Search._search
+    simplify = solver_mod._simplify
+
+    def checked_search(self, front, back, z, scenes, dq, known):
+        nonlocal nodes
+        union = 0
+        for rec in scenes:
+            union |= rec[4]
+        assert dq == union
+        nodes += 1
+        return search(self, front, back, z, scenes, dq, known)
+
+    def checked_simplify(front, back, scenes, seen_once, seen_twice, known):
+        nonlocal exits
+        out = simplify(front, back, scenes, seen_once, seen_twice, known)
+        merged, active, _ = out
+        assert len({rec[2] & active for rec in merged}) == len(merged)
+        if active == known:
+            assert merged is scenes
+            exits += 1
+        return out
+
+    monkeypatch.setattr(solver_mod._Search, "_search", checked_search)
+    monkeypatch.setattr(solver_mod, "_simplify", checked_simplify)
+    for day_cap in (solver_mod.DAY_MASK_MAX_DAYS, 0):
+        monkeypatch.setattr(solver_mod, "DAY_MASK_MAX_DAYS", day_cap)
+        for seed in range(12):
+            inst = generate_instance(
+                8 + seed % 5, 4 + seed % 9, seed=7200 + seed, density=0.35, max_duration=4
+            )
+            assert (solver_mod._Search(inst, FAST).days is int.bit_count) == (day_cap > 0)
+            result = solve(inst, SolveConfig(cache_capacity=1 << 4))
+            assert result.holding_cost == brute_force(inst)[0]
+    assert nodes > 2000 and exits > 500
+
+
+@pytest.mark.parametrize("m", [1, 8, 9, 16, 64])
+def test_a_wage_sum_is_the_sum_of_its_actors_wages(m):
+    # one byte table up to 8 actors, partial sums over several past that
+    rng = random.Random(7300 + m)
+    wages = tuple(rng.randint(0, 10**6) for _ in range(m))
+    inst = Instance(1, m, ((1 << m) - 1,), (1,), wages)
+    wage = solver_mod._Search(inst, FAST).wage
+    masks = range(1 << m) if m <= 8 else [rng.getrandbits(m) for _ in range(2000)]
+    for mask in masks:
+        assert wage(mask) == sum(wages[i] for i in bits(mask))
+
+
 def test_identical_runs_are_identical():
     inst = generate_instance(10, 6, seed=33, density=0.4)
     cfg = SolveConfig(cache_capacity=1 << 10)
@@ -674,9 +729,12 @@ def test_cache_modes_only_change_node_counts():
 # exactly the front's active actors and when the cache came to prune by
 # any resident state with the same blocks and a subset of the node's
 # remaining scenes; the 2^10 columns were re-recorded when every key came to
-# take the mixed slot, which changes only which states share a slot.  Any
-# change to a pruning rule, to the cache, to the order of the search or to
-# its start shows up here.
+# take the mixed slot, which changes only which states share a slot.  The
+# 12-actor draw, the only one past 8 actors (so its wage sums read more than
+# one byte table), was recorded before each node came to take its
+# remaining-days mask and active actors from its parent.  Any change to a
+# pruning rule, to the cache, to the order of the search or to its start
+# shows up here.
 NODE_PINS = {
     (10, 6, 7101, 0.35): {
         "all": (90, 34, 32, 3, 32, 3),
@@ -719,6 +777,13 @@ NODE_PINS = {
         "no-rule1": (124, 164, 79, 24, 79, 24),
         "no-rule2": (124, 137, 70, 21, 70, 21),
         "no-lower": (124, 2546, 431, 180, 426, 180),
+    },
+    (12, 12, 7107, 0.3): {
+        "all": (1150, 929, 443, 130, 441, 136),
+        "no-preprocess": (1150, 931, 445, 130, 443, 136),
+        "no-rule1": (1150, 937, 446, 131, 444, 137),
+        "no-rule2": (1150, 947, 452, 137, 450, 143),
+        "no-lower": (1150, 14017, 5055, 1592, 4334, 1955),
     },
 }
 PIN_CONFIGS = {
