@@ -3,12 +3,13 @@ program over scene sets.
 
 The search fixes one scene per level, alternating between the two ends of
 the schedule by swapping the roles of the front and back blocks on every
-recursion.  Each node is checked against the state cache first, and only
-a node the cache does not prune is simplified (actor dropping,
-duplicate-scene merging): a merge unions its records' scene masks and
-actor sets, so the cache key is the same either way.  Each candidate
-branch must survive the dominance rules and the lower-bound test
-``past + increment + future_bound < best`` before it is explored.
+recursion.  A parent checks each child against the state cache before it
+enters it, and only a child the cache does not prune is entered and
+simplified (actor dropping, duplicate-scene merging): a merge unions its
+records' scene masks and actor sets, so the cache key is the same either
+way.  Each candidate branch must survive the dominance rules and the
+lower-bound test ``past + increment + future_bound < best`` before it is
+explored.
 
 Dominance has rules 1 and 2 and, under rule 1's switch, one forced
 branch: a remaining scene whose active actors are exactly the front's
@@ -28,33 +29,37 @@ this order expands 58-70% fewer nodes than scene-id order did.
 ``_search`` returns a lower bound on its state's future cost, the holding
 cost still to come on top of ``past``: 0 at a leaf, and otherwise the
 least ``increment + b`` over the children that survive dominance.  ``b``
-is 0 for a child the increment test cut, its pair bound for one cut by
-the branch order's stop, and the bound the child returned when it was
-searched or cut by the cache.  Each of these terms is at least ``best -
-past`` at exit, so the bound never falls below the incumbent's slack.  A
-node writes its bound into its state's cache entry when it finishes, and
-the cache prunes a later node whose ``past`` plus a stored bound reaches
-the incumbent (bounded dynamic programming, Garcia de la Banda, Stuckey &
-Chu 2011): the bound of the node's own state, or of any stored state with
-the same blocks and a subset of its remaining scenes, since finishing a
-subset of the work never costs more.  A time-limit unwind writes no bound,
-as the node's children were not all seen.  On the benchmark's base
-instances the subset states save 19% of nodes on ``sweep`` and 1.4% on
-``wide-cast`` over trying only the states one remaining scene smaller.
+is 0 for a child the increment test cut, its pair bound for one cut by the
+branch order's stop, the stored bound that pruned one the cache cut, and
+the bound the child returned when it was searched.  Each of these terms is
+at least ``best - past`` at exit, so the bound never falls below the
+incumbent's slack.  A node writes its bound into its state's cache entry
+when it finishes, and the cache prunes a later node whose ``past`` plus a
+stored bound reaches the incumbent (bounded dynamic programming, Garcia de
+la Banda, Stuckey & Chu 2011): the bound of the node's own state, or of
+any stored state with the same blocks and a subset of its remaining
+scenes, since finishing a subset of the work never costs more.  A
+time-limit unwind writes no bound, as the node's children were not all
+seen.  On the benchmark's base instances the subset states save 19% of
+nodes on ``sweep`` and 1.4% on ``wide-cast`` over trying only the states
+one remaining scene smaller.
 
-A node is ``(front, back, z, scenes, dq, known)``: the actors at each
-block, the past cost, one record ``(duration, mask, actors, members, fixed
-mask)`` per remaining scene, in ascending order of its representative id,
-the lowest member, and two values its parent hands down: the union ``dq``
-of the records' fixed masks (below), and the parent's active actors
-``known``, which spare ``_simplify`` its fixed-point check when the node's
-are the same.  A merge replaces its group by one record: the summed
-duration, the union of the members' original-id masks, actor sets and
-fixed masks, and the concatenated member list.  A record's position stands
-in for its id in both tie-breaks, the branch order's and dominance rule
-1's.  Cache keys use the remaining set over *original* scene ids (the
-union of the masks), which keeps a state's identity independent of the
-merge history that produced it.
+A node is ``(front, back, z, scenes, dq, known, entry)``: the actors at
+each block, the past cost, one record ``(duration, mask, actors, members,
+fixed mask)`` per remaining scene, in ascending order of its
+representative id, the lowest member, and three values its parent hands
+down: the union ``dq`` of the records' fixed masks (below), the parent's
+active actors ``known``, which spare ``_simplify`` its fixed-point check
+when the node's are the same, and the node's cache ``entry`` from the
+parent's probe.  The parent also counts the node, checks the deadline and
+trims the blocks to the actors on location, so a pruned child costs no
+call.  A merge replaces its group by one record: the summed duration, the
+union of the members' original-id masks, actor sets and fixed masks, and
+the concatenated member list.  A record's position stands in for its id in
+both tie-breaks, the branch order's and dominance rule 1's.  Cache keys
+use the remaining set over *original* scene ids (the union of the masks),
+which keeps a state's identity independent of the merge history that
+produced it.
 
 Simplification, the increment, dominance and the pair bound each have one
 implementation, here: ``_simplify``, ``_Search._increment``,
@@ -80,22 +85,23 @@ found in the previous one is copied forward, so the states still in use
 survive.  Both generations full take about 0.8 MB.
 
 The increment and the pair bound count days on masks that are fixed per
-solve: each original scene j holds its ``d_j`` days as a run of bits at its
-day offset, so the days two actors share are the popcount of their masks'
-intersection.  An instance longer than ``DAY_MASK_MAX_DAYS`` days would
-build ints that long, so its solve gives scene j bit j and sums the
+solve: each original scene j holds its ``d_j`` days as a run of bits at
+its day offset, so the days two actors share are the popcount of their
+masks' intersection.  An instance longer than ``DAY_MASK_MAX_DAYS`` days
+would build ints that long, so its solve gives scene j bit j and sums the
 durations of a mask's scenes by partial-sum tables.  ``_Search.__init__``
 builds the scene masks (``scene_q``), each actor's mask over all scenes
 (``actor_q``), the counter of a mask's days (``days``) and that of a
 mask's wages (``wage``: one read of the byte table with at most 8 actors,
-partial sums past that); only it knows which forms it built.  A record
-carries the union of its scenes' masks, and a node's ``dq`` is the union
-over its records: the root's is every scene's, and a child's is its
-parent's less the pinned record's, as the scenes' masks are disjoint.  An
-actor's remaining scenes are then ``actor_q[i] & dq``.  That is exact for
-every actor the kernels read, as each is active, and no merge splits an
-active actor's scenes: a merge joins scenes whose active actors coincide,
-and an actor once inactive never comes back along a search path.
+one read of each of the two with 9-16, a loop over the tables past that);
+only it knows which forms it built.  A record carries the union of its
+scenes' masks, and a node's ``dq`` is the union over its records: the
+root's is every scene's, and a child's is its parent's less the pinned
+record's, as the scenes' masks are disjoint.  An actor's remaining scenes
+are then ``actor_q[i] & dq``.  That is exact for every actor the kernels
+read, as each is active, and no merge splits an active actor's scenes: a
+merge joins scenes whose active actors coincide, and an actor once
+inactive never comes back along a search path.
 """
 
 from __future__ import annotations
@@ -424,13 +430,17 @@ class _Search:
         self.inst = inst
         self.cfg = cfg
         # a wage sum is one table read with at most 8 actors, as one byte
-        # indexes the only table.  Past that, and for ``days`` below, the
-        # tables are bound to ``_masked_sum`` as a method's self: CPython
-        # 3.11 calls the bound method as fast as the function, and a
-        # ``partial`` about 15% slower
+        # indexes the only table, and two with 9-16, as a mask is below
+        # 2**16 and so its high byte indexes the second.  Past that, and for
+        # ``days`` below, the tables are bound to ``_masked_sum`` as a
+        # method's self: CPython 3.11 calls the bound method as fast as the
+        # function, and a ``partial`` about 15% slower
         wage_tables = _sum_tables(inst.wages)
         if len(wage_tables) == 1:
             self.wage = wage_tables[0].__getitem__
+        elif len(wage_tables) == 2:
+            low, high = wage_tables
+            self.wage = lambda mask: low[mask & 255] + high[mask >> 8]
         else:
             self.wage = MethodType(_masked_sum, wage_tables)
         self.cache = StateCache(cfg.cache_capacity) if cfg.cache_capacity else None
@@ -475,9 +485,16 @@ class _Search:
             for j, (d, a, q) in enumerate(zip(inst.durations, inst.scene_actors, self.scene_q))
         )
         status = "optimal"
+        # the root's count and probe, as a parent makes them for a child;
+        # no deadline check, as there is no incumbent yet.  Its blocks are
+        # empty, so there is nothing to trim
+        self.nodes = 1
+        entry = None
+        if self.cache is not None:
+            entry = self.cache.check_and_update(0, 0, inst.all_scenes, 0, self.best_h)
         try:
             # no active set is -1, so the root is simplified in full
-            self._search(0, 0, 0, scenes, sum(self.scene_q), -1)
+            self._search(0, 0, 0, scenes, sum(self.scene_q), -1, entry)
         except _TimeLimit:
             status = "time_limit"
         elapsed = time.perf_counter() - self.t0
@@ -494,26 +511,18 @@ class _Search:
             ub_trace=tuple(self.trace),
         )
 
-    def _search(self, front, back, z, scenes, dq, known):
+    def _search(self, front, back, z, scenes, dq, known, entry):
         """Search the node whose blocks hold the actors ``front`` and
-        ``back`` (trimmed here to those on location), at past cost ``z``,
-        with the records ``scenes`` left, by ascending representative id.
-        ``dq`` is the union of the records' fixed masks and ``known`` the
-        parent's active actors, both handed down by the parent.  The blocks'
-        scenes are in ``self.pinned``.  Returns a lower bound on the node's
-        future cost."""
-        self.nodes += 1
-        # every node: at n = 64 one node can take milliseconds, so a check
-        # every few thousand nodes would overshoot the limit by seconds.
-        # Only once a schedule exists: with no incumbent nothing prunes the
-        # first dive (the increment test cannot; the cache holds only
-        # ancestors, whose remaining sets are supersets; dominance leaves a
-        # child, since the scene-id tie-break keeps rules 1 and 2 acyclic
-        # and a forced zero-cost scene is itself the child left), so it
-        # reaches a leaf within n + 1 nodes.
-        if self.best_order and time.perf_counter() > self.deadline:
-            raise _TimeLimit
-
+        ``back``, at past cost ``z``, with the records ``scenes`` left, by
+        ascending representative id.  The parent hands down all but the
+        records: the blocks trimmed to the actors on location, ``dq``, the
+        union of the records' fixed masks, ``known``, its own active
+        actors, and ``entry``, the node's cache entry from the probe it
+        made (None at a leaf or with the cache off).  The parent also
+        counted the node and checked the deadline, and enters only a node
+        its probe did not prune.  The blocks' scenes are in
+        ``self.pinned``.  Returns a lower bound on the node's future
+        cost."""
         if not scenes:
             # no guard: the parent entered this leaf only if z < best_h
             self.best_h = z
@@ -546,18 +555,6 @@ class _Search:
             multi |= aq_full & a
             aq_full |= a
             q_orig |= q
-        # exact: an actor held by neither the middle nor the other block can
-        # never enter either again
-        front, back = front & (aq_full | back), back & (aq_full | front)
-
-        # -- cached-state prune, before simplifying, as the key reads only
-        # the blocks and ``q_orig``: an int is the stored bound that pruned,
-        # a list is the node's own entry, which takes its bound at exit --
-        entry = None
-        if self.cache is not None:
-            entry = self.cache.check_and_update(front, back, q_orig, z, self.best_h)
-            if isinstance(entry, int):
-                return entry
 
         # ``multi`` after simplifying: its actors stay in the middle whichever
         # scene is pinned next.  The trimmed blocks simplify as the untrimmed
@@ -579,11 +576,11 @@ class _Search:
         # ``least`` is the least ``inc + b`` over the children that survive
         # dominance, with ``b`` a lower bound on the child's future cost: 0
         # for a child the increment test cuts, the pair bound for one cut at
-        # the ``break``, and the returned bound for one searched (the cache
-        # may cut it).  A dominated child is left out, as its dominator
-        # does at least as well.  Dominance leaves at least one child, and
-        # each one adds at least ``best_h - z`` at exit, the incumbent's
-        # slack, to ``least``.
+        # the ``break``, and the returned bound for one searched or cut by
+        # the cache.  A dominated child is left out, as its dominator does
+        # at least as well.  Dominance leaves at least one child, and each
+        # one adds at least ``best_h - z`` at exit, the incumbent's slack,
+        # to ``least``.
         slack = self.best_h - z
         least = math.inf
         children = []
@@ -605,6 +602,8 @@ class _Search:
             children.append((k, inc))
         order.sort()
         pinned = self.pinned
+        # a leaf child is counted and checked but not probed
+        cache = self.cache if len(scenes) > 1 else None
         for key in order:
             # the incumbent only falls, so every later key fails too
             if z + (key >> 6) >= self.best_h:
@@ -612,10 +611,41 @@ class _Search:
                     least = key >> 6
                 break
             k, inc = children[key & 63]
-            _, _, a_s, members, fq = scenes[k]
+            _, q, a_s, members, fq = scenes[k]
+            # the child's count and deadline check, at every node: at n = 64
+            # one node can take milliseconds, so a check every few thousand
+            # nodes would overshoot the limit by seconds.  Only once a
+            # schedule exists: with no incumbent nothing prunes the first
+            # dive (the increment test cannot; the cache holds only
+            # ancestors, whose remaining sets are supersets; dominance
+            # leaves a child, since the scene-id tie-break keeps rules 1 and
+            # 2 acyclic and a forced zero-cost scene is itself the child
+            # left), so it reaches a leaf within n + 1 nodes
+            self.nodes += 1
+            if self.best_order and time.perf_counter() > self.deadline:
+                raise _TimeLimit
+            # the child's blocks, trimmed: exact, as an actor held by
+            # neither the middle nor the other block can never enter either
+            # again.  ``aq2`` is the child's middle actors, those of its
+            # remaining records
+            aq2 = aq_full & ~(a_s & ~multi)
+            fa = front | a_s
+            cf, cb = back & (aq2 | fa), fa & (aq2 | back)
+            # the cached-state prune, before the child is entered, as the
+            # key reads only the blocks and the remaining scenes: an int is
+            # the stored bound that pruned, a list is the child's own entry,
+            # which takes its bound at exit
+            child = None
+            if cache is not None:
+                child = cache.check_and_update(cf, cb, q_orig & ~q, z + inc, self.best_h)
+                if isinstance(child, int):
+                    cost = inc + child
+                    if cost < least:
+                        least = cost
+                    continue
             pinned.append(members)
             cost = inc + self._search(
-                back, front | a_s, z + inc, scenes[:k] + scenes[k + 1 :], dq & ~fq, active
+                cf, cb, z + inc, scenes[:k] + scenes[k + 1 :], dq & ~fq, active, child
             )
             pinned.pop()
             if cost < least:

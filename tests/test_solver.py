@@ -123,6 +123,9 @@ def test_trace_entries_are_feasible_and_strictly_decreasing():
 
 
 def test_subproblems_count_search_invocations(monkeypatch):
+    # a node counts whether it is entered or its parent's probe prunes it,
+    # so with the cache on the nodes are the calls plus the hits; the draw
+    # has hits, so pruned nodes are covered
     calls = 0
     original = solver_mod._Search._search
 
@@ -132,9 +135,60 @@ def test_subproblems_count_search_invocations(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(solver_mod._Search, "_search", counting)
-    inst = generate_instance(7, 5, seed=21, density=0.4)
-    result = solve(inst, FAST)
+    inst = generate_instance(12, 8, seed=7103, density=0.3)
+    result = solve(inst, SolveConfig(cache_capacity=1 << 16))
+    assert result.cache_stats.hits > 0
+    assert result.subproblems == calls + result.cache_stats.hits
+    calls = 0
+    result = solve(inst, SolveConfig(cache_capacity=0))
     assert result.subproblems == calls
+
+
+def test_a_child_the_probe_prunes_is_never_entered(monkeypatch):
+    # the parent probes each non-leaf child and enters it with the entry
+    # the probe returned, so every call but a leaf's takes the list of the
+    # probe made just before it, for its own state, and the probes since
+    # the previous call are the pruned siblings', which returned ints; a
+    # pruned child is never entered
+    probe = StateCache.check_and_update
+    search = solver_mod._Search._search
+    pending = []
+    calls = leaves = 0
+
+    def recorded_probe(self, front, back, remaining, z, limit):
+        out = probe(self, front, back, remaining, z, limit)
+        pending.append(((front, back, remaining, z), out))
+        return out
+
+    def checked_search(self, front, back, z, scenes, dq, known, entry):
+        nonlocal calls, leaves
+        calls += 1
+        if not scenes:
+            leaves += 1
+            assert entry is None and not pending
+        else:
+            remaining = 0
+            for rec in scenes:
+                remaining |= rec[1]
+            *pruned, (state, out) = pending
+            assert state == (front, back, remaining, z)
+            assert isinstance(out, list) and entry is out
+            assert all(isinstance(bound, int) for _, bound in pruned)
+        pending.clear()
+        return search(self, front, back, z, scenes, dq, known, entry)
+
+    monkeypatch.setattr(StateCache, "check_and_update", recorded_probe)
+    monkeypatch.setattr(solver_mod._Search, "_search", checked_search)
+    for n, m, seed, density in ((11, 7, 7102, 0.4), (12, 8, 7103, 0.3), (13, 7, 7105, 0.35)):
+        inst = generate_instance(n, m, seed=seed, density=density)
+        for cap in (1 << 4, 1 << 16):
+            for pre in (True, False):
+                calls = leaves = 0
+                result = solve(inst, SolveConfig(cache_capacity=cap, enable_preprocess=pre))
+                assert result.holding_cost == brute_force(inst)[0]
+                assert result.cache_stats.hits > 0
+                assert calls == result.subproblems - result.cache_stats.hits
+                assert leaves == len(result.ub_trace)
 
 
 def test_a_node_the_cache_prunes_is_never_simplified(monkeypatch):
@@ -172,14 +226,14 @@ def test_a_node_inherits_its_mask_and_its_parents_active_set(monkeypatch):
     search = solver_mod._Search._search
     simplify = solver_mod._simplify
 
-    def checked_search(self, front, back, z, scenes, dq, known):
+    def checked_search(self, front, back, z, scenes, dq, known, entry):
         nonlocal nodes
         union = 0
         for rec in scenes:
             union |= rec[4]
         assert dq == union
         nodes += 1
-        return search(self, front, back, z, scenes, dq, known)
+        return search(self, front, back, z, scenes, dq, known, entry)
 
     def checked_simplify(front, back, scenes, seen_once, seen_twice, known):
         nonlocal exits
@@ -205,14 +259,16 @@ def test_a_node_inherits_its_mask_and_its_parents_active_set(monkeypatch):
     assert nodes > 2000 and exits > 500
 
 
-@pytest.mark.parametrize("m", [1, 8, 9, 16, 64])
+@pytest.mark.parametrize("m", [1, 8, 9, 12, 16, 17, 64])
 def test_a_wage_sum_is_the_sum_of_its_actors_wages(m):
-    # one byte table up to 8 actors, partial sums over several past that
+    # one byte table read up to 8 actors, two reads up to 16, and partial
+    # sums over three or more tables past that: every mask through 16
+    # actors, random ones past
     rng = random.Random(7300 + m)
     wages = tuple(rng.randint(0, 10**6) for _ in range(m))
     inst = Instance(1, m, ((1 << m) - 1,), (1,), wages)
     wage = solver_mod._Search(inst, FAST).wage
-    masks = range(1 << m) if m <= 8 else [rng.getrandbits(m) for _ in range(2000)]
+    masks = range(1 << m) if m <= 16 else [rng.getrandbits(m) for _ in range(2000)]
     for mask in masks:
         assert wage(mask) == sum(wages[i] for i in bits(mask))
 
