@@ -33,26 +33,27 @@ is 0 for a child the increment test cut, its pair bound for one cut by the
 branch order's stop, the stored bound that pruned one the cache cut, and
 the bound the child returned when it was searched.  Each of these terms is
 at least ``best - past`` at exit, so the bound never falls below the
-incumbent's slack.  A node writes its bound into its state's cache entry
-when it finishes, and the cache prunes a later node whose ``past`` plus a
-stored bound reaches the incumbent (bounded dynamic programming, Garcia de
-la Banda, Stuckey & Chu 2011): the bound of the node's own state, or of
-any stored state with the same blocks and a subset of its remaining
-scenes, since finishing a subset of the work never costs more.  A
-time-limit unwind writes no bound, as the node's children were not all
-seen.  On the benchmark's base instances the subset states save 19% of
-nodes on ``sweep`` and 1.4% on ``wide-cast`` over trying only the states
-one remaining scene smaller.
+incumbent's slack.  A node offers its bound to the cache for its state
+when it finishes (``StateCache.raise_bound``, which keeps it only for a
+resident state and only when it is larger), and the cache prunes a later
+node whose ``past`` plus a stored bound reaches the incumbent (bounded
+dynamic programming, Garcia de la Banda, Stuckey & Chu 2011): the bound
+of the node's own state, or of any stored state with the same blocks and
+a subset of its remaining scenes, since finishing a subset of the work
+never costs more.  A time-limit unwind writes no bound, as the node's
+children were not all seen.  On the benchmark's base instances the subset
+states save 19% of nodes on ``sweep`` and 1.4% on ``wide-cast`` over
+trying only the states one remaining scene smaller.
 
-A node is ``(front, back, z, scenes, dq, known, entry)``: the actors at
-each block, the past cost, one record ``(duration, mask, actors, members,
+A node is ``(front, back, z, scenes, dq, known)``: the actors at each
+block, the past cost, one record ``(duration, mask, actors, members,
 fixed mask)`` per remaining scene, in ascending order of its
-representative id, the lowest member, and three values its parent hands
-down: the union ``dq`` of the records' fixed masks (below), the parent's
-active actors ``known``, which spare ``_simplify`` its fixed-point check
-when the node's are the same, and the node's cache ``entry`` from the
-parent's probe.  The parent also counts the node, checks the deadline and
-trims the blocks to the actors on location, so a pruned child costs no
+representative id, the lowest member, and two values its parent hands
+down: the union ``dq`` of the records' fixed masks (below), and the
+parent's active actors ``known``, which spare ``_simplify`` its
+fixed-point check when the node's are the same.  The parent also counts
+the node, checks the deadline, trims the blocks to the actors on location
+and probes the cache on the node's state, so a pruned child costs no
 call.  A merge replaces its group by one record: the summed duration, the
 union of the members' original-id masks, actor sets and fixed masks, and
 the concatenated member list.  A record's position stands in for its id in
@@ -489,12 +490,11 @@ class _Search:
         # no deadline check, as there is no incumbent yet.  Its blocks are
         # empty, so there is nothing to trim
         self.nodes = 1
-        entry = None
         if self.cache is not None:
-            entry = self.cache.check_and_update(0, 0, inst.all_scenes, 0, self.best_h)
+            self.cache.check_and_update(0, 0, inst.all_scenes, 0, self.best_h)
         try:
             # no active set is -1, so the root is simplified in full
-            self._search(0, 0, 0, scenes, sum(self.scene_q), -1, entry)
+            self._search(0, 0, 0, scenes, sum(self.scene_q), -1)
         except _TimeLimit:
             status = "time_limit"
         elapsed = time.perf_counter() - self.t0
@@ -511,18 +511,18 @@ class _Search:
             ub_trace=tuple(self.trace),
         )
 
-    def _search(self, front, back, z, scenes, dq, known, entry):
+    def _search(self, front, back, z, scenes, dq, known):
         """Search the node whose blocks hold the actors ``front`` and
         ``back``, at past cost ``z``, with the records ``scenes`` left, by
         ascending representative id.  The parent hands down all but the
         records: the blocks trimmed to the actors on location, ``dq``, the
-        union of the records' fixed masks, ``known``, its own active
-        actors, and ``entry``, the node's cache entry from the probe it
-        made (None at a leaf or with the cache off).  The parent also
-        counted the node and checked the deadline, and enters only a node
-        its probe did not prune.  The blocks' scenes are in
-        ``self.pinned``.  Returns a lower bound on the node's future
-        cost."""
+        union of the records' fixed masks, and ``known``, its own active
+        actors.  The parent also counted the node, checked the deadline
+        and probed the cache on the node's state (but not on a leaf's),
+        and enters only a node its probe did not prune.  The blocks'
+        scenes are in ``self.pinned``.  Returns a lower bound on the
+        node's future cost, which a non-leaf node also offers the cache
+        for its state at exit."""
         if not scenes:
             # no guard: the parent entered this leaf only if z < best_h
             self.best_h = z
@@ -633,25 +633,25 @@ class _Search:
             cf, cb = back & (aq2 | fa), fa & (aq2 | back)
             # the cached-state prune, before the child is entered, as the
             # key reads only the blocks and the remaining scenes: an int is
-            # the stored bound that pruned, a list is the child's own entry,
-            # which takes its bound at exit
-            child = None
+            # the stored bound that pruned, and None enters the child
             if cache is not None:
-                child = cache.check_and_update(cf, cb, q_orig & ~q, z + inc, self.best_h)
-                if isinstance(child, int):
-                    cost = inc + child
+                bound = cache.check_and_update(cf, cb, q_orig & ~q, z + inc, self.best_h)
+                if bound is not None:
+                    cost = inc + bound
                     if cost < least:
                         least = cost
                     continue
             pinned.append(members)
             cost = inc + self._search(
-                cf, cb, z + inc, scenes[:k] + scenes[k + 1 :], dq & ~fq, active, child
+                cf, cb, z + inc, scenes[:k] + scenes[k + 1 :], dq & ~fq, active
             )
             pinned.pop()
             if cost < least:
                 least = cost
-        if entry is not None and least > entry[1]:
-            entry[1] = least
+        # the exit write, into the state the parent's probe left resident;
+        # a time-limit unwind never gets here
+        if self.cache is not None:
+            self.cache.raise_bound(front, back, q_orig, least)
         return least
 
     def _increment(self, d, a_s, front, back, dq):

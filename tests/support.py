@@ -23,6 +23,8 @@ representative ids; ``lower_at`` takes a record's position, as the search
 does.
 ``pack_pairs``/``unpack_pairs`` translate between pair constants keyed by
 actor pair and the packed keys of the pair bound's two halves.
+``resident_states``, ``slot_entries`` and ``index_entries`` decode a
+``StateCache``'s packed keys into ``CacheModel``'s tuple-keyed entries.
 
 ``validate_assignment`` checks a schedule against the LP model that
 ``talentsched.build_model`` returns: ``build_assignment`` sets the
@@ -234,13 +236,16 @@ def past_cost(inst: Instance, node: SearchNode) -> int:
 
 class CacheModel:
     """The direct-mapped state cache, one probe and one store at a time:
-    the same slots, entries ``[key, bound]``, prune test, replacement rule
-    and ``CacheStats`` counters as ``StateCache``, with ``check_and_update``
-    as a lookup of the node's own state, then a pass over the resident
+    the same slots, prune test, replacement rule and ``CacheStats``
+    counters as ``StateCache``, on entries ``[key, bound]`` with the plain
+    tuple key ``(front, back, remaining)``, which ``slot_entries`` and
+    ``index_entries`` decode a ``StateCache`` into.  ``check_and_update``
+    is a lookup of the node's own state, then a pass over the resident
     states with the node's blocks and a remaining set below its own as an
     int, from the largest down, for the first that is a subset whose bound
     prunes, then a store that hands back the entry the node raises its
-    bound in."""
+    bound in (a detached one that no slot holds when the state is not
+    stored)."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -309,6 +314,36 @@ class CacheModel:
         if bound is not None:
             return bound
         return self.store(key)
+
+
+_WORD = (1 << 64) - 1
+
+
+def _state(key: int) -> tuple[int, int, int]:
+    """The state ``(front, back, remaining)`` of a ``StateCache`` key,
+    ``(front << 64 | back) << 64 | remaining``."""
+    return key >> 128, key >> 64 & _WORD, key & _WORD
+
+
+def slot_entries(cache) -> dict[int, list]:
+    """A ``StateCache``'s slots as ``CacheModel.slots`` holds them: each
+    slot's entry ``[(front, back, remaining), bound]``."""
+    return {slot: [_state(key), cache._bounds[key]] for slot, key in cache._slots.items()}
+
+
+def resident_states(cache) -> dict[tuple[int, int, int], int]:
+    """The resident states of a ``StateCache`` and their bounds."""
+    return dict(slot_entries(cache).values())
+
+
+def index_entries(cache) -> dict[tuple[int, int], list[list]]:
+    """A ``StateCache``'s block index in ``CacheModel``'s terms: each pair
+    of blocks and the entries ``[(front, back, remaining), bound]`` of its
+    keys, in the index's order."""
+    return {
+        (pair >> 64, pair & _WORD): [[_state(key), cache._bounds[key]] for key in keys]
+        for pair, keys in cache._blocks.items()
+    }
 
 
 # --- kernel adapters ----------------------------------------------------------

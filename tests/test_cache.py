@@ -1,19 +1,21 @@
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
 
-from talentsched import StateCache
+from talentsched import SolveConfig, StateCache, generate_instance
+from talentsched.solver import _Search
 
-from support import CacheModel, mask_of
+from support import CacheModel, index_entries, mask_of, resident_states, slot_entries
 
 FULL_HASH = 1 << 64  # the slot is a bijection of the 64-bit hash: only equal hashes collide
 NO_INCUMBENT = float("inf")  # the search's limit before its first schedule
 
 
 def _resident_keys(cache):
-    return sorted(entry[0] for entry in cache._slots.values())
+    return sorted(resident_states(cache))
 
 
 def _slot_of(capacity, front, back, remaining):
@@ -93,132 +95,178 @@ def test_capacity_only_bounds_memory():
     finally:
         tracemalloc.stop()
     assert allocated < 1e6
-    entry = cache.check_and_update(0b01, 0b10, 0b111, 5, 20)
-    assert entry == [(0b01, 0b10, 0b111), 0]
-    entry[1] = 15
+    assert cache.check_and_update(0b01, 0b10, 0b111, 5, 20) is None
+    assert resident_states(cache) == {(0b01, 0b10, 0b111): 0}
+    cache.raise_bound(0b01, 0b10, 0b111, 15)
     assert cache.check_and_update(0b01, 0b10, 0b111, 5, 20) == 15
+
+
+def _resident_bytes(cache):
+    """``sys.getsizeof`` summed over the cache's dicts and every object they
+    hold, each object once: what its resident states cost."""
+    seen = set()
+    total = 0
+    stack = [value for value in vars(cache).values() if isinstance(value, dict)]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return total
+
+
+def test_a_resident_state_costs_at_most_340_bytes():
+    # the README's count on 16, 16, 1, 0.30 at 2^22 slots: 312 bytes a
+    # state under CPython 3.11, and 454 when each state was a list
+    # ``[key, bound]`` on a tuple key.  340 leaves 9% for other versions'
+    # dict and int layouts
+    inst = generate_instance(16, 16, seed=1, density=0.3, max_duration=3, max_wage=20)
+    search = _Search(inst, SolveConfig(cache_capacity=1 << 22))
+    assert search.run().subproblems == 6019
+    states = len(search.cache._slots)
+    assert states == 2865
+    assert _resident_bytes(search.cache) / states <= 340
 
 
 def test_replace_policies():
     # one slot: a newcomer takes it only from a resident with fewer
     # remaining scenes, whatever either bound
     cache = StateCache(1)
-    first = cache.check_and_update(1, 2, 0b0111, 0, 100)  # stored
-    assert cache.check_and_update(4, 8, 0b0011, 0, 100) == [(4, 8, 0b0011), 0]  # detached
-    assert cache.check_and_update(4, 8, 0b0111, 0, 100) == [(4, 8, 0b0111), 0]  # detached
+    assert cache.check_and_update(1, 2, 0b0111, 0, 100) is None  # stored
+    assert cache.check_and_update(4, 8, 0b0011, 0, 100) is None  # detached
+    assert cache.check_and_update(4, 8, 0b0111, 0, 100) is None  # detached
     assert _resident_keys(cache) == [(1, 2, 0b0111)]
-    first[1] = 5  # first's node proves a bound at exit
+    cache.raise_bound(1, 2, 0b0111, 5)  # first's node proves a bound at exit
     assert cache.check_and_update(1, 2, 0b0111, 95, 100) == 5
-    larger = cache.check_and_update(4, 8, 0b1111, 0, 100)  # takes the slot
-    assert cache._slots[0] is larger
+    assert cache.check_and_update(4, 8, 0b1111, 0, 100) is None  # takes the slot
+    assert slot_entries(cache) == {0: [(4, 8, 0b1111), 0]}
     assert _resident_keys(cache) == [(4, 8, 0b1111)]
-    assert not isinstance(cache.check_and_update(1, 2, 0b0111, 95, 100), int)
+    assert cache.check_and_update(1, 2, 0b0111, 95, 100) is None
     assert (cache.stats.collisions, cache.stats.replacements) == (4, 1)
 
 
 def test_collision_rule_at_sixteen_slots():
     one, other, more = _colliding_keys(16)
     cache = StateCache(16)
-    cache.check_and_update(*one, 0, 100)[1] = 9
-    detached = cache.check_and_update(*other, 0, 100)  # as many scenes left
-    assert detached == [other, 0]
-    detached[1] = 50  # its node's exit write is lost
-    assert _resident_keys(cache) == [one]
+    assert cache.check_and_update(*one, 0, 100) is None
+    cache.raise_bound(*one, 9)
+    # as many scenes left: detached, and its node's exit write is lost
+    assert cache.check_and_update(*other, 0, 100) is None
+    cache.raise_bound(*other, 50)
+    assert resident_states(cache) == {one: 9}
     assert cache.check_and_update(*one, 91, 100) == 9
-    assert not isinstance(cache.check_and_update(*other, 99, 100), int)
-    cache.check_and_update(*more, 0, 100)[1] = 3  # more scenes left: replaced
+    assert cache.check_and_update(*other, 99, 100) is None
+    # more scenes left: replaced
+    assert cache.check_and_update(*more, 0, 100) is None
+    cache.raise_bound(*more, 3)
     assert _resident_keys(cache) == [more]
     assert cache.check_and_update(*more, 97, 100) == 3
-    assert not isinstance(cache.check_and_update(*one, 99, 100), int)
+    assert cache.check_and_update(*one, 99, 100) is None
     stats = cache.stats
     assert (stats.collisions, stats.replacements, stats.stores) == (4, 1, 1)
 
 
 def test_equal_keys_keep_larger_bound():
     cache = StateCache(4)
-    entry = cache.check_and_update(3, 5, 1, 0, 100)
-    entry[1] = 10
-    # a revisit that the bound does not prune gets the resident entry back,
-    # bound and all, so the node's exit write ``max(entry[1], v)`` keeps
-    # the larger bound
-    again = cache.check_and_update(3, 5, 1, 80, 100)
-    assert again is entry and again[1] == 10
-    again[1] = max(again[1], 7)
+    assert cache.check_and_update(3, 5, 1, 0, 100) is None
+    cache.raise_bound(3, 5, 1, 10)
+    # a revisit that the bound does not prune leaves the resident state,
+    # bound and all, so the node's exit write keeps the larger bound
+    assert cache.check_and_update(3, 5, 1, 80, 100) is None
+    assert resident_states(cache) == {(3, 5, 1): 10}
+    cache.raise_bound(3, 5, 1, 7)
+    assert resident_states(cache) == {(3, 5, 1): 10}
     assert cache.check_and_update(3, 5, 1, 90, 100) == 10
-    assert not isinstance(cache.check_and_update(3, 5, 1, 89, 100), int)
+    assert cache.check_and_update(3, 5, 1, 89, 100) is None
     # finding a resident equal key is neither a store nor a collision
     assert (cache.stats.stores, cache.stats.collisions) == (1, 0)
 
 
 def test_collision_never_prunes():
     cache = StateCache(1)  # everything lands in slot 0
-    cache.check_and_update(1, 2, 3, 0, 10)[1] = 10**6
-    assert not isinstance(cache.check_and_update(4, 8, 6, 10**9, 10), int)
+    cache.check_and_update(1, 2, 3, 0, 10)
+    cache.raise_bound(1, 2, 3, 10**6)
+    assert cache.check_and_update(4, 8, 6, 10**9, 10) is None
     assert cache.stats.hits == 0
     assert cache.stats.collisions == 1
 
 
 def test_writing_into_an_evicted_entry_changes_no_slot():
     cache = StateCache(1)
-    evicted = cache.check_and_update(1, 2, 0b011, 0, 100)
-    resident = cache.check_and_update(4, 8, 0b111, 0, 100)  # takes the slot
-    before = {slot: list(entry) for slot, entry in cache._slots.items()}
-    evicted[1] = 60  # the evicted node's exit write
-    assert cache._slots == before == {0: [(4, 8, 0b111), 0]}
-    assert cache._slots[0] is resident
-    assert not isinstance(cache.check_and_update(1, 2, 0b011, 99, 100), int)
+    cache.check_and_update(1, 2, 0b011, 0, 100)
+    cache.check_and_update(4, 8, 0b111, 0, 100)  # takes the slot
+    before = slot_entries(cache)
+    cache.raise_bound(1, 2, 0b011, 60)  # the evicted node's exit write
+    assert slot_entries(cache) == before == {0: [(4, 8, 0b111), 0]}
+    # the bound table holds the resident state alone
+    assert len(cache._bounds) == 1
+    assert cache.check_and_update(1, 2, 0b011, 99, 100) is None
 
 
 def test_check_and_update_stores_then_prunes_revisits():
     cache = StateCache(1 << 8)
-    entry = cache.check_and_update(0b01, 0b10, 0b111, 5, 20)
-    entry[1] = 15
+    assert cache.check_and_update(0b01, 0b10, 0b111, 5, 20) is None
+    cache.raise_bound(0b01, 0b10, 0b111, 15)
     assert cache.check_and_update(0b01, 0b10, 0b111, 5, 20) == 15
     assert cache.check_and_update(0b01, 0b10, 0b111, 9, 20) == 15
-    assert cache.check_and_update(0b01, 0b10, 0b111, 4, 20) is entry  # 19 < 20
+    assert cache.check_and_update(0b01, 0b10, 0b111, 4, 20) is None  # 19 < 20
+    assert resident_states(cache) == {(0b01, 0b10, 0b111): 15}
     # a lower incumbent lets the same bound prune more
     assert cache.check_and_update(0b01, 0b10, 0b111, 4, 19) == 15
 
 
 def test_prune_threshold_is_z_plus_bound_at_limit():
     cache = StateCache(1 << 8)
-    cache.check_and_update(0b01, 0b10, 0b011, 0, 100)[1] = 7
+    cache.check_and_update(0b01, 0b10, 0b011, 0, 100)
+    cache.raise_bound(0b01, 0b10, 0b011, 7)
     # own probe: 13 + 7 reaches 20, 12 + 7 does not
     assert cache.check_and_update(0b01, 0b10, 0b011, 13, 20) == 7
-    assert not isinstance(cache.check_and_update(0b01, 0b10, 0b011, 12, 20), int)
+    assert cache.check_and_update(0b01, 0b10, 0b011, 12, 20) is None
     # subset scan from remaining 0b111 (scene 2 more): the same threshold
     assert cache.check_and_update(0b01, 0b10, 0b111, 13, 20) == 7
-    assert not isinstance(cache.check_and_update(0b01, 0b10, 0b111, 12, 20), int)
+    assert cache.check_and_update(0b01, 0b10, 0b111, 12, 20) is None
     assert cache.stats.hits == 2
 
 
 def test_check_and_update_canonicalizes_sides():
     cache = StateCache(1 << 8)
-    cache.check_and_update(0b10, 0b01, 0b11, 4, 10)[1] = 6
+    cache.check_and_update(0b10, 0b01, 0b11, 4, 10)
+    cache.raise_bound(0b10, 0b01, 0b11, 6)
     assert cache.check_and_update(0b01, 0b10, 0b11, 4, 10) == 6  # swapped sides match
+    # the exit write canonicalizes its sides too
+    cache.raise_bound(0b01, 0b10, 0b11, 8)
+    assert resident_states(cache) == {(0b01, 0b10, 0b11): 8}
 
 
 def test_subset_state_prunes():
     cache = StateCache(1 << 8)
     # seed the state reached after finishing scene 2 (remaining 0b011)
-    cache.check_and_update(0b01, 0b10, 0b011, 5, 100)[1] = 5
+    cache.check_and_update(0b01, 0b10, 0b011, 5, 100)
+    cache.raise_bound(0b01, 0b10, 0b011, 5)
     # the superset node costs at least as much to finish, so at 5 + 5 it
     # reaches the limit and is pruned with the subset's bound
     assert cache.check_and_update(0b01, 0b10, 0b111, 5, 10) == 5
     # a cheaper superset node survives and is stored
-    entry = cache.check_and_update(0b01, 0b10, 0b111, 4, 10)
-    assert entry == [(0b01, 0b10, 0b111), 0]
+    assert cache.check_and_update(0b01, 0b10, 0b111, 4, 10) is None
+    assert resident_states(cache)[0b01, 0b10, 0b111] == 0
 
 
 def test_subset_scan_reaches_a_merged_pair_subset():
     cache = StateCache(1 << 8)
     # state after removing the merged pair {0,1}
-    cache.check_and_update(0b01, 0b10, 0b100, 5, 100)[1] = 4
+    cache.check_and_update(0b01, 0b10, 0b100, 5, 100)
+    cache.raise_bound(0b01, 0b10, 0b100, 4)
     # two scenes fewer: no one-scene probe reached it, the scan does
     assert cache.check_and_update(0b01, 0b10, 0b111, 6, 10) == 4
     assert (cache.stats.hits, cache.stats.subset_hits) == (1, 1)
     # a resident state with a scene the node has not left never prunes it
-    assert not isinstance(cache.check_and_update(0b01, 0b10, 0b011, 6, 10), int)
+    assert cache.check_and_update(0b01, 0b10, 0b011, 6, 10) is None
 
 
 def _probes_to_prune(cache, front, back, remaining, z, limit):
@@ -230,12 +278,13 @@ def _probes_to_prune(cache, front, back, remaining, z, limit):
     if back < front:
         front, back = back, front
     key = (front, back, remaining)
-    own = [entry for entry in cache._slots.values() if entry[0] == key]
+    entries = slot_entries(cache).values()
+    own = [entry for entry in entries if entry[0] == key]
     if own and z + own[0][1] >= limit:
         return 1, "own"
     below = sorted(
         (entry[0][2], entry[1])
-        for entry in cache._slots.values()
+        for entry in entries
         if entry[0][:2] == (front, back) and entry[0][2] < remaining
     )[::-1]
     for count, (r, bound) in enumerate(below, 2):
@@ -256,14 +305,14 @@ def test_probe_accounting_balances():
         probes += count
         prunes[pruned_by] += 1
         got = cache.check_and_update(*args)
-        assert isinstance(got, int) == (pruned_by is not None)
-        if not isinstance(got, int) and rng.random() < 0.7:
-            got[1] = max(got[1], rng.randint(0, 20))
+        assert (got is not None) == (pruned_by is not None)
+        if got is None and rng.random() < 0.7:
+            cache.raise_bound(*args[:3], rng.randint(0, 20))
 
     for _ in range(300):
         # one call in four revisits a resident state, as the search does
         if cache._slots and rng.random() < 0.25:
-            front, back, remaining = rng.choice(list(cache._slots.values()))[0]
+            front, back, remaining = rng.choice(list(slot_entries(cache).values()))[0]
         else:
             front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(4)
         call(front, back, remaining, rng.randint(0, 20), 25)
@@ -272,7 +321,7 @@ def test_probe_accounting_balances():
         # a resident state's remaining set plus one scene: that resident
         # is a subset state, so its bound can prune by the scan, as it does
         # for a parent of a searched node
-        front, back, remaining = rng.choice(list(cache._slots.values()))[0]
+        front, back, remaining = rng.choice(list(slot_entries(cache).values()))[0]
         free = [s for s in range(remaining.bit_length() + 1) if not remaining >> s & 1]
         remaining |= 1 << rng.choice(free)
         call(front, back, remaining, rng.randint(0, 20), 25)
@@ -315,9 +364,11 @@ def test_exact_store_always_prunes_revisits():
                 probes -= len(below) - count
                 break
         else:
-            assert got[1] == (bound or 0)
-            got[1] = max(got[1], rng.randint(0, 40))
-            seen[key] = got[1]
+            assert got is None
+            state = (min(front, back), max(front, back), remaining)
+            assert resident_states(cache)[state] == (bound or 0)
+            cache.raise_bound(front, back, remaining, rng.randint(0, 40))
+            seen[key] = resident_states(cache)[state]
     # one probe per call, plus one per stored state of its blocks compared
     assert cache.stats.probes == probes
     assert cache.stats.hits and cache.stats.subset_hits
@@ -332,29 +383,32 @@ def test_check_and_update_matches_lookups_then_store(capacity):
     # own state, then sorts the resident states of its blocks for a subset
     # one, then stores, on a key space small enough for hits, equal keys and
     # slot collisions; one call in four revisits a resident state, as the
-    # search does.  Each returned entry then takes the same bound, 0 in one
-    # call of three, as a node's exit would write
+    # search does.  Each call that does not prune then makes the same exit
+    # write to both, a bound of 0 in one call of three, as a node would
     fast, ref = StateCache(capacity), CacheModel(capacity)
     rng = random.Random(73)
     for _ in range(3000):
         front, back, remaining = rng.getrandbits(3), rng.getrandbits(3), rng.getrandbits(5)
         if fast._slots and rng.random() < 0.25:
-            front, back, remaining = rng.choice(list(fast._slots.values()))[0]
+            front, back, remaining = rng.choice(list(slot_entries(fast).values()))[0]
         z = rng.randint(0, 12)
         limit = rng.randint(8, 20)
         got = fast.check_and_update(front, back, remaining, z, limit)
         want = ref.check_and_update(front, back, remaining, z, limit)
-        assert got == want
+        # the model hands back an entry where the cache returns None
+        assert got == (want if isinstance(want, int) else None)
         assert fast.stats == ref.stats
-        assert fast._slots == ref.slots
+        assert slot_entries(fast) == ref.slots
+        # the bound table holds the resident keys, and only those
+        assert set(fast._bounds) == set(fast._slots.values())
         # the index lists each block pair's resident entries, sorted
         groups = {}
         for entry in ref.slots.values():
             groups.setdefault(entry[0][:2], []).append(entry)
-        assert fast._blocks == {blocks: sorted(group) for blocks, group in groups.items()}
-        if isinstance(got, list):
+        assert index_entries(fast) == {blocks: sorted(group) for blocks, group in groups.items()}
+        if got is None:
             bound = rng.choice([0, rng.randint(1, 12), rng.randint(1, 12)])
-            got[1] = max(got[1], bound)
+            fast.raise_bound(front, back, remaining, bound)
             want[1] = max(want[1], bound)
     assert fast.stats.hits and fast.stats.stores
     # one slot rarely keeps a subset of the next state resident

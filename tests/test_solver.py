@@ -3,6 +3,7 @@ import random
 import re
 import time
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ from talentsched.testkit import (
     WORKED_TOTAL_BEST,
     fixture_worked_example,
 )
+
+from support import resident_states
 
 FAST = SolveConfig(cache_capacity=1 << 12)
 
@@ -145,14 +148,18 @@ def test_subproblems_count_search_invocations(monkeypatch):
 
 
 def test_a_child_the_probe_prunes_is_never_entered(monkeypatch):
-    # the parent probes each non-leaf child and enters it with the entry
-    # the probe returned, so every call but a leaf's takes the list of the
-    # probe made just before it, for its own state, and the probes since
-    # the previous call are the pruned siblings', which returned ints; a
-    # pruned child is never entered
+    # the parent probes each non-leaf child and enters it only when the
+    # probe does not prune, so every call but a leaf's follows a probe of
+    # its own state that returned None, and the probes since the previous
+    # call are the pruned siblings', which returned ints; a pruned child is
+    # never entered.  Each non-leaf call's last act is the exit write of
+    # the bound it returns, for the state its parent probed; a leaf makes
+    # none
     probe = StateCache.check_and_update
+    raise_bound = StateCache.raise_bound
     search = solver_mod._Search._search
     pending = []
+    raised = []
     calls = leaves = 0
 
     def recorded_probe(self, front, back, remaining, z, limit):
@@ -160,24 +167,33 @@ def test_a_child_the_probe_prunes_is_never_entered(monkeypatch):
         pending.append(((front, back, remaining, z), out))
         return out
 
-    def checked_search(self, front, back, z, scenes, dq, known, entry):
+    def recorded_raise(self, front, back, remaining, bound):
+        raised.append((front, back, remaining, bound))
+        return raise_bound(self, front, back, remaining, bound)
+
+    def checked_search(self, front, back, z, scenes, dq, known):
         nonlocal calls, leaves
         calls += 1
+        remaining = 0
+        for rec in scenes:
+            remaining |= rec[1]
         if not scenes:
             leaves += 1
-            assert entry is None and not pending
+            assert not pending
         else:
-            remaining = 0
-            for rec in scenes:
-                remaining |= rec[1]
             *pruned, (state, out) = pending
             assert state == (front, back, remaining, z)
-            assert isinstance(out, list) and entry is out
+            assert out is None
             assert all(isinstance(bound, int) for _, bound in pruned)
         pending.clear()
-        return search(self, front, back, z, scenes, dq, known, entry)
+        raised.clear()
+        bound = search(self, front, back, z, scenes, dq, known)
+        assert raised == ([(front, back, remaining, bound)] if scenes else [])
+        raised.clear()
+        return bound
 
     monkeypatch.setattr(StateCache, "check_and_update", recorded_probe)
+    monkeypatch.setattr(StateCache, "raise_bound", recorded_raise)
     monkeypatch.setattr(solver_mod._Search, "_search", checked_search)
     for n, m, seed, density in ((11, 7, 7102, 0.4), (12, 8, 7103, 0.3), (13, 7, 7105, 0.35)):
         inst = generate_instance(n, m, seed=seed, density=density)
@@ -226,14 +242,14 @@ def test_a_node_inherits_its_mask_and_its_parents_active_set(monkeypatch):
     search = solver_mod._Search._search
     simplify = solver_mod._simplify
 
-    def checked_search(self, front, back, z, scenes, dq, known, entry):
+    def checked_search(self, front, back, z, scenes, dq, known):
         nonlocal nodes
         union = 0
         for rec in scenes:
             union |= rec[4]
         assert dq == union
         nodes += 1
-        return search(self, front, back, z, scenes, dq, known, entry)
+        return search(self, front, back, z, scenes, dq, known)
 
     def checked_simplify(front, back, scenes, seen_once, seen_twice, known):
         nonlocal exits
@@ -633,8 +649,8 @@ def test_time_limited_answers_never_undercut_the_optimum():
 
 
 def _overstated_bounds(inst, search, exact_costs=None):
-    """The resident cache entries of a finished ``_Search`` whose bound
-    exceeds the state's exact future cost, and how many entries there are.
+    """The resident cache states of a finished ``_Search`` whose bound
+    exceeds the state's exact future cost, and how many states there are.
     That cost is the oracle's DP over the remaining scenes with the front's
     actors on location from the first day and the back's to the last;
     actors at both blocks are left out, as the past cost charged them.
@@ -643,8 +659,8 @@ def _overstated_bounds(inst, search, exact_costs=None):
     if exact_costs is None:
         exact_costs = {}
     over = []
-    slots = search.cache._slots
-    for key, bound in slots.values():
+    states = resident_states(search.cache)
+    for key, bound in states.items():
         exact = exact_costs.get(key)
         if exact is None:
             front, back, remaining = key
@@ -659,7 +675,7 @@ def _overstated_bounds(inst, search, exact_costs=None):
             )[0]
         if bound > exact:
             over.append((key, bound, exact))
-    return over, len(slots)
+    return over, len(states)
 
 
 def test_cached_bounds_never_exceed_the_future_cost():
@@ -676,7 +692,7 @@ def test_cached_bounds_never_exceed_the_future_cost():
             assert search.run().holding_cost == brute_force(inst)[0]
             over, _ = _overstated_bounds(inst, search)
             assert not over, (k, pre, over[:3])
-            proved += sum(entry[1] > 0 for entry in search.cache._slots.values())
+            proved += sum(bound > 0 for bound in resident_states(search.cache).values())
     assert proved > 1000
     # a time-limit unwind writes no bound: this draw's first dive is far
     # from the optimum, so a bound written on the way out would overstate
@@ -708,7 +724,7 @@ def test_cached_bounds_are_sound_under_every_switch_set():
                 assert search.run().holding_cost == optimum, (k, flags, cap)
                 over, _ = _overstated_bounds(inst, search, exact_costs)
                 assert not over, (k, flags, cap, over[:3])
-                proved += sum(entry[1] > 0 for entry in search.cache._slots.values())
+                proved += sum(bound > 0 for bound in resident_states(search.cache).values())
     assert proved > 20000, proved
 
 
@@ -754,16 +770,47 @@ def test_switch_sets_agree_on_larger_draws():
     )
 
 
+# (n, m, seed, density) -> cache bits -> (optimum, nodes, the six
+# ``CacheStats`` counters in field order), durations up to 3 and wages up
+# to 20.  From 48 scenes the cache key's remaining field is mostly full,
+# and from 62 the tuple hash folds scenes 61-63 onto scenes 0-2, so these
+# pin the cache where no other test reads its counters.  Recorded before
+# each resident state became one packed int, which left them unchanged
+FRONTIER_PINS = {
+    (52, 8, 1, 0.5): {
+        16: (2477, 152564, (1469492, 90396, 74901, 20623, 8875, 35974)),
+        22: (2477, 129413, (1281742, 79541, 66628, 268, 137, 44222)),
+    },
+    (64, 8, 1, 0.5): {
+        22: (2473, 152288, (2594519, 92953, 77808, 423, 223, 53383)),
+    },
+}
+
+
+def _check_frontier_pins(draw):
+    n, m, seed, density = draw
+    inst = generate_instance(n, m, seed=seed, density=density, max_duration=3, max_wage=20)
+    for cache_bits, (optimum, nodes, counters) in FRONTIER_PINS[draw].items():
+        result = solve(inst, SolveConfig(cache_capacity=1 << cache_bits))
+        assert (result.status, result.holding_cost) == ("optimal", optimum), cache_bits
+        assert holding_cost(inst, result.schedule) == optimum
+        assert result.subproblems == nodes, cache_bits
+        assert astuple(result.cache_stats) == counters, cache_bits
+
+
 @pytest.mark.slow
 def test_small_and_large_caches_agree_at_fifty_two_scenes():
     # 2^16 slots is the smallest cache tried on which this draw finishes:
-    # at 2^12 it takes more than 600 s.  About 12 s on a 2-vCPU Xeon under
+    # at 2^12 it takes more than 600 s.  About 10 s on a 2-vCPU Xeon under
     # CPython 3.11
-    inst = generate_instance(52, 8, seed=1, density=0.5, max_duration=3, max_wage=20)
-    for cap in (1 << 16, 1 << 22):
-        result = solve(inst, SolveConfig(cache_capacity=cap))
-        assert (result.status, result.holding_cost) == ("optimal", 2477), cap
-        assert holding_cost(inst, result.schedule) == 2477
+    _check_frontier_pins((52, 8, 1, 0.5))
+
+
+@pytest.mark.slow
+def test_sixty_four_scenes_keep_their_nodes_and_counters():
+    # every scene bit of the cache key in use.  About 6 s on a 2-vCPU Xeon
+    # under CPython 3.11
+    _check_frontier_pins((64, 8, 1, 0.5))
 
 
 def test_cache_modes_only_change_node_counts():
